@@ -293,8 +293,13 @@ bool AdaptiveMatrix::migrate_to(maf::Scheme target) {
     std::lock_guard done(done_mutex_);
     busy_ = true;
   }
-  // Publishes next_ and the cleared copy map to forwarding writers.
-  migrating_.store(true, std::memory_order_release);
+  // Publishes next_ and the cleared copy map to forwarding writers. Under
+  // the engine lock: a writer that read the flag still false finishes its
+  // unforwarded write before the copy phase can snapshot its band.
+  {
+    std::lock_guard eng(engine_mutex_);
+    migrating_.store(true, std::memory_order_release);
+  }
   if (opts_.pool != nullptr) {
     opts_.pool->submit([this, target] { run_migration(target); });
   } else {
@@ -387,10 +392,10 @@ void AdaptiveMatrix::run_migration(maf::Scheme target) {
   }
   fault_band_.store(-1, std::memory_order_relaxed);
   retired.reset();  // destroy the losing epoch outside every lock
-  {
-    std::lock_guard done(done_mutex_);
-    busy_ = false;
-  }
+  // Notify under the lock: a waiter that sees busy_ cleared may destroy
+  // the matrix, condition variable included, as soon as it holds the lock.
+  std::lock_guard done(done_mutex_);
+  busy_ = false;
   done_cv_.notify_all();
 }
 

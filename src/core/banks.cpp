@@ -6,7 +6,7 @@ namespace polymem::core {
 
 BankArray::BankArray(unsigned banks, unsigned read_ports,
                      std::int64_t words_per_bank)
-    : banks_(banks), read_ports_(read_ports) {
+    : banks_(banks), read_ports_(read_ports), bulk_reads_(read_ports, 0) {
   POLYMEM_REQUIRE(banks >= 1, "need at least one bank");
   POLYMEM_REQUIRE(read_ports >= 1, "need at least one read port");
   storage_.reserve(static_cast<std::size_t>(banks) * read_ports);
@@ -49,33 +49,12 @@ void BankArray::read(unsigned port, std::span<const std::int64_t> per_bank_addr,
     per_bank_data[b] = replica(port, b).read(per_bank_addr[b]);
 }
 
-void BankArray::read_shared(unsigned port,
-                            std::span<const std::int64_t> per_bank_addr,
-                            std::span<hw::Word> per_bank_data) const {
-  POLYMEM_REQUIRE(per_bank_addr.size() == banks_ &&
-                      per_bank_data.size() == banks_,
-                  "per-bank vectors must cover every bank");
-  for (unsigned b = 0; b < banks_; ++b)
-    per_bank_data[b] = replica(port, b).peek(per_bank_addr[b]);
-}
-
 const hw::Word* BankArray::bank_storage(unsigned port, unsigned bank) const {
   return replica(port, bank).data();
 }
 
 hw::Word* BankArray::bank_storage(unsigned port, unsigned bank) {
   return replica(port, bank).data();
-}
-
-void BankArray::add_bulk_reads(unsigned port, std::uint64_t per_bank) {
-  for (unsigned b = 0; b < banks_; ++b)
-    replica(port, b).add_bulk_reads(per_bank);
-}
-
-void BankArray::add_bulk_writes(std::uint64_t per_bank) {
-  for (unsigned r = 0; r < read_ports_; ++r)
-    for (unsigned b = 0; b < banks_; ++b)
-      replica(r, b).add_bulk_writes(per_bank);
 }
 
 hw::Word BankArray::peek(unsigned bank, std::int64_t addr) const {
@@ -89,13 +68,14 @@ void BankArray::poke(unsigned bank, std::int64_t addr, hw::Word value) {
 std::uint64_t BankArray::total_reads() const {
   std::uint64_t n = 0;
   for (const auto& bank : storage_) n += bank.total_reads();
+  for (const std::uint64_t bulk : bulk_reads_) n += bulk * banks_;
   return n;
 }
 
 std::uint64_t BankArray::total_writes() const {
   std::uint64_t n = 0;
   for (const auto& bank : storage_) n += bank.total_writes();
-  return n;
+  return n + bulk_writes_ * banks_ * read_ports_;
 }
 
 }  // namespace polymem::core

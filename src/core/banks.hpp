@@ -11,6 +11,7 @@
 #include <span>
 #include <vector>
 
+#include "common/error.hpp"
 #include "core/agu.hpp"
 #include "hw/bram.hpp"
 
@@ -36,14 +37,6 @@ class BankArray {
   void read(unsigned port, std::span<const std::int64_t> per_bank_addr,
             std::span<hw::Word> per_bank_data);
 
-  /// Port-concurrent read path: same data as read(), but without the
-  /// per-cycle port accounting (no begin_cycle handshake, no lifetime
-  /// counters). Each read port owns a disjoint bank replica, so any
-  /// number of threads may call this on *distinct* ports while no write
-  /// is in flight — the contract PolyMem::read_batch_mt runs under.
-  void read_shared(unsigned port, std::span<const std::int64_t> per_bank_addr,
-                   std::span<hw::Word> per_bank_data) const;
-
   /// Host backdoor (no port accounting) — used by load/offload paths.
   hw::Word peek(unsigned bank, std::int64_t addr) const;
   void poke(unsigned bank, std::int64_t addr, hw::Word value);
@@ -54,14 +47,19 @@ class BankArray {
   const hw::Word* bank_storage(unsigned port, unsigned bank) const;
   hw::Word* bank_storage(unsigned port, unsigned bank);
 
-  /// Bulk counter credit for compiled-engine batches, which skip the
+  /// Bulk counter credit for compiled-engine accesses, which skip the
   /// per-cycle port handshake (conflict-freedom is proven per residue
-  /// class at plan-build time — the read_shared contract). `per_bank`
-  /// accesses are credited to every bank of read replica `port`
-  /// (reads), respectively every bank of every replica (writes).
-  void add_bulk_reads(unsigned port, std::uint64_t per_bank);
-  void add_bulk_writes(std::uint64_t per_bank);
+  /// class at plan-build time). `per_bank` accesses are credited to every
+  /// bank of read replica `port` (reads), respectively every bank of
+  /// every replica (writes). O(1): one counter per port and one for
+  /// writes, folded into the totals.
+  void add_bulk_reads(unsigned port, std::uint64_t per_bank) {
+    POLYMEM_REQUIRE(port < read_ports_, "bank/port index out of range");
+    bulk_reads_[port] += per_bank;
+  }
+  void add_bulk_writes(std::uint64_t per_bank) { bulk_writes_ += per_bank; }
 
+  /// Lifetime bank accesses, ported and bulk-credited alike.
   std::uint64_t total_reads() const;
   std::uint64_t total_writes() const;
 
@@ -72,6 +70,8 @@ class BankArray {
   unsigned banks_;
   unsigned read_ports_;
   std::vector<hw::BramBank> storage_;  // [port][bank] flattened
+  std::vector<std::uint64_t> bulk_reads_;  // per read port, per bank
+  std::uint64_t bulk_writes_ = 0;          // per bank of every replica
 };
 
 }  // namespace polymem::core

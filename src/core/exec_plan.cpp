@@ -16,26 +16,16 @@ std::int64_t axis_period(std::int64_t period, std::int64_t stride) {
 
 }  // namespace
 
-ExecPlan::Tables& ExecPlan::acquire_table(const PlanTemplate* tmpl,
-                                          BankArray& banks) {
-  if (used_ == tables_.size()) tables_.emplace_back();
-  // Building into a slot below pool_size_ evicts the retained table that
-  // lived there; otherwise the pool grows by the new entry.
-  if (used_ >= pool_size_) pool_size_ = used_ + 1;
-  Tables& t = tables_[used_++];
-  t.tmpl = tmpl;
+const ClassTables& TableStore::build(const PlanTemplate& tmpl) {
+  if (tmpl.id >= by_id_.size()) by_id_.resize(tmpl.id + 1);
+  ClassTables& t = *(by_id_[tmpl.id] = std::make_unique<ClassTables>());
   const unsigned lanes = lanes_;
-  const unsigned ports = ports_;
-  t.bank.resize(lanes);
-  t.lane_for_bank.resize(lanes);
-  t.bank_addr0.resize(lanes);
+  const unsigned ports = this->ports();
   t.lane_base.resize(static_cast<std::size_t>(ports) * lanes);
   t.bank_base.resize(static_cast<std::size_t>(ports) * lanes);
-  for (unsigned k = 0; k < lanes; ++k) {
-    t.bank[k] = static_cast<std::int32_t>(tmpl->bank[k]);
-    t.lane_for_bank[k] = static_cast<std::uint32_t>(tmpl->lane_for_bank[k]);
-    t.bank_addr0[k] = tmpl->bank_addr0[k];
-  }
+  t.lane_for_bank.resize(lanes);
+  for (unsigned k = 0; k < lanes; ++k)
+    t.lane_for_bank[k] = static_cast<std::uint32_t>(tmpl.lane_for_bank[k]);
   // Base addresses of a residue class may sit below the bank's first word
   // (the per-anchor delta shifts them back in range); fold them into the
   // table as integers so no out-of-range pointer is ever formed.
@@ -44,50 +34,48 @@ ExecPlan::Tables& ExecPlan::acquire_table(const PlanTemplate* tmpl,
     for (unsigned k = 0; k < lanes; ++k) {
       t.lane_base[row + k] =
           reinterpret_cast<std::uintptr_t>(
-              banks.bank_storage(r, tmpl->bank[k])) +
+              banks_->bank_storage(r, tmpl.bank[k])) +
           static_cast<std::uintptr_t>(
-              static_cast<std::int64_t>(sizeof(hw::Word)) * tmpl->addr0[k]);
+              static_cast<std::int64_t>(sizeof(hw::Word)) * tmpl.addr0[k]);
       t.bank_base[row + k] =
-          reinterpret_cast<std::uintptr_t>(banks.bank_storage(r, k)) +
+          reinterpret_cast<std::uintptr_t>(banks_->bank_storage(r, k)) +
           static_cast<std::uintptr_t>(static_cast<std::int64_t>(
                                           sizeof(hw::Word)) *
-                                      tmpl->bank_addr0[k]);
+                                      tmpl.bank_addr0[k]);
     }
   }
   return t;
 }
 
 std::int32_t ExecPlan::resolve_table(const PlanTemplate* tmpl,
-                                     BankArray& banks) {
+                                     TableStore& store) {
   for (std::size_t m = 0; m < used_; ++m) {
-    if (tables_[m].tmpl == tmpl) return static_cast<std::int32_t>(m);
-  }
-  for (std::size_t m = used_; m < pool_size_; ++m) {
-    if (tables_[m].tmpl == tmpl) {
-      // Retained from an earlier compile: swap into the live prefix so
-      // tmpl_of_ stays dense — no pointer-table rebuild.
-      std::swap(tables_[used_], tables_[m]);
-      return static_cast<std::int32_t>(used_++);
-    }
+    if (tmpls_[m] == tmpl) return static_cast<std::int32_t>(m);
   }
   if (used_ == kMaxTables) return -1;
-  acquire_table(tmpl, banks);
-  return static_cast<std::int32_t>(used_ - 1);
+  const ClassTables& t = store.get(*tmpl);
+  tmpls_[used_] = tmpl;
+  for (unsigned r = 0; r < ports_; ++r)
+    lane_bases_[r * kMaxTables + used_] =
+        t.lane_base.data() + static_cast<std::size_t>(r) * lanes_;
+  bank_bases_[used_] = t.bank_base.data();
+  lanes_for_bank_[used_] = t.lane_for_bank.data();
+  return static_cast<std::int32_t>(used_++);
 }
 
 bool ExecPlan::compile(const AccessBatch& batch, PlanCache& cache,
-                       BankArray& banks, unsigned lanes) {
-  if (pool_key_ != &banks || lanes_ != lanes ||
-      ports_ != banks.read_ports()) {
-    pool_size_ = 0;  // pointer tables belong to another memory; rebuild
-    pool_key_ = &banks;
-  }
+                       TableStore& store) {
   count_ = batch.count();
-  lanes_ = lanes;
-  ports_ = banks.read_ports();
+  lanes_ = store.lanes();
+  ports_ = store.ports();
   used_ = 0;
   tmpl_of_.resize(static_cast<std::size_t>(count_));
   delta_.resize(static_cast<std::size_t>(count_));
+  // Sized once; later compiles overwrite the live prefix in place.
+  tmpls_.resize(kMaxTables);
+  lane_bases_.resize(static_cast<std::size_t>(ports_) * kMaxTables);
+  bank_bases_.resize(kMaxTables);
+  lanes_for_bank_.resize(kMaxTables);
 
   PlanCache::Memo memo;
   std::int32_t last = -1;  // table index the previous access resolved to
@@ -96,8 +84,8 @@ bool ExecPlan::compile(const AccessBatch& batch, PlanCache& cache,
     std::int64_t delta = 0;
     const PlanTemplate* tmpl = cache.lookup(acc, delta, memo);
     if (tmpl == nullptr) return false;
-    if (last < 0 || tables_[static_cast<std::size_t>(last)].tmpl != tmpl) {
-      last = resolve_table(tmpl, banks);
+    if (last < 0 || tmpls_[static_cast<std::size_t>(last)] != tmpl) {
+      last = resolve_table(tmpl, store);
       if (last < 0) return false;
     }
     tmpl_of_[static_cast<std::size_t>(t)] = last;

@@ -1,36 +1,39 @@
 // ExecPlan — a batch of parallel accesses compiled to flat SoA tables.
 //
-// The plan-template cache (core/plan_cache.hpp) already reduces one
-// access to "permute through a residue-class table, add one delta per
-// bank". What remained slow (BENCH_core.json: 75–130 ns/access) was the
-// *execution*: per access, the engine still walked per-lane vectors,
-// reset per-bank cycle state and crossed a function call per bank. The
-// plan is a static permutation, so execution should be a gather, not a
-// traversal.
+// The plan-template cache (core/plan_cache.hpp) reduces one access to
+// "permute through a residue-class table, add one delta per bank". The
+// permutation is static, so executing an access is a gather, not a
+// traversal of bank objects.
+//
+// Each residue class (one PlanTemplate) compiles once per PolyMem into
+// ClassTables — pointer tables that fold the bank select and base address
+// into a single uintptr per lane/bank, so executing an access of the
+// class with per-anchor offset `delta` is the gather
+//
+//   out[k] = *(lane_base[port][k] + delta)
+//
+// and the mirrored scatter for writes. A PolyMem keeps one TableStore of
+// them, indexed by the template's dense id, built on first use and never
+// evicted: single accesses run one-access kernel calls straight off it,
+// and every ExecPlan points into it.
 //
 // compile() turns a whole AccessBatch into structure-of-arrays form:
 //
-//   tmpl_of[t]  int32  — which residue-class table access t uses
+//   tmpl_of[t]  int32  — which of the plan's classes access t uses
 //                        (strided walks cycle through a handful);
-//   delta[t]    int64  — access t's word offset from the table's base
+//   delta[t]    int64  — access t's word offset from the class's base
 //                        addresses (the plan cache's per-anchor delta);
-//   tables[m]          — one entry per distinct residue class touched:
-//     bank[k]          int32      lane -> bank (the shuffle select),
-//     lane_for_bank[b] uint32     the inverse permutation,
-//     bank_addr0[b]    int64      intra-bank base offsets, and the
-//     lane_base / bank_base       pointer tables that fold the bank
-//                                 select and base address into a single
-//                                 uintptr per lane/bank — so executing
-//                                 access t is the gather
-//                                   out[k] = *(lane_base[k] + delta[t])
-//                                 and the mirrored scatter for writes.
 //
-// All arrays are cache-line aligned (simd/aligned.hpp) and resized in
-// place: recompiling a plan of the same shape allocates nothing, which
-// the batch heap-count test enforces. The pointer tables stay valid for
-// the owning PolyMem's lifetime — bank storage is fixed at construction
-// and plan templates are pinned — so a compiled plan can be memoized and
-// replayed for every later call with an equal AccessBatch.
+// plus the kernel argument tables: per class in first-use order, the
+// store's gather table for every port and its scatter tables.
+//
+// All per-access arrays are cache-line aligned (simd/aligned.hpp) and
+// resized in place: recompiling a plan of the same shape allocates
+// nothing, which the batch heap-count test enforces. The pointer tables
+// stay valid for the owning PolyMem's lifetime — bank storage is fixed at
+// construction and store entries are never evicted — so a compiled plan
+// can be memoized and replayed for every later call with an equal
+// AccessBatch.
 //
 // The permutation baked into each table is safe to replay blindly: the
 // capability oracle proves conflict-freedom for the scheme per residue
@@ -40,6 +43,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "core/access_batch.hpp"
@@ -49,67 +53,87 @@
 
 namespace polymem::core {
 
+/// One residue class compiled against one PolyMem's bank storage.
+struct ClassTables {
+  // Gather table, [port][lane] flattened: replica `port`'s storage of
+  // lane k's bank, pre-advanced by the lane's base address.
+  simd::AlignedVec<std::uintptr_t> lane_base;
+  // Scatter table, [replica][bank] flattened: every replica's storage of
+  // bank b, pre-advanced by the bank's base address.
+  simd::AlignedVec<std::uintptr_t> bank_base;
+  simd::AlignedVec<std::uint32_t> lane_for_bank;  // bank b -> lane
+};
+
+/// The ClassTables of every plan template a PolyMem has executed, indexed
+/// by PlanTemplate::id. Built on first use and never evicted, so the
+/// store is bounded by the plan cache's template cap; entries are
+/// heap-pinned, so references stay valid for the store's lifetime.
+class TableStore {
+ public:
+  TableStore(BankArray& banks, unsigned lanes)
+      : banks_(&banks), lanes_(lanes) {}
+
+  unsigned lanes() const { return lanes_; }
+  unsigned ports() const { return banks_->read_ports(); }
+
+  const ClassTables& get(const PlanTemplate& tmpl) {
+    if (tmpl.id < by_id_.size() && by_id_[tmpl.id]) return *by_id_[tmpl.id];
+    return build(tmpl);
+  }
+
+ private:
+  const ClassTables& build(const PlanTemplate& tmpl);
+
+  BankArray* banks_;
+  unsigned lanes_;
+  std::vector<std::unique_ptr<ClassTables>> by_id_;
+};
+
 class ExecPlan {
  public:
   /// Distinct residue classes a single plan may span before compile()
-  /// gives up (adversarial batches fall back to the interpreted engine).
+  /// gives up (adversarial batches then run access by access).
   static constexpr std::size_t kMaxTables = 64;
 
-  struct Tables {
-    const PlanTemplate* tmpl = nullptr;
-    simd::AlignedVec<std::int32_t> bank;           // lane k -> bank
-    simd::AlignedVec<std::uint32_t> lane_for_bank; // bank b -> lane
-    simd::AlignedVec<std::int64_t> bank_addr0;     // bank b -> base offset
-    // Gather table, [port][lane] flattened: replica `port`'s storage of
-    // lane k's bank, pre-advanced by the lane's base address.
-    simd::AlignedVec<std::uintptr_t> lane_base;
-    // Scatter table, [replica][bank] flattened: every replica's storage
-    // of bank b, pre-advanced by the bank's base address.
-    simd::AlignedVec<std::uintptr_t> bank_base;
-  };
-
-  /// Compiles `batch` against the plan cache and bank storage. Returns
-  /// false — leaving the plan unusable — when any access lacks a cached
-  /// template (cache disabled/full, unsupported anchors; the interpreted
-  /// engine then serves the batch and reports exact errors) or the batch
-  /// spans more than kMaxTables residue classes.
-  bool compile(const AccessBatch& batch, PlanCache& cache, BankArray& banks,
-               unsigned lanes);
+  /// Compiles `batch` against the plan cache and the owning PolyMem's
+  /// table store. Returns false — leaving the plan unusable — when any
+  /// access lacks a cached template (cache disabled/full, unsupported
+  /// anchors; the caller then serves the batch per access, where the AGU
+  /// reports exact errors) or the batch spans more than kMaxTables
+  /// residue classes.
+  bool compile(const AccessBatch& batch, PlanCache& cache, TableStore& store);
 
   std::int64_t count() const { return count_; }
   unsigned lanes() const { return lanes_; }
   unsigned ports() const { return ports_; }
   bool uniform() const { return used_ == 1; }
-  std::size_t table_count() const { return used_; }
 
-  const Tables& table(std::size_t m) const { return tables_[m]; }
   const std::int32_t* tmpl_of() const { return tmpl_of_.data(); }
   const std::int64_t* delta() const { return delta_.data(); }
 
-  /// Gather pointer table of table `m` as seen by read replica `port`.
-  const std::uintptr_t* lane_base(std::size_t m, unsigned port) const {
-    return tables_[m].lane_base.data() +
-           static_cast<std::size_t>(port) * lanes_;
+  /// Kernel argument tables, indexed by tmpl_of: each class's gather
+  /// table as seen by read replica `port`, its scatter table and its
+  /// inverse permutation.
+  const std::uintptr_t* const* lane_bases(unsigned port) const {
+    return lane_bases_.data() + static_cast<std::size_t>(port) * kMaxTables;
+  }
+  const std::uintptr_t* const* bank_bases() const { return bank_bases_.data(); }
+  const std::uint32_t* const* lanes_for_bank() const {
+    return lanes_for_bank_.data();
   }
 
  private:
-  Tables& acquire_table(const PlanTemplate* tmpl, BankArray& banks);
-  std::int32_t resolve_table(const PlanTemplate* tmpl, BankArray& banks);
+  std::int32_t resolve_table(const PlanTemplate* tmpl, TableStore& store);
 
   simd::AlignedVec<std::int32_t> tmpl_of_;
   simd::AlignedVec<std::int64_t> delta_;
-  // Table pool. [0, used_) is the current batch's tables in first-use
-  // order — the dense prefix tmpl_of_ indexes and uniform() relies on.
-  // [used_, pool_size_) retains tables built by earlier compiles of the
-  // same (banks, lanes) pairing: a drain loop recompiling run after run
-  // cycles through the same few residue classes, and rebuilding their
-  // pointer tables dominated recompile cost. Reuse swaps a retained
-  // table into the live prefix instead of rebuilding it; the pool is
-  // dropped whenever the bank storage, lane count or port count change.
-  std::vector<Tables> tables_;
+  // Per class, in first-use order ([0, used_) live): the template and the
+  // store tables of it the kernels take.
+  std::vector<const PlanTemplate*> tmpls_;
+  std::vector<const std::uintptr_t*> lane_bases_;  // [port][kMaxTables]
+  std::vector<const std::uintptr_t*> bank_bases_;
+  std::vector<const std::uint32_t*> lanes_for_bank_;
   std::size_t used_ = 0;
-  std::size_t pool_size_ = 0;
-  const void* pool_key_ = nullptr;  // BankArray the pool was built against
   std::int64_t count_ = 0;
   unsigned lanes_ = 0;
   unsigned ports_ = 0;

@@ -86,14 +86,17 @@ const PlanTemplate* PlanCache::lookup(const ParallelAccess& access,
   const std::uint64_t key =
       (static_cast<std::uint64_t>(access.kind) * period_i_ + ri) * period_j_ +
       rj;
-  if (key == memo.key) {
-    hits_.fetch_add(1, std::memory_order_relaxed);
-    return memo.tmpl;
+  for (unsigned s = 0; s < Memo::kSlots; ++s) {
+    if (memo.key[s] == key) {
+      hits_.fetch_add(1, std::memory_order_relaxed);
+      return memo.tmpl[s];
+    }
   }
   const PlanTemplate* tmpl = find_or_build(access.kind, ri, rj, key);
   if (tmpl == nullptr) return nullptr;  // cache full
-  memo.key = key;
-  memo.tmpl = tmpl;
+  memo.key[memo.next] = key;
+  memo.tmpl[memo.next] = tmpl;
+  memo.next = (memo.next + 1) % Memo::kSlots;
   return tmpl;
 }
 
@@ -146,6 +149,7 @@ const PlanTemplate& PlanCache::build(PatternKind kind, std::int64_t ri,
   t.lane_for_bank.resize(lanes);
   t.addr0.resize(lanes);
   t.bank_addr0.resize(lanes);
+  t.id = static_cast<std::uint32_t>(templates_.size());
   const auto p = static_cast<std::int64_t>(config_->p);
   const auto q = static_cast<std::int64_t>(config_->q);
   for (unsigned k = 0; k < lanes; ++k) {

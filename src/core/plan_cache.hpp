@@ -21,7 +21,7 @@
 // caller (one PlanCache::Memo per reader thread), the template map sits
 // behind a shared_mutex (shared find / exclusive build), counters are
 // relaxed atomics, and template pointers are stable for the cache's
-// lifetime — the contract read_batch_mt and the TSan suite exercise.
+// lifetime — the contract the TSan suite exercises.
 //
 // Correctness rests on two machine-checked facts: the axis periods
 // (tested against Maf::bank over multiple periods) and conflict-freeness
@@ -56,6 +56,9 @@ struct PlanTemplate {
   std::vector<unsigned> lane_for_bank;  ///< bank b -> lane (inverse perm)
   std::vector<std::int64_t> addr0;      ///< lane k -> base address
   std::vector<std::int64_t> bank_addr0; ///< bank b -> base address
+  /// Dense build-order index (0, 1, ... < the template cap): the key of
+  /// per-class side tables such as the compiled TableStore.
+  std::uint32_t id = 0;
 };
 
 class PlanCache {
@@ -71,16 +74,19 @@ class PlanCache {
   /// then always uses the naive AGU path).
   bool enabled() const { return enabled_; }
 
-  /// Caller-owned single-entry memo for the one-template steady state
-  /// (strided walks hit the same residue class for long runs). Each
-  /// reader thread keeps its own Memo — the cache itself holds no
-  /// per-lookup mutable state besides the shared template map, so
-  /// concurrent lookups from any number of threads are safe.
+  /// Caller-owned memo of the last kSlots residue classes looked up:
+  /// strided walks stay in one class for long runs, and row bursts on a
+  /// scheme whose i-period is 2 alternate between two, so both skip the
+  /// shared map. Each reader thread keeps its own Memo — the cache itself
+  /// holds no per-lookup mutable state besides the shared template map,
+  /// so concurrent lookups from any number of threads are safe.
   /// Template pointers are stable (never invalidated while the cache
-  /// lives), which is what makes the memoized pointer sound.
+  /// lives), which is what makes the memoized pointers sound.
   struct Memo {
-    std::uint64_t key = ~0ull;
-    const PlanTemplate* tmpl = nullptr;
+    static constexpr unsigned kSlots = 4;
+    std::uint64_t key[kSlots] = {~0ull, ~0ull, ~0ull, ~0ull};
+    const PlanTemplate* tmpl[kSlots] = {};
+    unsigned next = 0;  ///< slot the next miss overwrites (round robin)
   };
 
   /// O(1) template lookup. Returns the template plus the per-anchor
@@ -90,7 +96,7 @@ class PlanCache {
   /// unsupported (including unaligned anchors of aligned-only patterns),
   /// the access leaves the address space, or the cache is disabled/full.
   /// Thread-safe: lookups may run concurrently; `memo` carries the
-  /// caller's last-template fast path (one Memo per thread).
+  /// caller's recent-template fast path (one Memo per thread).
   const PlanTemplate* lookup(const access::ParallelAccess& access,
                              std::int64_t& delta, Memo& memo);
 

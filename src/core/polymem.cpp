@@ -17,16 +17,11 @@ PolyMem::PolyMem(PolyMemConfig config)
       addressing_(config.p, config.q, config.height, config.width),
       agu_(config_, maf_, addressing_),
       banks_(config.lanes(), config.read_ports, config.words_per_bank()),
-      plan_cache_(config_, maf_, addressing_) {
+      plan_cache_(config_, maf_, addressing_),
+      tables_(banks_, config.lanes()) {
   init_scratch(scratch_);
   init_scratch(write_scratch_);
   copy_buf_.resize(config_.lanes());
-  // Kernel argument tables for multi-residue batches: bounded by the
-  // table cap and port count, so one reservation covers every call.
-  table_lane_scratch_.reserve(ExecPlan::kMaxTables);
-  table_bank_scratch_.reserve(ExecPlan::kMaxTables);
-  table_lfb_scratch_.reserve(ExecPlan::kMaxTables);
-  mt_table_scratch_.reserve(ExecPlan::kMaxTables * config_.read_ports);
 }
 
 void PolyMem::init_scratch(Scratch& s) {
@@ -42,51 +37,53 @@ maf::SupportLevel PolyMem::supports(access::PatternKind pattern) const {
   return maf::probe_support(maf_, pattern);
 }
 
-void PolyMem::plan_and_route_write(const access::ParallelAccess& where,
-                                   std::span<const Word> data, Scratch& s) {
-  POLYMEM_REQUIRE(data.size() == config_.lanes(),
-                  "write data must provide one word per lane");
+const ClassTables* PolyMem::resolve(const access::ParallelAccess& where,
+                                    std::int64_t& delta, Scratch& s) {
   if (use_plan_cache_) {
-    std::int64_t delta;
-    if (const PlanTemplate* t = plan_cache_.lookup(where, delta, s.memo)) {
-      const unsigned lanes = config_.lanes();
-      for (unsigned b = 0; b < lanes; ++b) {
-        s.bank_addr[b] = t->bank_addr0[b] + delta;
-        s.bank_data[b] = data[t->lane_for_bank[b]];
-      }
-      s.tmpl = t;
-      return;
-    }
+    if (const PlanTemplate* t = plan_cache_.lookup(where, delta, memo_))
+      return &tables_.get(*t);
   }
-  s.tmpl = nullptr;
   agu_.expand_into(where, s.plan);
-  address_shuffle(s.plan, s.bank_addr);
-  write_data_shuffle(s.plan, data, s.bank_data);
+  return nullptr;
 }
 
-void PolyMem::plan_read(const access::ParallelAccess& where, Scratch& s) {
-  if (use_plan_cache_) {
-    std::int64_t delta;
-    if (const PlanTemplate* t = plan_cache_.lookup(where, delta, s.memo)) {
-      const unsigned lanes = config_.lanes();
-      for (unsigned b = 0; b < lanes; ++b)
-        s.bank_addr[b] = t->bank_addr0[b] + delta;
-      s.tmpl = t;
-      return;
-    }
+void PolyMem::execute_read(const ClassTables* t, std::int64_t delta,
+                           Scratch& s, unsigned port, std::span<Word> out) {
+  if (t != nullptr) {
+    const unsigned lanes = config_.lanes();
+    simd::kernels().gather_run(
+        t->lane_base.data() + static_cast<std::size_t>(port) * lanes, lanes,
+        &delta, 1, out.data());
+    banks_.add_bulk_reads(port, 1);
+    return;
   }
-  // Fallback: the naive AGU path — also the error-reporting path for
-  // unsupported patterns and out-of-bounds accesses.
-  s.tmpl = nullptr;
-  agu_.expand_into(where, s.plan);
   address_shuffle(s.plan, s.bank_addr);
+  banks_.read(port, s.bank_addr, s.bank_data);
+  read_data_shuffle(s.plan, s.bank_data, out);
+}
+
+void PolyMem::execute_write(const ClassTables* t, std::int64_t delta,
+                            Scratch& s, std::span<const Word> data) {
+  if (t != nullptr) {
+    simd::kernels().scatter_run(t->bank_base.data(), config_.read_ports,
+                                t->lane_for_bank.data(), config_.lanes(),
+                                &delta, 1, data.data());
+    banks_.add_bulk_writes(1);
+    return;
+  }
+  address_shuffle(s.plan, s.bank_addr);
+  write_data_shuffle(s.plan, data, s.bank_data);
+  banks_.write(s.bank_addr, s.bank_data);
 }
 
 void PolyMem::write(const access::ParallelAccess& where,
                     std::span<const Word> data) {
-  plan_and_route_write(where, data, scratch_);
-  banks_.begin_cycle();
-  banks_.write(scratch_.bank_addr, scratch_.bank_data);
+  POLYMEM_REQUIRE(data.size() == config_.lanes(),
+                  "write data must provide one word per lane");
+  std::int64_t delta = 0;
+  const ClassTables* t = resolve(where, delta, scratch_);
+  if (t == nullptr) banks_.begin_cycle();
+  execute_write(t, delta, scratch_, data);
   ++parallel_writes_;
 }
 
@@ -95,18 +92,10 @@ void PolyMem::read_into(const access::ParallelAccess& where, unsigned port,
   POLYMEM_REQUIRE(port < config_.read_ports, "read port out of range");
   POLYMEM_REQUIRE(out.size() == config_.lanes(),
                   "read buffer must provide one word per lane");
-  plan_read(where, scratch_);
-  banks_.begin_cycle();
-  banks_.read(port, scratch_.bank_addr, scratch_.bank_data);
-  if (scratch_.tmpl) {
-    // The template's permutation was validated at build time; route the
-    // lanes directly instead of through the checked crossbar model.
-    const unsigned lanes = config_.lanes();
-    for (unsigned k = 0; k < lanes; ++k)
-      out[k] = scratch_.bank_data[scratch_.tmpl->bank[k]];
-  } else {
-    read_data_shuffle(scratch_.plan, scratch_.bank_data, out);
-  }
+  std::int64_t delta = 0;
+  const ClassTables* t = resolve(where, delta, scratch_);
+  if (t == nullptr) banks_.begin_cycle();
+  execute_read(t, delta, scratch_, port, out);
   ++parallel_reads_;
 }
 
@@ -125,23 +114,15 @@ void PolyMem::read_write(const access::ParallelAccess& read_from,
   POLYMEM_REQUIRE(read_out.size() == config_.lanes() &&
                       write_data.size() == config_.lanes(),
                   "buffers must provide one word per lane");
-  // The read and the write of the same cycle each need their own plan;
-  // both live in member scratch, so steady state allocates nothing.
-  plan_read(read_from, scratch_);
-  plan_and_route_write(write_to, write_data, write_scratch_);
-
-  banks_.begin_cycle();
+  std::int64_t read_delta = 0;
+  std::int64_t write_delta = 0;
+  const ClassTables* rt = resolve(read_from, read_delta, scratch_);
+  const ClassTables* wt = resolve(write_to, write_delta, write_scratch_);
+  if (rt == nullptr || wt == nullptr) banks_.begin_cycle();
   // Read first: an overlapping concurrent write lands *after* the read,
   // matching BRAM read-first port behaviour.
-  banks_.read(port, scratch_.bank_addr, scratch_.bank_data);
-  if (scratch_.tmpl) {
-    const unsigned lanes = config_.lanes();
-    for (unsigned k = 0; k < lanes; ++k)
-      read_out[k] = scratch_.bank_data[scratch_.tmpl->bank[k]];
-  } else {
-    read_data_shuffle(scratch_.plan, scratch_.bank_data, read_out);
-  }
-  banks_.write(write_scratch_.bank_addr, write_scratch_.bank_data);
+  execute_read(rt, read_delta, scratch_, port, read_out);
+  execute_write(wt, write_delta, write_scratch_, write_data);
   ++parallel_reads_;
   ++parallel_writes_;
 }
@@ -202,7 +183,7 @@ ExecPlan* PolyMem::compiled_plan(const AccessBatch& batch,
   if (avoid != nullptr && &exec_slots_[exec_victim_].plan == avoid)
     exec_victim_ = (exec_victim_ + 1) % kExecSlots;
   ExecSlot& slot = exec_slots_[exec_victim_];
-  if (!slot.plan.compile(batch, plan_cache_, banks_, config_.lanes())) {
+  if (!slot.plan.compile(batch, plan_cache_, tables_)) {
     slot.valid = false;
     return nullptr;
   }
@@ -215,40 +196,27 @@ ExecPlan* PolyMem::compiled_plan(const AccessBatch& batch,
 void PolyMem::exec_read(const ExecPlan& plan, unsigned port, std::int64_t t0,
                         std::int64_t count, Word* out) {
   const simd::Kernels& kernels = simd::kernels();
-  const unsigned lanes = plan.lanes();
+  const std::uintptr_t* const* lane_bases = plan.lane_bases(port);
   if (plan.uniform()) {
-    kernels.gather_run(plan.lane_base(0, port), lanes, plan.delta() + t0,
-                       count, out);
+    kernels.gather_run(lane_bases[0], plan.lanes(), plan.delta() + t0, count,
+                       out);
     return;
   }
-  const std::size_t tables = plan.table_count();
-  table_lane_scratch_.resize(tables);
-  for (std::size_t m = 0; m < tables; ++m)
-    table_lane_scratch_[m] = plan.lane_base(m, port);
-  kernels.gather_multi(table_lane_scratch_.data(), plan.tmpl_of() + t0,
-                       lanes, plan.delta() + t0, count, out);
+  kernels.gather_multi(lane_bases, plan.tmpl_of() + t0, plan.lanes(),
+                       plan.delta() + t0, count, out);
 }
 
 void PolyMem::exec_write(const ExecPlan& plan, std::int64_t t0,
                          std::int64_t count, const Word* data) {
   const simd::Kernels& kernels = simd::kernels();
-  const unsigned lanes = plan.lanes();
-  const unsigned replicas = plan.ports();
   if (plan.uniform()) {
-    const ExecPlan::Tables& t = plan.table(0);
-    kernels.scatter_run(t.bank_base.data(), replicas, t.lane_for_bank.data(),
-                        lanes, plan.delta() + t0, count, data);
+    kernels.scatter_run(plan.bank_bases()[0], plan.ports(),
+                        plan.lanes_for_bank()[0], plan.lanes(),
+                        plan.delta() + t0, count, data);
     return;
   }
-  const std::size_t tables = plan.table_count();
-  table_bank_scratch_.resize(tables);
-  table_lfb_scratch_.resize(tables);
-  for (std::size_t m = 0; m < tables; ++m) {
-    table_bank_scratch_[m] = plan.table(m).bank_base.data();
-    table_lfb_scratch_[m] = plan.table(m).lane_for_bank.data();
-  }
-  kernels.scatter_multi(table_bank_scratch_.data(), table_lfb_scratch_.data(),
-                        plan.tmpl_of() + t0, replicas, lanes,
+  kernels.scatter_multi(plan.bank_bases(), plan.lanes_for_bank(),
+                        plan.tmpl_of() + t0, plan.ports(), plan.lanes(),
                         plan.delta() + t0, count, data);
 }
 
@@ -269,32 +237,16 @@ void PolyMem::read_batch(const AccessBatch& batch, unsigned port,
     parallel_reads_ += static_cast<std::uint64_t>(plan->count());
     return;
   }
-  Word* chunk = out.data();
-  access::ParallelAccess acc{batch.kind, batch.start};
-  for (std::int64_t o = 0; o < batch.outer_count; ++o) {
-    acc.anchor = {batch.start.i + o * batch.outer_stride.i,
-                  batch.start.j + o * batch.outer_stride.j};
-    for (std::int64_t t = 0; t < batch.inner_count; ++t) {
-      plan_read(acc, scratch_);
-      banks_.begin_cycle();
-      banks_.read(port, scratch_.bank_addr, scratch_.bank_data);
-      const unsigned* bank = scratch_.tmpl ? scratch_.tmpl->bank.data()
-                                           : scratch_.plan.bank.data();
-      for (unsigned k = 0; k < lanes; ++k)
-        chunk[k] = scratch_.bank_data[bank[k]];
-      chunk += lanes;
-      ++parallel_reads_;
-      acc.anchor.i += batch.inner_stride.i;
-      acc.anchor.j += batch.inner_stride.j;
-    }
-  }
+  for (std::int64_t t = 0; t < batch.count(); ++t)
+    read_into(batch.access(t), port,
+              out.subspan(static_cast<std::size_t>(t) * lanes, lanes));
 }
 
 bool PolyMem::compile_batch(const AccessBatch& batch, ExecPlan& plan) {
   validate_batch(batch);
   if (batch.count() == 0 || !use_plan_cache_ || !plan_cache_.enabled())
     return false;
-  return plan.compile(batch, plan_cache_, banks_, config_.lanes());
+  return plan.compile(batch, plan_cache_, tables_);
 }
 
 void PolyMem::read_compiled(const ExecPlan& plan, unsigned port,
@@ -337,15 +289,8 @@ void PolyMem::read_batch_mt(const AccessBatch& batch,
     // split the batch into grain-sized chunks and run one kernel call
     // per chunk — results land slot-addressed, so output is bit-identical
     // to read_batch for any thread count. Reads go to the worker's port
-    // replica, the same data-race-free contract as read_shared.
-    const std::size_t tables = plan->table_count();
-    if (!plan->uniform()) {
-      mt_table_scratch_.resize(static_cast<std::size_t>(ports) * tables);
-      for (unsigned r = 0; r < ports; ++r)
-        for (std::size_t m = 0; m < tables; ++m)
-          mt_table_scratch_[static_cast<std::size_t>(r) * tables + m] =
-              plan->lane_base(m, r);
-    }
+    // replica: each port is a full bank replica and nothing writes during
+    // the call, so the workers share no mutable state.
     const simd::Kernels& kernels = simd::kernels();
     const std::int64_t count = plan->count();
     const std::int64_t chunks = (count + grain - 1) / grain;
@@ -354,45 +299,23 @@ void PolyMem::read_batch_mt(const AccessBatch& batch,
         [&](std::int64_t c, unsigned worker) {
           const std::int64_t t0 = c * grain;
           const std::int64_t n = std::min(count - t0, grain);
-          const unsigned port = worker % ports;
+          const std::uintptr_t* const* lane_bases =
+              plan->lane_bases(worker % ports);
           if (plan->uniform()) {
-            kernels.gather_run(plan->lane_base(0, port), lanes,
-                               plan->delta() + t0, n, base + t0 * lanes);
+            kernels.gather_run(lane_bases[0], lanes, plan->delta() + t0, n,
+                               base + t0 * lanes);
           } else {
-            kernels.gather_multi(
-                mt_table_scratch_.data() +
-                    static_cast<std::size_t>(port) * tables,
-                plan->tmpl_of() + t0, lanes, plan->delta() + t0, n,
-                base + t0 * lanes);
+            kernels.gather_multi(lane_bases, plan->tmpl_of() + t0, lanes,
+                                 plan->delta() + t0, n, base + t0 * lanes);
           }
         },
         1);
     parallel_reads_ += static_cast<std::uint64_t>(count);
     return;
   }
-  // One Scratch per participant (pool workers + the calling thread),
-  // allocated before the parallel region so the hot loop allocates
-  // nothing. Existing scratches survive resizes untouched in content;
-  // their memoized template pointers stay valid (templates are pinned).
-  const unsigned participants = pool.size() + 1;
-  while (mt_scratch_.size() < participants) {
-    mt_scratch_.emplace_back();
-    init_scratch(mt_scratch_.back());
-  }
-  runtime::parallel_for(
-      pool, 0, batch.count(),
-      [&](std::int64_t t, unsigned worker) {
-        Scratch& s = mt_scratch_[worker];
-        const unsigned port = worker % ports;
-        plan_read(batch.access(t), s);
-        banks_.read_shared(port, s.bank_addr, s.bank_data);
-        const unsigned* bank =
-            s.tmpl ? s.tmpl->bank.data() : s.plan.bank.data();
-        Word* chunk = base + t * lanes;
-        for (unsigned k = 0; k < lanes; ++k) chunk[k] = s.bank_data[bank[k]];
-      },
-      grain);
-  parallel_reads_ += static_cast<std::uint64_t>(batch.count());
+  for (std::int64_t t = 0; t < batch.count(); ++t)
+    read_into(batch.access(t), 0,
+              out.subspan(static_cast<std::size_t>(t) * lanes, lanes));
 }
 
 void PolyMem::write_batch(const AccessBatch& batch,
@@ -411,22 +334,9 @@ void PolyMem::write_batch(const AccessBatch& batch,
     parallel_writes_ += static_cast<std::uint64_t>(plan->count());
     return;
   }
-  const Word* chunk = data.data();
-  access::ParallelAccess acc{batch.kind, batch.start};
-  for (std::int64_t o = 0; o < batch.outer_count; ++o) {
-    acc.anchor = {batch.start.i + o * batch.outer_stride.i,
-                  batch.start.j + o * batch.outer_stride.j};
-    for (std::int64_t t = 0; t < batch.inner_count; ++t) {
-      plan_and_route_write(acc, std::span<const Word>(chunk, lanes),
-                           scratch_);
-      banks_.begin_cycle();
-      banks_.write(scratch_.bank_addr, scratch_.bank_data);
-      chunk += lanes;
-      ++parallel_writes_;
-      acc.anchor.i += batch.inner_stride.i;
-      acc.anchor.j += batch.inner_stride.j;
-    }
-  }
+  for (std::int64_t t = 0; t < batch.count(); ++t)
+    write(batch.access(t),
+          data.subspan(static_cast<std::size_t>(t) * lanes, lanes));
 }
 
 void PolyMem::stream_copy_batch(const AccessBatch& from,
@@ -436,7 +346,6 @@ void PolyMem::stream_copy_batch(const AccessBatch& from,
                   "copy batches must have equal access counts");
   validate_batch(from);
   validate_batch(to);
-  const unsigned lanes = config_.lanes();
   if (from.count() == 0) return;
   // Fused compiled path: both halves compile, then each element is one
   // gather into the lane buffer and one scatter out of it — preserving
@@ -455,28 +364,9 @@ void PolyMem::stream_copy_batch(const AccessBatch& from,
       return;
     }
   }
-  access::ParallelAccess src{from.kind, from.start};
-  access::ParallelAccess dst{to.kind, to.start};
-  for (std::int64_t o = 0; o < from.outer_count; ++o) {
-    src.anchor = {from.start.i + o * from.outer_stride.i,
-                  from.start.j + o * from.outer_stride.j};
-    for (std::int64_t t = 0; t < from.inner_count; ++t) {
-      const std::int64_t flat = o * from.inner_count + t;
-      dst.anchor = to.access(flat).anchor;
-      plan_read(src, scratch_);
-      banks_.begin_cycle();
-      banks_.read(port, scratch_.bank_addr, scratch_.bank_data);
-      const unsigned* bank = scratch_.tmpl ? scratch_.tmpl->bank.data()
-                                           : scratch_.plan.bank.data();
-      for (unsigned k = 0; k < lanes; ++k)
-        copy_buf_[k] = scratch_.bank_data[bank[k]];
-      plan_and_route_write(dst, copy_buf_, write_scratch_);
-      banks_.write(write_scratch_.bank_addr, write_scratch_.bank_data);
-      ++parallel_reads_;
-      ++parallel_writes_;
-      src.anchor.i += from.inner_stride.i;
-      src.anchor.j += from.inner_stride.j;
-    }
+  for (std::int64_t t = 0; t < from.count(); ++t) {
+    read_into(from.access(t), port, copy_buf_);
+    write(to.access(t), copy_buf_);
   }
 }
 

@@ -5,29 +5,29 @@
 // conflict-free module assignment function; every read() / write() moves
 // p*q elements at once, the way one clock cycle of the hardware does.
 //
-// The functional model executes each access through the full hardware data
-// path of paper Fig. 3 — AGU, MAF/addressing, inverse shuffles, banks with
-// per-cycle port accounting, read shuffle — but without timing. For timed
-// simulation (latency, concurrent read+write, multi-port scheduling) use
-// core/cycle_polymem.hpp, which layers clocking on top of the same blocks.
+// The functional model serves each access with the hardware semantics of
+// paper Fig. 3 — AGU, MAF/addressing, inverse shuffles, banks, read
+// shuffle — but without timing. For timed simulation (latency, concurrent
+// read+write, multi-port scheduling) use core/cycle_polymem.hpp, which
+// layers clocking on top of the same blocks.
 //
-// Three execution engines serve accesses (docs/ARCHITECTURE.md,
-// "Performance model" and "SIMD execution engine"):
-//  - the *naive* path runs the AGU per access (support probe, bounds
-//    check, per-lane MAF + addressing, three shuffles);
-//  - the *cached* path replays a memoized plan template
-//    (core/plan_cache.hpp) — the MAF is periodic per axis, so the bank
+// One execution engine serves accesses, with one reference beside it
+// (docs/ARCHITECTURE.md, "Performance model" and "SIMD execution engine"):
+//  - the *compiled* engine: the MAF is periodic per axis, so the bank
 //    permutation and base addresses of an anchor-residue class are
-//    computed once and every later access in the class is one table
-//    lookup plus one add per bank;
-//  - the *compiled* path (default for batches) lowers a whole
-//    AccessBatch to flat structure-of-arrays tables (core/exec_plan.hpp)
-//    and executes it with CPU-dispatched gather/scatter kernels
-//    (core/simd/) — scalar, AVX2 or NEON, selected at startup and
-//    overridable via POLYMEM_SIMD / POLYMEM_FORCE_SCALAR.
-// All paths are observably identical (differentially tested); the naive
-// path remains for unsupported/out-of-bounds error reporting, cache
-// overflow, and as the benchmark baseline.
+//    computed once (core/plan_cache.hpp) and compiled to flat pointer
+//    tables (core/exec_plan.hpp). A single access is one template lookup
+//    plus a one-access gather/scatter; a batch is lowered whole to
+//    structure-of-arrays form. CPU-dispatched kernels (core/simd/) —
+//    scalar, AVX2 or NEON, selected at startup and overridable via
+//    POLYMEM_SIMD / POLYMEM_FORCE_SCALAR — execute both;
+//  - the *AGU reference* runs the data path literally per access (support
+//    probe, bounds check, per-lane MAF + addressing, three checked
+//    shuffles, per-cycle bank port accounting). It reports the exact
+//    error for unsupported and out-of-bounds accesses, serves accesses
+//    the plan cache cannot (cache disabled or full), and is the
+//    differential oracle (set_plan_cache_enabled(false)).
+// Both are observably identical (differentially tested).
 #pragma once
 
 #include <array>
@@ -75,7 +75,10 @@ class PolyMem {
   /// Machine-checked support level of a pattern under this configuration.
   maf::SupportLevel supports(access::PatternKind pattern) const;
 
-  /// Writes lanes() words (canonical order) through the write port.
+  /// Writes lanes() words (canonical order) through the write port. A
+  /// single access runs on the compiled kernels through its residue
+  /// class's tables; an unsupported, unaligned or out-of-bounds one
+  /// throws the AGU's error and changes nothing.
   void write(const access::ParallelAccess& where, std::span<const Word> data);
 
   /// Reads lanes() words (canonical order) through read port `port`.
@@ -87,7 +90,8 @@ class PolyMem {
   /// One concurrent cycle: the read and the write share the cycle, using
   /// the independent read/write bank ports (paper Sec. III-B: "Simultaneous
   /// reads and writes are supported"). Read-before-write semantics when the
-  /// two accesses overlap.
+  /// two accesses overlap. Both halves are resolved — and an invalid one
+  /// throws — before either touches a bank.
   void read_write(const access::ParallelAccess& read_from, unsigned port,
                   std::span<Word> read_out,
                   const access::ParallelAccess& write_to,
@@ -98,11 +102,11 @@ class PolyMem {
   /// it with the dispatched gather/scatter kernels (core/simd/) — no
   /// per-access allocation, re-validation or per-bank call. Compiled
   /// plans are memoized per batch, so replaying an equal batch skips
-  /// compilation entirely. Batches the plan cache cannot serve fall back
-  /// to the interpreted per-access loop (identical results). Each batch
-  /// element is its own cycle; results/data are the concatenation of the
-  /// per-access canonical lane groups, so `out`/`data` must hold
-  /// count() * lanes() words.
+  /// compilation entirely. Batches the plan cache cannot compile run
+  /// access by access through read_into / write (identical results).
+  /// Each batch element is its own cycle; results/data are the
+  /// concatenation of the per-access canonical lane groups, so
+  /// `out`/`data` must hold count() * lanes() words.
   void read_batch(const AccessBatch& batch, unsigned port,
                   std::span<Word> out);
   void write_batch(const AccessBatch& batch, std::span<const Word> data);
@@ -113,11 +117,13 @@ class PolyMem {
   /// replicated read ports answering independent requests in the same
   /// cycle. Results are bit-identical to read_batch (every element lands
   /// in its own `out` slot; all port replicas hold the same data) for any
-  /// thread count, including a pool of size 0 (serial).
+  /// thread count, including a pool of size 0 (serial). A batch the plan
+  /// cache cannot compile runs serially, access by access through
+  /// read_into on port 0.
   ///
   /// Contract: a read-only phase — no concurrent write/store/fill may run
-  /// during the call (reads bypass the per-cycle port accounting, which
-  /// stays a serial-engine feature; access counters are bulk-added).
+  /// during the call (the workers' reads skip bank accounting; access
+  /// counters are bulk-added).
   void read_batch_mt(const AccessBatch& batch, runtime::ThreadPool& pool,
                      std::span<Word> out);
 
@@ -163,8 +169,9 @@ class PolyMem {
   std::uint64_t parallel_reads() const { return parallel_reads_; }
   std::uint64_t parallel_writes() const { return parallel_writes_; }
 
-  /// Toggles the plan-template fast path (default on). The naive AGU path
-  /// exists as the differential-test reference and benchmark baseline.
+  /// Toggles the compiled engine (default on). Off, every access runs on
+  /// the AGU reference — the differential-test oracle and benchmark
+  /// baseline.
   void set_plan_cache_enabled(bool enabled) { use_plan_cache_ = enabled; }
   bool plan_cache_enabled() const {
     return use_plan_cache_ && plan_cache_.enabled();
@@ -173,25 +180,17 @@ class PolyMem {
   PlanCache& plan_cache() { return plan_cache_; }
 
  private:
-  // Scratch buffers sized to lanes(), reused across accesses. `tmpl` is
-  // set when the access was planned from a cache template (the template
-  // then carries the shuffle permutation), null on the naive path. The
-  // plan-cache memo lives here (not in the cache) so each reader thread
-  // of the MT engine owns its own single-entry fast path. Cache-line
-  // aligned so the per-participant scratches of the MT engine
-  // (mt_scratch_) never share a line across worker threads.
-  struct alignas(64) Scratch {
+  // AGU-reference scratch sized to lanes(), reused across accesses.
+  struct Scratch {
     AccessPlan plan;
-    const PlanTemplate* tmpl = nullptr;
-    PlanCache::Memo memo;
     std::vector<std::int64_t> bank_addr;
     std::vector<Word> bank_data;
   };
 
   // Compiled-batch memo: a tiny LRU-ish set of recently executed batches
   // and their ExecPlans. Pointer tables inside a plan stay valid for the
-  // PolyMem's lifetime (banks and templates are pinned), so replaying an
-  // equal batch is pure kernel execution.
+  // PolyMem's lifetime (banks and store entries are pinned), so replaying
+  // an equal batch is pure kernel execution.
   static constexpr std::size_t kExecSlots = 4;
   struct ExecSlot {
     AccessBatch key;
@@ -200,15 +199,27 @@ class PolyMem {
   };
 
   void init_scratch(Scratch& s);
-  void plan_and_route_write(const access::ParallelAccess& where,
-                            std::span<const Word> data, Scratch& s);
-  void plan_read(const access::ParallelAccess& where, Scratch& s);
   void validate_batch(const AccessBatch& batch) const;
 
+  /// The compiled tables and per-anchor delta serving `where`, or null
+  /// when the access runs on the AGU reference — then `s.plan` holds the
+  /// expanded access. Throws the AGU's exact error for an unsupported,
+  /// unaligned or out-of-bounds access, before any bank is touched.
+  const ClassTables* resolve(const access::ParallelAccess& where,
+                             std::int64_t& delta, Scratch& s);
+  /// Executes one resolved access: a count-1 kernel call through `t` with
+  /// bulk bank accounting or, when `t` is null, the AGU reference on
+  /// `s.plan` — checked shuffles and ported bank accesses within the
+  /// current cycle (the caller begins it).
+  void execute_read(const ClassTables* t, std::int64_t delta, Scratch& s,
+                    unsigned port, std::span<Word> out);
+  void execute_write(const ClassTables* t, std::int64_t delta, Scratch& s,
+                     std::span<const Word> data);
+
   /// The compiled plan serving `batch`: a memo hit, or a fresh compile
-  /// into the next slot. Returns nullptr (interpreted engine takes over)
-  /// when the plan cache cannot serve the batch. `avoid` pins one plan
-  /// (the other half of a fused copy) against eviction.
+  /// into the next slot. Returns nullptr (the batch then runs access by
+  /// access) when the plan cache cannot serve the batch. `avoid` pins one
+  /// plan (the other half of a fused copy) against eviction.
   ExecPlan* compiled_plan(const AccessBatch& batch,
                           const ExecPlan* avoid = nullptr);
   void exec_read(const ExecPlan& plan, unsigned port, std::int64_t t0,
@@ -222,21 +233,14 @@ class PolyMem {
   Agu agu_;
   BankArray banks_;
   PlanCache plan_cache_;
+  TableStore tables_;              // compiled residue classes, by template id
+  PlanCache::Memo memo_;           // single-access lookups
   bool use_plan_cache_ = true;
-  mutable Scratch scratch_;
-  Scratch write_scratch_;          // read_write's concurrent write plan
-  std::vector<Scratch> mt_scratch_;  // read_batch_mt: one per participant
+  Scratch scratch_;
+  Scratch write_scratch_;          // read_write's concurrent write half
   std::vector<Word> copy_buf_;     // stream_copy_batch lane staging
   std::array<ExecSlot, kExecSlots> exec_slots_;
   std::size_t exec_victim_ = 0;    // next slot a fresh compile lands in
-  // Per-call kernel argument tables for multi-residue batches (reserved
-  // once; bounded by kMaxTables and the port count — see exec_plan.hpp).
-  std::vector<const std::uintptr_t*> table_lane_scratch_;
-  std::vector<const std::uintptr_t*> table_bank_scratch_;
-  std::vector<const std::uint32_t*> table_lfb_scratch_;
-  // read_batch_mt: per-port gather tables, [port][table] flattened,
-  // built serially before the parallel region.
-  std::vector<const std::uintptr_t*> mt_table_scratch_;
   std::uint64_t parallel_reads_ = 0;
   std::uint64_t parallel_writes_ = 0;
 };

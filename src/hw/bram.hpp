@@ -47,12 +47,6 @@ class BramBank {
   const Word* data() const { return mem_.data(); }
   Word* data() { return mem_.data(); }
 
-  /// Bulk counter credit for accesses served through the compiled engine,
-  /// which proves conflict-freedom per residue class at plan-build time
-  /// instead of per cycle (the same contract as BankArray::read_shared).
-  void add_bulk_reads(std::uint64_t n) { total_reads_ += n; }
-  void add_bulk_writes(std::uint64_t n) { total_writes_ += n; }
-
  private:
   void check_addr(std::int64_t addr) const;
 

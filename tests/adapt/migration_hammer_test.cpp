@@ -59,6 +59,11 @@ TEST(MigrationHammer, ReadYourWritesAcrossLiveMigrations) {
 
   std::atomic<bool> stop{false};
   std::atomic<int> stale_reads{0};
+  // Writers start once the first migration is under way, so the hammer
+  // overlaps at least one live migration however the threads are
+  // scheduled (fast writers could otherwise finish before the migrator
+  // ran at all).
+  std::atomic<bool> migrating{false};
 
   std::vector<std::thread> writers;
   writers.reserve(kWriters);
@@ -67,6 +72,8 @@ TEST(MigrationHammer, ReadYourWritesAcrossLiveMigrations) {
       const AccessBatch batch = band_batch(w);
       const auto words = static_cast<std::size_t>(batch.count()) * 8;
       std::vector<core::Word> data(words), got(words);
+      while (!migrating.load(std::memory_order_acquire))
+        std::this_thread::yield();
       for (int iter = 0; iter < kIters; ++iter) {
         for (std::size_t k = 0; k < words; ++k) {
           data[k] = cell_value(w, iter, k);
@@ -99,7 +106,7 @@ TEST(MigrationHammer, ReadYourWritesAcrossLiveMigrations) {
   std::thread migrator([&] {
     while (!stop.load(std::memory_order_relaxed)) {
       for (maf::Scheme s : maf::kAllSchemes) {
-        mat.migrate_to(s);
+        if (mat.migrate_to(s)) migrating.store(true, std::memory_order_release);
         std::this_thread::yield();
       }
     }

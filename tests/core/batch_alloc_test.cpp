@@ -1,8 +1,9 @@
-// Heap discipline of the batched access engine: after one warm-up pass
-// (templates built, ExecPlans compiled, scratch sized), read_batch /
-// write_batch / stream_copy_batch perform ZERO heap allocations per
-// call, and read_batch_mt allocates per *invocation* (task plumbing),
-// never per access. Verified by counting global operator new calls —
+// Heap discipline of the access engine: after one warm-up pass
+// (templates built, class tables and ExecPlans compiled, scratch sized),
+// read_batch / write_batch / stream_copy_batch and the single accesses
+// read_into / write / read_write perform ZERO heap allocations per call,
+// and read_batch_mt allocates per *invocation* (task plumbing), never per
+// access. Verified by counting global operator new calls —
 // including the aligned forms the compiled engine's cache-line-aligned
 // SoA tables (core/simd/aligned.hpp) go through.
 #include <gtest/gtest.h>
@@ -145,6 +146,31 @@ TEST(BatchAllocation, NaiveEngineSteadyStateAlsoAllocationFree) {
   std::vector<Word> buf(static_cast<std::size_t>(batch.count()) * lanes);
   mem.read_batch(batch, 0, buf);
   EXPECT_EQ(count_allocations([&] { mem.read_batch(batch, 0, buf); }), 0u);
+}
+
+TEST(BatchAllocation, SteadyStateSingleAccessesAllocateNothing) {
+  const auto cfg =
+      PolyMemConfig::with_capacity(64 * KiB, maf::Scheme::kReRo, 2, 4, 2);
+  const auto lanes = static_cast<std::size_t>(cfg.lanes());
+  std::vector<Word> out(lanes), data(lanes, 3);
+  // Rows cycling through more residue classes than the lookup memo holds.
+  const auto access = [](std::int64_t n) {
+    return access::ParallelAccess{PatternKind::kRow, {n % 4, 8 * (n % 3)}};
+  };
+  const auto run = [&](PolyMem& mem) {
+    for (std::int64_t n = 0; n < 24; ++n) {
+      mem.read_into(access(n), static_cast<unsigned>(n % 2), out);
+      mem.write(access(n + 1), data);
+      mem.read_write(access(n + 2), 1, out, access(n), data);
+    }
+  };
+  for (bool use_cache : {true, false}) {
+    PolyMem mem(cfg);
+    mem.set_plan_cache_enabled(use_cache);
+    run(mem);  // warm-up: templates, class tables, reference scratch
+    EXPECT_EQ(count_allocations([&] { run(mem); }), 0u)
+        << "plan cache " << (use_cache ? "on" : "off");
+  }
 }
 
 TEST(BatchAllocation, MtReadAllocatesPerCallNotPerAccess) {

@@ -106,7 +106,7 @@ TEST(CompiledEntryPoints, CallerOwnedPlanRecompilesAcrossVaryingRuns) {
 
 TEST(CompiledEntryPoints, TablePoolServesAlternatingResidueClasses) {
   // The drain loop's steady state: one plan recompiled for runs that
-  // cycle through a few residue classes. The retained-table pool must
+  // cycle through a few residue classes. The PolyMem's table store must
   // hand back the right pointer tables for whichever class each run
   // starts in, in any order.
   PolyMem mem(cfg());
@@ -127,8 +127,8 @@ TEST(CompiledEntryPoints, TablePoolServesAlternatingResidueClasses) {
 }
 
 TEST(CompiledEntryPoints, PlanMigratesBetweenMemories) {
-  // A caller-owned plan recompiled against a different PolyMem must not
-  // reuse pointer tables retained from the first memory's bank storage.
+  // A caller-owned plan recompiled against a different PolyMem must point
+  // into that memory's table store, not the first memory's bank storage.
   PolyMem a(cfg());
   PolyMem b(cfg());
   fill(a);

@@ -212,6 +212,34 @@ TEST(PlanCache, TemplateCountIsBoundedByResidueClasses) {
   EXPECT_GT(pc.hits(), pc.builds());
 }
 
+// Row bursts on ReRo 2x4 (period_i = 2) alternate between two residue
+// classes access by access; a walk over six classes then overflows the
+// memo's four slots. Every memoized lookup must answer exactly as a
+// memo-less one and count once, as a hit or a build.
+TEST(PlanCache, MemoServesAlternatingResidueClasses) {
+  const PolyMemConfig cfg = make_config(Scheme::kReRo, {2, 4});
+  PolyMem mem(cfg);
+  PlanCache& cache = mem.plan_cache();
+  std::vector<ParallelAccess> walk;
+  for (std::int64_t i = 0; i < 8; ++i)
+    walk.push_back({PatternKind::kRow, {i, 8}});
+  for (std::int64_t n = 0; n < 24; ++n)
+    walk.push_back({PatternKind::kRow, {n % 2, 8 + n % 3}});
+  PlanCache::Memo memo;
+  for (const ParallelAccess& acc : walk) {
+    const std::uint64_t before = cache.hits() + cache.builds();
+    std::int64_t delta = -1;
+    const PlanTemplate* got = cache.lookup(acc, delta, memo);
+    EXPECT_EQ(cache.hits() + cache.builds(), before + 1) << acc.anchor;
+    std::int64_t want_delta = -2;
+    const PlanTemplate* want = cache.lookup(acc, want_delta);
+    ASSERT_NE(want, nullptr) << acc.anchor;
+    EXPECT_EQ(got, want) << acc.anchor;
+    EXPECT_EQ(delta, want_delta) << acc.anchor;
+  }
+  EXPECT_EQ(cache.builds(), 6u);
+}
+
 TEST(BatchEngine, ReadBatchMatchesReadLoop) {
   for (Scheme scheme : {Scheme::kReRo, Scheme::kRoCo, Scheme::kReTr}) {
     const PolyMemConfig cfg = make_config(scheme, {2, 4});

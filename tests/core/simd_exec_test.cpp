@@ -1,14 +1,20 @@
 // Differential gate of the compiled SIMD execution engine
 // (core/exec_plan.hpp + core/simd/): for every scheme x geometry x
 // supported pattern, the compiled path — at every kernel level the host
-// supports — must be bit-identical to the interpreted per-access engine
-// for read_batch, write_batch and read_batch_mt. A forced-scalar
-// dispatch test keeps the fallback kernels exercised on AVX2 hosts.
+// supports — must be bit-identical to the AGU reference for read_batch,
+// write_batch and read_batch_mt, and for the single accesses read_into,
+// write and read_write on every read port. Unsupported, unaligned and
+// out-of-bounds single accesses must throw what the reference throws and
+// change nothing. A forced-scalar dispatch test keeps the fallback kernels
+// exercised on AVX2 hosts.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <sstream>
+#include <string>
 #include <vector>
 
+#include "common/error.hpp"
 #include "common/units.hpp"
 #include "core/polymem.hpp"
 #include "core/simd/dispatch.hpp"
@@ -49,8 +55,20 @@ std::vector<simd::Level> host_levels() {
   return levels;
 }
 
-PolyMemConfig make_config(Scheme scheme, Geometry g) {
-  return PolyMemConfig::with_capacity(16 * KiB, scheme, g.p, g.q);
+PolyMemConfig make_config(Scheme scheme, Geometry g, unsigned ports = 1) {
+  return PolyMemConfig::with_capacity(16 * KiB, scheme, g.p, g.q, ports);
+}
+
+// Read ports of the single-access sweeps: enough that a wrong replica
+// offset in a gather table shows.
+constexpr unsigned kPorts = 3;
+
+std::string where(Scheme scheme, Geometry g, PatternKind kind,
+                  simd::Level level) {
+  std::ostringstream os;
+  os << maf::scheme_name(scheme) << " " << g.p << "x" << g.q << " "
+     << access::pattern_name(kind) << " level " << simd::level_name(level);
+  return os.str();
 }
 
 void fill_deterministic(PolyMem& mem) {
@@ -202,6 +220,243 @@ TEST(SimdExec, RoundTripMatchesHostMirror) {
     std::vector<Word> got(data.size(), 0);
     mem.read_batch(batch, 0, got);
     ASSERT_EQ(got, data) << "level " << simd::level_name(l);
+  }
+}
+
+TEST(SimdExec, SingleReadsBitIdenticalAcrossLevelsAndPorts) {
+  LevelGuard guard;
+  const auto levels = host_levels();
+  for (Scheme scheme : maf::kAllSchemes) {
+    for (Geometry g : kGeometries) {
+      const PolyMemConfig cfg = make_config(scheme, g, kPorts);
+      PolyMem compiled(cfg);
+      PolyMem reference(cfg);
+      reference.set_plan_cache_enabled(false);
+      fill_deterministic(compiled);
+      fill_deterministic(reference);
+      const unsigned lanes = cfg.lanes();
+      for (PatternKind kind : access::kAllPatterns) {
+        const SupportLevel level = compiled.supports(kind);
+        if (level == SupportLevel::kNone) continue;
+        const AccessBatch batch = full_sweep(cfg, compiled, kind, level);
+        std::vector<Word> want(static_cast<std::size_t>(batch.count()) *
+                               lanes);
+        std::vector<Word> got(want.size());
+        for (unsigned port = 0; port < kPorts; ++port) {
+          // With the plan cache off, read_batch is a loop of reference
+          // read_into calls.
+          reference.read_batch(batch, port, want);
+          for (simd::Level l : levels) {
+            simd::force_level(l);
+            got.assign(got.size(), 0);
+            for (std::int64_t t = 0; t < batch.count(); ++t)
+              compiled.read_into(
+                  batch.access(t), port,
+                  std::span<Word>(got).subspan(
+                      static_cast<std::size_t>(t) * lanes, lanes));
+            ASSERT_EQ(got, want) << where(scheme, g, kind, l) << " port "
+                                 << port;
+          }
+        }
+      }
+    }
+  }
+}
+
+// Single writes over every anchor, then read_write pairs whose read and
+// write walks run in opposite directions (so they overlap where they
+// cross), then a read-back of every anchor on every port. Returns every
+// word read along the way followed by the final image.
+std::vector<Word> drive_single_writes(PolyMem& mem, const AccessBatch& batch) {
+  const auto& cfg = mem.config();
+  const unsigned lanes = cfg.lanes();
+  const std::int64_t n = batch.count();
+  std::vector<Word> data(lanes), out(lanes), log;
+  for (std::int64_t t = 0; t < n; ++t) {
+    for (unsigned k = 0; k < lanes; ++k)
+      data[k] = 0x9E3779B97F4A7C15ull * static_cast<Word>(t * lanes + k + 7);
+    mem.write(batch.access(t), data);
+  }
+  for (std::int64_t t = 0; t < n; ++t) {
+    for (unsigned k = 0; k < lanes; ++k)
+      data[k] = 0xC2B2AE3D27D4EB4Full ^ static_cast<Word>(t * lanes + k);
+    mem.read_write(batch.access(t), static_cast<unsigned>(t) % cfg.read_ports,
+                   out, batch.access(n - 1 - t), data);
+    log.insert(log.end(), out.begin(), out.end());
+  }
+  for (unsigned port = 0; port < cfg.read_ports; ++port) {
+    for (std::int64_t t = 0; t < n; ++t) {
+      mem.read_into(batch.access(t), port, out);
+      log.insert(log.end(), out.begin(), out.end());
+    }
+  }
+  std::vector<Word> image(static_cast<std::size_t>(cfg.height) * cfg.width);
+  mem.dump_rect({0, 0}, cfg.height, cfg.width, image);
+  log.insert(log.end(), image.begin(), image.end());
+  return log;
+}
+
+TEST(SimdExec, SingleWritesAndReadWritesBitIdenticalAcrossLevels) {
+  LevelGuard guard;
+  const auto levels = host_levels();
+  for (Scheme scheme : maf::kAllSchemes) {
+    for (Geometry g : kGeometries) {
+      const PolyMemConfig cfg = make_config(scheme, g, kPorts);
+      for (PatternKind kind : access::kAllPatterns) {
+        PolyMem reference(cfg);
+        reference.set_plan_cache_enabled(false);
+        fill_deterministic(reference);
+        const SupportLevel level = reference.supports(kind);
+        if (level == SupportLevel::kNone) continue;
+        const AccessBatch batch = full_sweep(cfg, reference, kind, level);
+        const std::vector<Word> want = drive_single_writes(reference, batch);
+        for (simd::Level l : levels) {
+          simd::force_level(l);
+          PolyMem compiled(cfg);
+          fill_deterministic(compiled);
+          ASSERT_EQ(drive_single_writes(compiled, batch), want)
+              << where(scheme, g, kind, l);
+          EXPECT_GT(compiled.plan_cache().hits(), 0u);
+        }
+      }
+    }
+  }
+}
+
+TEST(SimdExec, OverlappingReadWriteReturnsPreWriteData) {
+  LevelGuard guard;
+  const PolyMemConfig cfg = make_config(Scheme::kReRo, {2, 4}, kPorts);
+  const unsigned lanes = cfg.lanes();
+  // Same anchor, and a half-overlapping row (4 of 8 elements shared).
+  const access::ParallelAccess read_from{PatternKind::kRow, {3, 5}};
+  for (const access::ParallelAccess write_to :
+       {read_from, access::ParallelAccess{PatternKind::kRow, {3, 9}}}) {
+    for (bool use_cache : {true, false}) {
+      for (simd::Level l : host_levels()) {
+        simd::force_level(l);
+        PolyMem mem(cfg);
+        mem.set_plan_cache_enabled(use_cache);
+        fill_deterministic(mem);
+        const std::vector<Word> before = mem.read(read_from, 0);
+        std::vector<Word> data(lanes), out(lanes, 0);
+        for (unsigned k = 0; k < lanes; ++k) data[k] = 0xABCD0000u + k;
+        mem.read_write(read_from, 2, out, write_to, data);
+        EXPECT_EQ(out, before) << "cache " << use_cache << " write at "
+                               << write_to.anchor;
+        EXPECT_EQ(mem.read(write_to, 1), data);
+        EXPECT_EQ(mem.parallel_reads(), 3u);
+        EXPECT_EQ(mem.parallel_writes(), 1u);
+      }
+    }
+  }
+}
+
+enum class Thrown { kNothing, kUnsupported, kInvalidArgument, kOtherError };
+
+template <typename Fn>
+Thrown thrown_by(Fn&& fn) {
+  try {
+    fn();
+  } catch (const Unsupported&) {
+    return Thrown::kUnsupported;
+  } catch (const InvalidArgument&) {
+    return Thrown::kInvalidArgument;
+  } catch (const Error&) {
+    return Thrown::kOtherError;
+  }
+  return Thrown::kNothing;
+}
+
+struct BadAccess {
+  access::ParallelAccess acc;
+  Thrown expected;
+};
+
+// One access per failure mode the geometry has: an unsupported pattern,
+// an unaligned anchor of an aligned-only pattern, and anchors past the
+// bottom, the right edge and the top-left corner.
+std::vector<BadAccess> bad_accesses(const PolyMem& mem) {
+  const auto& cfg = mem.config();
+  std::vector<BadAccess> bad;
+  for (PatternKind kind : access::kAllPatterns) {
+    switch (mem.supports(kind)) {
+      case SupportLevel::kNone:
+        bad.push_back({{kind, {0, 0}}, Thrown::kUnsupported});
+        break;
+      case SupportLevel::kAligned:
+        bad.push_back({{kind, {1, 1}}, Thrown::kUnsupported});
+        [[fallthrough]];
+      case SupportLevel::kAny:
+        bad.push_back({{kind, {cfg.height, 0}}, Thrown::kInvalidArgument});
+        bad.push_back({{kind, {0, cfg.width}}, Thrown::kInvalidArgument});
+        bad.push_back(
+            {{kind, {-static_cast<std::int64_t>(cfg.p), 0}},
+             Thrown::kInvalidArgument});
+        break;
+    }
+  }
+  return bad;
+}
+
+// Runs `fn` on `mem` and checks it threw `expected` without reading,
+// writing or counting anything: counters, image and `out` unchanged.
+template <typename Fn>
+void expect_rejected(PolyMem& mem, Thrown expected, std::vector<Word>& out,
+                     Fn&& fn, const std::string& what) {
+  const auto& cfg = mem.config();
+  std::vector<Word> image(static_cast<std::size_t>(cfg.height) * cfg.width);
+  std::vector<Word> after(image.size());
+  mem.dump_rect({0, 0}, cfg.height, cfg.width, image);
+  const std::uint64_t reads = mem.parallel_reads();
+  const std::uint64_t writes = mem.parallel_writes();
+  out.assign(out.size(), 0x5E57'1AE1ull);
+  EXPECT_EQ(thrown_by(fn), expected) << what;
+  EXPECT_EQ(mem.parallel_reads(), reads) << what;
+  EXPECT_EQ(mem.parallel_writes(), writes) << what;
+  EXPECT_EQ(out, std::vector<Word>(out.size(), 0x5E57'1AE1ull)) << what;
+  mem.dump_rect({0, 0}, cfg.height, cfg.width, after);
+  EXPECT_EQ(after, image) << what;
+}
+
+TEST(SimdExec, SingleAccessErrorsMatchReferenceAndChangeNothing) {
+  LevelGuard guard;
+  for (Scheme scheme : maf::kAllSchemes) {
+    for (Geometry g : kGeometries) {
+      const PolyMemConfig cfg = make_config(scheme, g, kPorts);
+      PolyMem compiled(cfg);
+      PolyMem reference(cfg);
+      reference.set_plan_cache_enabled(false);
+      fill_deterministic(compiled);
+      fill_deterministic(reference);
+      const unsigned lanes = cfg.lanes();
+      // A valid access for the other half of read_write: every scheme
+      // serves rectangles at the origin.
+      const access::ParallelAccess ok{PatternKind::kRect, {0, 0}};
+      ASSERT_NE(compiled.supports(ok.kind), SupportLevel::kNone);
+      std::vector<Word> out(lanes), data(lanes, 7);
+      for (const BadAccess& b : bad_accesses(reference)) {
+        std::ostringstream os;
+        os << maf::scheme_name(scheme) << " " << g.p << "x" << g.q << " "
+           << access::pattern_name(b.acc.kind) << " at " << b.acc.anchor;
+        for (PolyMem* mem : {&reference, &compiled}) {
+          const std::string what =
+              os.str() + (mem == &compiled ? " compiled" : " reference");
+          expect_rejected(*mem, b.expected, out,
+                          [&] { mem->read_into(b.acc, kPorts - 1, out); },
+                          what + " read_into");
+          expect_rejected(*mem, b.expected, out,
+                          [&] { mem->write(b.acc, data); }, what + " write");
+          // An invalid write half must stop the valid read too, and the
+          // other way round.
+          expect_rejected(*mem, b.expected, out,
+                          [&] { mem->read_write(ok, 1, out, b.acc, data); },
+                          what + " read_write (bad write)");
+          expect_rejected(*mem, b.expected, out,
+                          [&] { mem->read_write(b.acc, 1, out, ok, data); },
+                          what + " read_write (bad read)");
+        }
+      }
+    }
   }
 }
 

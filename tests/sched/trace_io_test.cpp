@@ -213,6 +213,11 @@ struct BadCase {
   int line;
 };
 
+// Print the label: gtest's default would dump the struct's bytes, whose
+// two string pointers move with the load address, so the registered test
+// names would change on every build.
+void PrintTo(const BadCase& c, std::ostream* os) { *os << c.label; }
+
 class TraceIoMalformed : public ::testing::TestWithParam<BadCase> {};
 
 TEST_P(TraceIoMalformed, ThrowsTypedParseError) {

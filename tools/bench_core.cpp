@@ -1,10 +1,11 @@
 // Hot-path benchmark runner: measures the functional model's parallel-read
-// throughput on the naive AGU path, the plan-template cached path, and the
-// compiled batched engine — at the host's best SIMD level and with the
-// kernels forced scalar — and emits machine-readable JSON (BENCH_core.json)
-// so both the engine speedup and the SIMD contribution are tracked in the
-// repository. A roofline-style bytes/cycle figure per case shows how close
-// the gather loop runs to the load-port limit.
+// throughput on the naive AGU reference, on single read_into calls through
+// the compiled engine, and on the compiled batched engine — at the host's
+// best SIMD level and with the kernels forced scalar — and emits
+// machine-readable JSON (BENCH_core.json) so both the engine speedup and
+// the SIMD contribution are tracked in the repository. A roofline-style
+// bytes/cycle figure per case shows how close the gather loop runs to the
+// load-port limit.
 //
 // Unlike bench/bench_micro.cpp (google-benchmark, interactive tuning) this
 // runner is deliberately dependency-free: plain chrono timing, median of
@@ -95,13 +96,19 @@ double cpu_ghz() {
   return 0.0;
 }
 
+// Workers of the batched_mt pool (the caller is the extra participant).
+unsigned mt_pool_workers() {
+  return runtime::ThreadPool::hardware_threads() - 1;
+}
+
 struct Result {
   std::string scheme;
   unsigned p, q;
   std::string pattern;
-  double naive_ns, cached_ns, batched_ns, mt_ns;
+  double naive_ns, single_ns, batched_ns, mt_ns;
   double scalar_ns, simd_ns;
-  double cached_speedup, batched_speedup, mt_speedup, simd_speedup;
+  double single_speedup, batched_speedup, mt_speedup, simd_speedup;
+  double single_over_batched;
   double bytes_per_access, bytes_per_cycle;
 };
 
@@ -124,7 +131,7 @@ Result run_case(const Case& c) {
   mem.set_plan_cache_enabled(false);
   const double naive_ns = measure_ns(walk);
   mem.set_plan_cache_enabled(true);
-  const double cached_ns = measure_ns(walk);
+  const double single_ns = measure_ns(walk);
 
   // Batched engine: the same column of anchors as one AccessBatch,
   // repeated until ~kAccessesPerTrial accesses ran.
@@ -158,8 +165,12 @@ Result run_case(const Case& c) {
 
   // Threaded variant of the batched engine (read_batch_mt over the
   // parallel runtime, hardware-sized pool). Same workload, bit-identical
-  // output — see bench_parallel for the dedicated multi-port study.
-  runtime::ThreadPool pool(runtime::ThreadPool::hardware_threads() - 1);
+  // output — see bench_parallel for the dedicated multi-port study. The
+  // batch is one column of 32-128 anchors, so each call wakes the pool
+  // for about a microsecond of gathers: on a one-core host (pool size 0)
+  // the figure tracks batched_ns, on a multi-core host the wake-up
+  // dominates.
+  runtime::ThreadPool pool(mt_pool_workers());
   auto batched_mt = [&] {
     for (std::int64_t r = 0; r < reps; ++r)
       mem.read_batch_mt(batch, pool, bulk);
@@ -171,15 +182,16 @@ Result run_case(const Case& c) {
           c.q,
           access::pattern_name(w.kind),
           naive_ns,
-          cached_ns,
+          single_ns,
           batched_ns,
           mt_ns,
           scalar_ns,
           simd_ns,
-          naive_ns / cached_ns,
+          naive_ns / single_ns,
           naive_ns / batched_ns,
           naive_ns / mt_ns,
           scalar_ns / simd_ns,
+          single_ns / batched_ns,
           bytes_per_access,
           bytes_per_cycle};
 }
@@ -194,21 +206,23 @@ void write_json(const std::vector<Result>& results, const std::string& path) {
      << "  \"trials\": " << kTrials << ",\n"
      << "  \"simd_level\": \""
      << core::simd::level_name(core::simd::detected_level()) << "\",\n"
+     << "  \"mt_pool_workers\": " << mt_pool_workers() << ",\n"
      << "  \"cases\": [\n";
   for (std::size_t k = 0; k < results.size(); ++k) {
     const Result& r = results[k];
     os << "    {\"scheme\": \"" << r.scheme << "\", \"p\": " << r.p
        << ", \"q\": " << r.q << ", \"pattern\": \"" << r.pattern << "\",\n"
        << "     \"naive_ns\": " << r.naive_ns
-       << ", \"cached_ns\": " << r.cached_ns
+       << ", \"single_ns\": " << r.single_ns
        << ", \"batched_ns\": " << r.batched_ns
        << ", \"batched_mt_ns\": " << r.mt_ns << ",\n"
        << "     \"scalar_ns\": " << r.scalar_ns
        << ", \"simd_ns\": " << r.simd_ns
        << ", \"simd_speedup\": " << r.simd_speedup << ",\n"
-       << "     \"cached_speedup\": " << r.cached_speedup
+       << "     \"single_speedup\": " << r.single_speedup
        << ", \"batched_speedup\": " << r.batched_speedup
-       << ", \"batched_mt_speedup\": " << r.mt_speedup << ",\n"
+       << ", \"batched_mt_speedup\": " << r.mt_speedup
+       << ", \"single_over_batched\": " << r.single_over_batched << ",\n"
        << "     \"bytes_per_access\": " << r.bytes_per_access
        << ", \"bytes_per_cycle\": " << r.bytes_per_cycle << "}"
        << (k + 1 < results.size() ? ",\n" : "\n");
@@ -225,8 +239,8 @@ int main(int argc, char** argv) {
     results.push_back(run_case(c));
     const Result& r = results.back();
     std::cout << r.scheme << " " << r.p << "x" << r.q << " (" << r.pattern
-              << "): naive " << r.naive_ns << " ns, cached " << r.cached_ns
-              << " ns (" << r.cached_speedup << "x), batched "
+              << "): naive " << r.naive_ns << " ns, single " << r.single_ns
+              << " ns (" << r.single_speedup << "x), batched "
               << r.batched_ns << " ns (" << r.batched_speedup
               << "x), batched-mt " << r.mt_ns << " ns (" << r.mt_speedup
               << "x), scalar " << r.scalar_ns << " ns vs simd " << r.simd_ns
@@ -238,15 +252,14 @@ int main(int argc, char** argv) {
             << core::simd::level_name(core::simd::detected_level())
             << ")\n";
 
-  // Tracking gates. The compiled ExecPlan engine replaced the per-access
-  // interpreter on the batched path, so the honest bar moved twice: the
-  // cached path keeps its 2.5x-over-naive gate, while the batched path is
-  // now gated in absolute terms — the ISSUE's acceptance criterion of
-  // <= 60 ns per parallel access on the p=4,q=4 geometries (the compiled
-  // gather loop lands near 8 ns; 60 leaves headroom for slow CI hosts).
+  // Tracking gates. Single accesses and batches both run on the compiled
+  // kernels and keep a 2.5x-over-naive gate; the batched path is also
+  // gated in absolute terms — <= 60 ns per parallel access on the p=4,q=4
+  // geometries (the compiled gather loop lands near 8-13 ns; 60 leaves
+  // headroom for slow CI hosts).
   bool ok = true;
   for (const Result& r : results) {
-    ok = ok && r.cached_speedup >= 2.5 && r.batched_speedup >= 2.5;
+    ok = ok && r.single_speedup >= 2.5 && r.batched_speedup >= 2.5;
     if (r.p == 4 && r.q == 4) ok = ok && r.batched_ns <= 60.0;
   }
   if (!ok) {
