@@ -251,11 +251,19 @@ void AdaptiveMatrix::fill_rect(access::Coord origin, std::int64_t rows,
     held.emplace_back(*band_locks_[static_cast<std::size_t>(b)]);
   }
   active_->fill_rect(origin, rows, cols, values);
-  for (std::int64_t r = 0; r < rows; ++r) {
-    for (std::int64_t c = 0; c < cols; ++c) {
-      forward_store({origin.i + r, origin.j + c},
-                    values[static_cast<std::size_t>(r * cols + c)]);
-    }
+  // The rectangle passed A's checks; forward its rows in every copied band.
+  for (std::int64_t b = band_of(lo); b <= band_of(hi); ++b) {
+    if (!copied_[b].load(std::memory_order_acquire)) continue;
+    const std::int64_t r0 = std::max(origin.i, band_first_row(b));
+    const std::int64_t r1 =
+        std::min(origin.i + rows, band_first_row(b) + band_row_count(b));
+    if (r0 >= r1) continue;  // an empty rectangle
+    const auto words = static_cast<std::size_t>((r1 - r0) * cols);
+    next_->fill_rect({r0, origin.j}, r1 - r0, cols,
+                     values.subspan(
+                         static_cast<std::size_t>((r0 - origin.i) * cols),
+                         words));
+    forwarded_words_ += words;
   }
 }
 

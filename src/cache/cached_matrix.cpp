@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/error.hpp"
-#include "maf/conflict.hpp"
 
 namespace polymem::cache {
 
@@ -15,7 +14,7 @@ CachedMatrix::CachedMatrix(maxsim::LMem& lmem, core::PolyMem& mem,
                            core::FramePool frames, CacheOptions options)
     : cache_(lmem, mem, matrix, frames, options),
       lanes_(static_cast<std::int64_t>(mem.config().lanes())),
-      rows_any_anchor_(maf::probe_support(mem.maf(), PatternKind::kRow) ==
+      rows_any_anchor_(mem.supports(PatternKind::kRow) ==
                        maf::SupportLevel::kAny) {}
 
 void CachedMatrix::check_block(std::int64_t i, std::int64_t j,
@@ -53,30 +52,24 @@ void CachedMatrix::read_block(std::int64_t i, std::int64_t j,
       const std::int64_t fi = bi0 - ti * t_rows;  // frame-relative
       const std::int64_t fj = bj0 - tj * t_cols;
 
-      if (row_path(sub_cols)) {
-        for (std::int64_t r = 0; r < sub_rows; ++r) {
-          const AccessBatch row = AccessBatch::strided(
-              PatternKind::kRow,
-              {ref.origin.i + fi + r, ref.origin.j + fj}, {0, lanes_},
-              sub_cols / lanes_);
-          mem.read_batch(row, 0,
-                         out.subspan(static_cast<std::size_t>(
-                                         (bi0 - i + r) * cols + (bj0 - j)),
-                                     static_cast<std::size_t>(sub_cols)));
+      const bool rows_path = row_path(sub_cols);
+      for (std::int64_t r = 0; r < sub_rows; ++r) {
+        const access::Coord at{ref.origin.i + fi + r, ref.origin.j + fj};
+        const std::span<hw::Word> row = out.subspan(
+            static_cast<std::size_t>((bi0 - i + r) * cols + (bj0 - j)),
+            static_cast<std::size_t>(sub_cols));
+        if (rows_path) {
+          mem.read_batch(AccessBatch::strided(PatternKind::kRow, at,
+                                              {0, lanes_}, sub_cols / lanes_),
+                         0, row);
+        } else {
+          mem.dump_rect(at, 1, sub_cols, row);
         }
-        cache_.note_kernel_accesses(
-            static_cast<std::uint64_t>(sub_rows * (sub_cols / lanes_)),
-            static_cast<std::uint64_t>(sub_rows * sub_cols));
-      } else {
-        for (std::int64_t r = 0; r < sub_rows; ++r)
-          for (std::int64_t c = 0; c < sub_cols; ++c)
-            out[static_cast<std::size_t>((bi0 - i + r) * cols +
-                                         (bj0 - j) + c)] =
-                mem.load({ref.origin.i + fi + r, ref.origin.j + fj + c});
-        cache_.note_kernel_accesses(
-            static_cast<std::uint64_t>(sub_rows * sub_cols),
-            static_cast<std::uint64_t>(sub_rows * sub_cols));
       }
+      cache_.note_kernel_accesses(
+          static_cast<std::uint64_t>(sub_rows * (rows_path ? sub_cols / lanes_
+                                                           : sub_cols)),
+          static_cast<std::uint64_t>(sub_rows * sub_cols));
     }
   }
 }
@@ -103,30 +96,24 @@ void CachedMatrix::write_block(std::int64_t i, std::int64_t j,
       const std::int64_t fi = bi0 - ti * t_rows;
       const std::int64_t fj = bj0 - tj * t_cols;
 
-      if (row_path(sub_cols)) {
-        for (std::int64_t r = 0; r < sub_rows; ++r) {
-          const AccessBatch row = AccessBatch::strided(
-              PatternKind::kRow,
-              {ref.origin.i + fi + r, ref.origin.j + fj}, {0, lanes_},
-              sub_cols / lanes_);
-          mem.write_batch(row,
-                          data.subspan(static_cast<std::size_t>(
-                                           (bi0 - i + r) * cols + (bj0 - j)),
-                                       static_cast<std::size_t>(sub_cols)));
+      const bool rows_path = row_path(sub_cols);
+      for (std::int64_t r = 0; r < sub_rows; ++r) {
+        const access::Coord at{ref.origin.i + fi + r, ref.origin.j + fj};
+        const std::span<const hw::Word> row = data.subspan(
+            static_cast<std::size_t>((bi0 - i + r) * cols + (bj0 - j)),
+            static_cast<std::size_t>(sub_cols));
+        if (rows_path) {
+          mem.write_batch(AccessBatch::strided(PatternKind::kRow, at,
+                                               {0, lanes_}, sub_cols / lanes_),
+                          row);
+        } else {
+          mem.fill_rect(at, 1, sub_cols, row);
         }
-        cache_.note_kernel_accesses(
-            static_cast<std::uint64_t>(sub_rows * (sub_cols / lanes_)),
-            static_cast<std::uint64_t>(sub_rows * sub_cols));
-      } else {
-        for (std::int64_t r = 0; r < sub_rows; ++r)
-          for (std::int64_t c = 0; c < sub_cols; ++c)
-            mem.store({ref.origin.i + fi + r, ref.origin.j + fj + c},
-                      data[static_cast<std::size_t>((bi0 - i + r) * cols +
-                                                    (bj0 - j) + c)]);
-        cache_.note_kernel_accesses(
-            static_cast<std::uint64_t>(sub_rows * sub_cols),
-            static_cast<std::uint64_t>(sub_rows * sub_cols));
       }
+      cache_.note_kernel_accesses(
+          static_cast<std::uint64_t>(sub_rows * (rows_path ? sub_cols / lanes_
+                                                           : sub_cols)),
+          static_cast<std::uint64_t>(sub_rows * sub_cols));
 
       if (through) {
         for (std::int64_t r = 0; r < sub_rows; ++r)

@@ -9,9 +9,10 @@
 // Reads and writes of resident data go through the batched parallel
 // engine (PolyMem::read_batch / write_batch, full-width row accesses)
 // whenever the sub-rectangle is lane-aligned and the scheme serves rows
-// at any anchor; otherwise they fall back to scalar element accesses,
-// counted one PolyMem access per element — the honest cost of a scheme
-// mismatch, same as the DMA engine's fallback.
+// at any anchor; otherwise they fall back to element-wise copies (one
+// PolyMem::fill_rect/dump_rect per sub-block row), counted one PolyMem
+// access per element — the honest cost of a scheme mismatch, same as the
+// DMA engine's fallback.
 #pragma once
 
 #include <cstdint>

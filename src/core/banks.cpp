@@ -12,6 +12,7 @@ BankArray::BankArray(unsigned banks, unsigned read_ports,
   storage_.reserve(static_cast<std::size_t>(banks) * read_ports);
   for (unsigned r = 0; r < read_ports; ++r)
     for (unsigned b = 0; b < banks; ++b) storage_.emplace_back(words_per_bank);
+  for (hw::BramBank& bank : storage_) bases_.push_back(bank.data());
 }
 
 hw::BramBank& BankArray::replica(unsigned port, unsigned bank) {
@@ -63,6 +64,14 @@ hw::Word BankArray::peek(unsigned bank, std::int64_t addr) const {
 
 void BankArray::poke(unsigned bank, std::int64_t addr, hw::Word value) {
   for (unsigned r = 0; r < read_ports_; ++r) replica(r, bank).poke(addr, value);
+}
+
+void BankArray::check_row(std::span<const unsigned> row_banks,
+                          std::int64_t first, std::int64_t last) const {
+  for (const unsigned bank : row_banks)
+    POLYMEM_REQUIRE(bank < banks_, "bank/port index out of range");
+  storage_.front().check_addr(first);
+  storage_.front().check_addr(last);
 }
 
 std::uint64_t BankArray::total_reads() const {

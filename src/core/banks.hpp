@@ -21,6 +21,10 @@ class BankArray {
  public:
   BankArray(unsigned banks, unsigned read_ports, std::int64_t words_per_bank);
 
+  // bases() points into the banks' storage; pinned like it.
+  BankArray(const BankArray&) = delete;
+  BankArray& operator=(const BankArray&) = delete;
+
   unsigned banks() const { return banks_; }
   unsigned read_ports() const { return read_ports_; }
 
@@ -40,6 +44,19 @@ class BankArray {
   /// Host backdoor (no port accounting) — used by load/offload paths.
   hw::Word peek(unsigned bank, std::int64_t addr) const;
   void poke(unsigned bank, std::int64_t addr, hw::Word value);
+
+  /// Host row walks (PolyMem::fill_rect/dump_rect) check once per row
+  /// what peek/poke check per word, with the same errors: every bank
+  /// index the row touches, and its address range [first, last] (every
+  /// bank holds the same number of words). The walk then pokes and peeks
+  /// unchecked through bases().
+  void check_row(std::span<const unsigned> row_banks, std::int64_t first,
+                 std::int64_t last) const;
+
+  /// Storage base of every bank replica, [port][bank] flattened. Fixed
+  /// at construction, like the storage itself.
+  hw::Word* const* bases() { return bases_.data(); }
+  const hw::Word* const* bases() const { return bases_.data(); }
 
   /// Raw storage base of one bank replica — the compiled batch engine
   /// (core/exec_plan.hpp) builds its flat gather/scatter pointer tables
@@ -70,6 +87,7 @@ class BankArray {
   unsigned banks_;
   unsigned read_ports_;
   std::vector<hw::BramBank> storage_;  // [port][bank] flattened
+  std::vector<hw::Word*> bases_;       // storage_[k].data()
   std::vector<std::uint64_t> bulk_reads_;  // per read port, per bank
   std::uint64_t bulk_writes_ = 0;          // per bank of every replica
 };

@@ -27,6 +27,9 @@ constexpr std::size_t kMaxTemplates = std::size_t{1} << 16;
 PlanCache::PlanCache(const PolyMemConfig& config, const maf::Maf& maf,
                      const maf::AddressingFunction& addressing)
     : config_(&config), maf_(&maf), addressing_(&addressing) {
+  for (PatternKind kind : access::kAllPatterns)
+    kinds_[static_cast<std::size_t>(kind)].support =
+        maf::probe_support(maf, kind);
   period_i_ = maf.period_i();
   period_j_ = maf.period_j();
   enabled_ = period_i_ < kMaxPeriod && period_j_ < kMaxPeriod;
@@ -46,23 +49,11 @@ PlanCache::PlanCache(const PolyMemConfig& config, const maf::Maf& maf,
   }
 }
 
-maf::SupportLevel PlanCache::support_for(PatternKind kind) {
-  KindInfo& ki = kinds_[static_cast<std::size_t>(kind)];
-  int state = ki.support.load(std::memory_order_relaxed);
-  if (state == 0) {
-    // probe_support is deterministic and internally synchronised, so a
-    // racing probe stores the same value; relaxed is enough.
-    state = static_cast<int>(maf::probe_support(*maf_, kind)) + 1;
-    ki.support.store(state, std::memory_order_relaxed);
-  }
-  return static_cast<maf::SupportLevel>(state - 1);
-}
-
 const PlanTemplate* PlanCache::lookup(const ParallelAccess& access,
                                       std::int64_t& delta, Memo& memo) {
   if (!enabled_) return nullptr;
   const KindInfo& ki = kinds_[static_cast<std::size_t>(access.kind)];
-  switch (support_for(access.kind)) {
+  switch (ki.support) {
     case maf::SupportLevel::kNone:
       return nullptr;
     case maf::SupportLevel::kAligned:

@@ -110,6 +110,13 @@ class PlanCache {
   std::int64_t period_i() const { return period_i_; }
   std::int64_t period_j() const { return period_j_; }
 
+  /// Machine-checked support level of `kind`, probed once per pattern at
+  /// construction (also when the cache is disabled) and immutable after:
+  /// per-batch callers read it without the probe's process-wide lock.
+  maf::SupportLevel support(access::PatternKind kind) const {
+    return kinds_[static_cast<std::size_t>(kind)].support;
+  }
+
   /// Served-from-cache and template-build counters (lookup misses that
   /// return nullptr count as neither). Relaxed atomics: exact under any
   /// serial workload, momentarily stale reads are fine mid-parallel-run.
@@ -150,15 +157,12 @@ class PlanCache {
 
  private:
   struct KindInfo {
-    // Probed lazily: 0 = unknown, else SupportLevel + 1. probe_support is
-    // deterministic, so racing probes store the same value (relaxed).
-    std::atomic<int> support{0};
+    maf::SupportLevel support = maf::SupportLevel::kNone;
     // Valid anchor rectangle (inclusive) for in-bounds accesses.
     std::int64_t min_i = 0, max_i = -1;
     std::int64_t min_j = 0, max_j = -1;
   };
 
-  maf::SupportLevel support_for(access::PatternKind kind);
   const PlanTemplate* find_or_build(access::PatternKind kind, std::int64_t ri,
                                     std::int64_t rj, std::uint64_t key);
   const PlanTemplate& build(access::PatternKind kind, std::int64_t ri,

@@ -34,7 +34,7 @@ void PolyMem::init_scratch(Scratch& s) {
 }
 
 maf::SupportLevel PolyMem::supports(access::PatternKind pattern) const {
-  return maf::probe_support(maf_, pattern);
+  return plan_cache_.support(pattern);
 }
 
 const ClassTables* PolyMem::resolve(const access::ParallelAccess& where,
@@ -131,7 +131,7 @@ void PolyMem::validate_batch(const AccessBatch& batch) const {
   POLYMEM_REQUIRE(batch.inner_count >= 0 && batch.outer_count >= 0,
                   "batch counts must be non-negative");
   if (batch.count() == 0) return;
-  const maf::SupportLevel level = maf::probe_support(maf_, batch.kind);
+  const maf::SupportLevel level = supports(batch.kind);
   if (level == maf::SupportLevel::kNone) {
     std::ostringstream os;
     os << "scheme " << maf::scheme_name(config_.scheme) << " (" << config_.p
@@ -380,48 +380,95 @@ void PolyMem::store(access::Coord c, Word value) {
   banks_.poke(maf_.bank(c), addressing_.address(c), value);
 }
 
-void PolyMem::fill_rect(access::Coord origin, std::int64_t rows,
-                        std::int64_t cols, std::span<const Word> values) {
+namespace {
+
+// Residues a row walk keeps on the stack. Maf::period_j() is at most 64 on
+// every geometry of up to 16 lanes; longer periods walk each row in
+// 64-column segments with one table apiece.
+constexpr std::int64_t kMaxResidues = 64;
+
+// The words of one row segment that share a column residue: `count` words
+// of bank `bank`, the t-th at intra-bank address addr + t * addr_step and
+// at buffer index k + t * k_step.
+struct ResidueRun {
+  unsigned bank;
+  std::int64_t addr, addr_step;
+  std::int64_t k, k_step;
+  std::int64_t count;
+};
+
+}  // namespace
+
+template <typename Visit>
+void PolyMem::walk_rect(access::Coord origin, std::int64_t rows,
+                        std::int64_t cols, std::size_t buffer,
+                        Visit&& visit) const {
   POLYMEM_REQUIRE(rows >= 0 && cols >= 0,
                   "rectangle extents must be non-negative");
-  POLYMEM_REQUIRE(values.size() ==
-                      static_cast<std::size_t>(rows) * static_cast<std::size_t>(cols),
+  POLYMEM_REQUIRE(buffer == static_cast<std::size_t>(rows) *
+                                static_cast<std::size_t>(cols),
                   "value buffer must match the rectangle size");
   if (rows == 0 || cols == 0) return;
   POLYMEM_REQUIRE(addressing_.in_bounds(origin) &&
                       addressing_.in_bounds(
                           {origin.i + rows - 1, origin.j + cols - 1}),
                   "rectangle exceeds the address space");
-  std::size_t k = 0;
-  for (std::int64_t u = 0; u < rows; ++u) {
-    const std::int64_t i = origin.i + u;
-    for (std::int64_t v = 0; v < cols; ++v) {
-      const std::int64_t j = origin.j + v;
-      banks_.poke(maf_.bank(i, j), addressing_.address(i, j), values[k++]);
+  // bank(i, j) repeats every period_j columns, a multiple of q, and the
+  // intra-bank address |i/p| * (W/q) + |j/q| rises by period_j / q over
+  // each period. So a segment needs one MAF evaluation per column residue,
+  // and each residue's words form one strided run through one bank. (A
+  // segment shorter than the period visits each residue once, so its
+  // addr_step is never applied.)
+  const std::int64_t period = maf_.period_j();
+  const std::int64_t span = period <= kMaxResidues ? cols : kMaxResidues;
+  const auto q = static_cast<std::int64_t>(config_.q);
+  std::array<unsigned, kMaxResidues> bank{};
+  std::int64_t k = 0;
+  for (std::int64_t i = origin.i; i < origin.i + rows; ++i) {
+    for (std::int64_t v = 0; v < cols; v += span) {
+      const std::int64_t j0 = origin.j + v;
+      const std::int64_t n = std::min(span, cols - v);
+      const std::int64_t residues = std::min(n, period);
+      for (std::int64_t r = 0; r < residues; ++r)
+        bank[static_cast<std::size_t>(r)] = maf_.bank(i, j0 + r);
+      const std::int64_t addr = addressing_.address(i, j0);
+      banks_.check_row(
+          std::span<const unsigned>(bank.data(),
+                                    static_cast<std::size_t>(residues)),
+          addr, addressing_.address(i, j0 + n - 1));
+      const std::int64_t phase = j0 % q;  // in bounds, so non-negative
+      for (std::int64_t r = 0; r < residues; ++r)
+        visit(ResidueRun{bank[static_cast<std::size_t>(r)],
+                         addr + (phase + r) / q, residues / q, k + r,
+                         residues, (n - r + residues - 1) / residues});
+      k += n;
     }
   }
 }
 
+void PolyMem::fill_rect(access::Coord origin, std::int64_t rows,
+                        std::int64_t cols, std::span<const Word> values) {
+  Word* const* base = banks_.bases();
+  const unsigned banks = config_.lanes();
+  const unsigned ports = config_.read_ports;
+  walk_rect(origin, rows, cols, values.size(), [&](const ResidueRun& run) {
+    const Word* src = values.data() + run.k;
+    for (unsigned port = 0; port < ports; ++port) {
+      Word* dst = base[port * banks + run.bank] + run.addr;
+      for (std::int64_t t = 0; t < run.count; ++t)
+        dst[t * run.addr_step] = src[t * run.k_step];
+    }
+  });
+}
+
 void PolyMem::dump_rect(access::Coord origin, std::int64_t rows,
                         std::int64_t cols, std::span<Word> values) const {
-  POLYMEM_REQUIRE(rows >= 0 && cols >= 0,
-                  "rectangle extents must be non-negative");
-  POLYMEM_REQUIRE(values.size() ==
-                      static_cast<std::size_t>(rows) * static_cast<std::size_t>(cols),
-                  "value buffer must match the rectangle size");
-  if (rows == 0 || cols == 0) return;
-  POLYMEM_REQUIRE(addressing_.in_bounds(origin) &&
-                      addressing_.in_bounds(
-                          {origin.i + rows - 1, origin.j + cols - 1}),
-                  "rectangle exceeds the address space");
-  std::size_t k = 0;
-  for (std::int64_t u = 0; u < rows; ++u) {
-    const std::int64_t i = origin.i + u;
-    for (std::int64_t v = 0; v < cols; ++v) {
-      const std::int64_t j = origin.j + v;
-      values[k++] = banks_.peek(maf_.bank(i, j), addressing_.address(i, j));
-    }
-  }
+  walk_rect(origin, rows, cols, values.size(), [&](const ResidueRun& run) {
+    const Word* src = banks_.bases()[run.bank] + run.addr;  // read replica 0
+    Word* dst = values.data() + run.k;
+    for (std::int64_t t = 0; t < run.count; ++t)
+      dst[t * run.k_step] = src[t * run.addr_step];
+  });
 }
 
 }  // namespace polymem::core

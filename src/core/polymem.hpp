@@ -157,9 +157,17 @@ class PolyMem {
   Word load(access::Coord c) const;
   void store(access::Coord c, Word value);
 
-  /// Bulk host helpers: row-major copy of a height x width rectangle at
-  /// `origin` from/to a linear buffer. One region bounds check, then
-  /// direct bank pokes/peeks (no per-element validation).
+  /// Bulk host helpers: row-major copy of a rows x cols rectangle at
+  /// `origin` from/to a linear buffer, without port accounting. One
+  /// region bounds check, then a walk of each row over the MAF's column
+  /// period: bank() is evaluated once per column residue, the bank index
+  /// and address checks of load()/store() run once per row, and each
+  /// residue's words are copied as one strided run through the banks'
+  /// base pointers (fill_rect writes every read replica). Both write no
+  /// member state and allocate nothing, so they
+  /// may run concurrently with each other on disjoint rows (fill_rect),
+  /// and beside one thread running the engine on rows nobody fills — the
+  /// adaptive copier's contract (adapt/adaptive_matrix.hpp).
   void fill_rect(access::Coord origin, std::int64_t rows, std::int64_t cols,
                  std::span<const Word> values);
   void dump_rect(access::Coord origin, std::int64_t rows, std::int64_t cols,
@@ -200,6 +208,14 @@ class PolyMem {
 
   void init_scratch(Scratch& s);
   void validate_batch(const AccessBatch& batch) const;
+
+  /// fill_rect/dump_rect's walk: validates the rectangle against a
+  /// `buffer`-word buffer, then calls visit(run) for each column residue
+  /// of each row (polymem.cpp's ResidueRun: a bank, a strided address run
+  /// in it and the matching strided run of row-major buffer indices).
+  template <typename Visit>
+  void walk_rect(access::Coord origin, std::int64_t rows, std::int64_t cols,
+                 std::size_t buffer, Visit&& visit) const;
 
   /// The compiled tables and per-anchor delta serving `where`, or null
   /// when the access runs on the AGU reference — then `s.plan` holds the

@@ -41,6 +41,10 @@ class BramBank {
   std::uint64_t total_reads() const { return total_reads_; }
   std::uint64_t total_writes() const { return total_writes_; }
 
+  /// Throws InvalidArgument unless 0 <= addr < words(): the check every
+  /// accessor above runs.
+  void check_addr(std::int64_t addr) const;
+
   /// Raw storage base, for the compiled batch engine's gather/scatter
   /// pointer tables (core/exec_plan.hpp). The pointer is stable for the
   /// bank's lifetime: capacity is fixed at construction.
@@ -48,8 +52,6 @@ class BramBank {
   Word* data() { return mem_.data(); }
 
  private:
-  void check_addr(std::int64_t addr) const;
-
   std::vector<Word> mem_;
   bool read_used_ = false;
   bool write_used_ = false;

@@ -29,14 +29,16 @@ DmaEngine::Shape DmaEngine::pick_shape(std::int64_t rows, std::int64_t cols,
   const auto& cfg = mem_->config();
   const auto lanes = static_cast<std::int64_t>(cfg.lanes());
   if (cols % lanes == 0 &&
-      maf::probe_support(mem_->maf(), PatternKind::kRow) ==
-          maf::SupportLevel::kAny) {
+      mem_->supports(PatternKind::kRow) == maf::SupportLevel::kAny) {
     return Shape::kRowAccesses;
   }
+  // Rect anchors advance in p/q steps from the origin, so alignment (for
+  // RoCo) holds at every tile position iff it holds at the origin.
+  const maf::SupportLevel rect = mem_->supports(PatternKind::kRect);
+  const bool aligned = origin.i % cfg.p == 0 && origin.j % cfg.q == 0;
   if (rows % cfg.p == 0 && cols % cfg.q == 0 &&
-      maf::access_supported(mem_->maf(), {PatternKind::kRect, origin})) {
-    // Rect anchors advance in p/q steps from the origin, so alignment (for
-    // RoCo) holds at every tile position iff it holds at the origin.
+      (rect == maf::SupportLevel::kAny ||
+       (rect == maf::SupportLevel::kAligned && aligned))) {
     return Shape::kRectAccesses;
   }
   return Shape::kScalar;
@@ -124,12 +126,8 @@ void DmaEngine::write_staged_into(std::span<const hw::Word> tile,
       break;
     }
     case Shape::kScalar:
-      for (std::int64_t r = 0; r < rows; ++r)
-        for (std::int64_t c = 0; c < cols; ++c) {
-          mem_->store({origin.i + r, origin.j + c},
-                      tile[static_cast<std::size_t>(r * cols + c)]);
-          ++stats.polymem_accesses;
-        }
+      mem_->fill_rect(origin, rows, cols, tile);
+      stats.polymem_accesses += static_cast<std::uint64_t>(rows * cols);
       break;
   }
 }
@@ -184,12 +182,8 @@ void DmaEngine::read_staged_into(std::span<hw::Word> tile, std::int64_t rows,
       break;
     }
     case Shape::kScalar:
-      for (std::int64_t r = 0; r < rows; ++r)
-        for (std::int64_t c = 0; c < cols; ++c) {
-          tile[static_cast<std::size_t>(r * cols + c)] =
-              mem_->load({origin.i + r, origin.j + c});
-          ++stats.polymem_accesses;
-        }
+      mem_->dump_rect(origin, rows, cols, tile);
+      stats.polymem_accesses += static_cast<std::uint64_t>(rows * cols);
       break;
   }
 }

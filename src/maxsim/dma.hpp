@@ -57,8 +57,9 @@ class DmaEngine {
   /// Copies the rows x cols tile of `src` anchored at (tile_i, tile_j)
   /// into PolyMem at `dst_origin`. The engine picks the widest transfer
   /// the scheme serves at these anchors: full-lane ROW accesses, then
-  /// p x q RECTANGLE accesses, then scalar stores (counted one access per
-  /// element — the honest cost of a scheme mismatch).
+  /// p x q RECTANGLE accesses, then element-wise stores through
+  /// PolyMem::fill_rect (counted one access per element — the honest cost
+  /// of a scheme mismatch).
   DmaStats load_tile(const LMemMatrix& src, std::int64_t tile_i,
                      std::int64_t tile_j, std::int64_t rows,
                      std::int64_t cols, access::Coord dst_origin);

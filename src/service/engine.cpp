@@ -87,10 +87,6 @@ void ServiceEngine::init_queues() {
     queues_.push_back(std::make_unique<PortQueue>(options_.queue_bound,
                                                   tile_rows_, tile_cols_));
   }
-  // kAllPatterns is in enum order, so the array indexes by PatternKind.
-  for (std::size_t k = 0; k < std::size(access::kAllPatterns); ++k) {
-    support_[k] = maf::probe_support(mem_->maf(), access::kAllPatterns[k]);
-  }
 }
 
 Status ServiceEngine::validate(const Request& request) const {
@@ -127,8 +123,7 @@ Status ServiceEngine::validate(const Request& request) const {
       return Status::kRejected;
     }
   }
-  const maf::SupportLevel level =
-      support_[static_cast<std::size_t>(request.where.kind)];
+  const maf::SupportLevel level = mem_->supports(request.where.kind);
   if (level == maf::SupportLevel::kNone) return Status::kRejected;
   if (level == maf::SupportLevel::kAligned &&
       (anchor.i % config.p != 0 || anchor.j % config.q != 0)) {

@@ -43,7 +43,6 @@
 // delivering) but must not call the manual pumps.
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
@@ -55,7 +54,6 @@
 #include "cache/tile_cache.hpp"
 #include "core/exec_plan.hpp"
 #include "core/polymem.hpp"
-#include "maf/conflict.hpp"
 #include "runtime/thread_pool.hpp"
 #include "service/port_queue.hpp"
 #include "service/request.hpp"
@@ -190,7 +188,6 @@ class ServiceEngine {
   std::int64_t tile_rows_ = 0;
   std::int64_t tile_cols_ = 0;
   EngineOptions options_;
-  std::array<maf::SupportLevel, std::size(access::kAllPatterns)> support_{};
   std::vector<std::unique_ptr<PortQueue>> queues_;
 
   // Drain-side state (single consumer).

@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/rng.hpp"
 #include "runtime/thread_pool.hpp"
 
 namespace polymem::adapt {
@@ -220,6 +222,149 @@ TEST(AdaptiveMatrix, FillAndDumpRectRoundTrip) {
   mat.dump_rect({2, 8}, 4, 8, back);
   EXPECT_EQ(in, back);
   EXPECT_EQ(mat.load({2, 8}), 100u);
+}
+
+/// Host mirror of an AdaptiveMatrix, updated by the same writes.
+struct Mirror {
+  std::int64_t width;
+  std::vector<core::Word> cells;
+
+  core::Word& at(Coord c) {
+    return cells[static_cast<std::size_t>(c.i * width + c.j)];
+  }
+  void fill(Coord origin, std::int64_t rows, std::int64_t cols,
+            const std::vector<core::Word>& values) {
+    std::size_t k = 0;
+    for (std::int64_t i = 0; i < rows; ++i)
+      for (std::int64_t j = 0; j < cols; ++j)
+        at({origin.i + i, origin.j + j}) = values[k++];
+  }
+  ::testing::AssertionResult matches(const AdaptiveMatrix& mat) const {
+    std::vector<core::Word> image(cells.size());
+    mat.dump_rect({0, 0}, mat.height(), width, image);
+    for (std::size_t k = 0; k < cells.size(); ++k) {
+      const Coord c{static_cast<std::int64_t>(k) / width,
+                    static_cast<std::int64_t>(k) % width};
+      if (image[k] != cells[k] || mat.load(c) != cells[k]) {
+        return ::testing::AssertionFailure()
+               << "cell (" << c.i << ", " << c.j << ")";
+      }
+    }
+    return ::testing::AssertionSuccess();
+  }
+};
+
+struct Rect {
+  Coord origin;
+  std::int64_t rows = 0, cols = 0;
+};
+
+/// Fills a seeded rectangle, at most `max_rows` tall, with random words.
+Rect random_fill(AdaptiveMatrix& mat, Mirror& mirror, Rng& rng,
+                 std::int64_t max_rows = 1 << 30) {
+  const std::int64_t i = rng.uniform(0, mat.height() - 1);
+  const std::int64_t j = rng.uniform(0, mat.width() - 1);
+  const std::int64_t rows =
+      rng.uniform(1, std::min(max_rows, mat.height() - i));
+  const std::int64_t cols = rng.uniform(1, mat.width() - j);
+  std::vector<core::Word> values(static_cast<std::size_t>(rows * cols));
+  for (core::Word& v : values) v = rng.bits();
+  mat.fill_rect({i, j}, rows, cols, values);
+  mirror.fill({i, j}, rows, cols, values);
+  return {{i, j}, rows, cols};
+}
+
+// band_rows = 3 on a 20-row space: bands start on rows 0, 3, 6, ..., 18,
+// half of them odd, and the last band is one row short. Writes of every
+// kind land between inline migrations through all five schemes.
+TEST(AdaptiveMatrix, OddBandsMigrateThroughEveryScheme) {
+  core::PolyMemConfig config = cfg_16x32(Scheme::kReO);
+  config.height = 20;
+  AdaptiveOptions opts = static_opts();
+  opts.band_rows = 3;
+  AdaptiveMatrix mat(config, opts);
+  ASSERT_EQ(mat.bands(), 7);
+  Mirror mirror{mat.width(),
+                std::vector<core::Word>(static_cast<std::size_t>(20 * 32))};
+  Rng rng(303);
+
+  std::uint64_t epoch = 0;
+  for (const Scheme target :
+       {Scheme::kReRo, Scheme::kReCo, Scheme::kRoCo, Scheme::kReTr,
+        Scheme::kReO}) {
+    for (int n = 0; n < 6; ++n) random_fill(mat, mirror, rng);
+    for (int n = 0; n < 20; ++n) {
+      const Coord c{rng.uniform(0, 19), rng.uniform(0, 31)};
+      const core::Word v = rng.bits();
+      mat.store(c, v);
+      mirror.at(c) = v;
+    }
+    // A row batch: compiled or element-wise, whichever the scheme serves.
+    const auto rows = AccessBatch::strided(
+        PatternKind::kRow, {rng.uniform(0, 19), rng.uniform(0, 24)}, {0, 0},
+        1);
+    std::vector<core::Word> data(8);
+    for (core::Word& v : data) v = rng.bits();
+    mat.write_batch(rows, data);
+    for (std::int64_t l = 0; l < 8; ++l)
+      mirror.at({rows.start.i, rows.start.j + l}) =
+          data[static_cast<std::size_t>(l)];
+    ASSERT_TRUE(mirror.matches(mat));
+
+    ASSERT_TRUE(mat.migrate_to(target));
+    EXPECT_EQ(mat.scheme(), target);
+    EXPECT_EQ(mat.epoch(), ++epoch);
+    ASSERT_TRUE(mirror.matches(mat)) << "after the flip to "
+                                     << maf::scheme_name(target);
+  }
+  const auto s = mat.stats();
+  EXPECT_EQ(s.migrations_completed, 5u);
+  EXPECT_EQ(s.mismatched_words, 0u);
+  EXPECT_EQ(s.verified_words, 5u * 20u * 32u);
+}
+
+// fill_rect during a background migration forwards one fill_rect per
+// copied band to the target epoch. Whether a rectangle lands before or
+// after its bands are copied, the flipped matrix must hold every write.
+// The space is wide enough that a migration outlasts a scheduler time
+// slice, so fills interleave with the copier even on a loaded host, and
+// short rectangles keep many of them in flight. Bands copy in order, so
+// each fill forwards a prefix of its rows that ends on a band boundary
+// (or at its last row).
+TEST(AdaptiveMatrix, RectWritesDuringLiveMigrationsSurviveTheFlip) {
+  runtime::ThreadPool pool(1);
+  core::PolyMemConfig config = cfg_16x32(Scheme::kReO);
+  config.height = 20;
+  config.width = 16384;
+  AdaptiveOptions opts = static_opts();
+  opts.band_rows = 3;
+  opts.pool = &pool;
+  AdaptiveMatrix mat(config, opts);
+  Mirror mirror{mat.width(),
+                std::vector<core::Word>(static_cast<std::size_t>(20 * 16384))};
+  Rng rng(404);
+  for (const Scheme target :
+       {Scheme::kReRo, Scheme::kReCo, Scheme::kRoCo, Scheme::kReTr,
+        Scheme::kReO}) {
+    ASSERT_TRUE(mat.migrate_to(target));
+    for (int n = 0; n < 8 || mat.migration_in_progress(); ++n) {
+      const std::uint64_t before = mat.stats().forwarded_words;
+      const Rect r = random_fill(mat, mirror, rng, 4);
+      const std::uint64_t words = mat.stats().forwarded_words - before;
+      ASSERT_EQ(words % static_cast<std::uint64_t>(r.cols), 0u);
+      const std::int64_t end =
+          r.origin.i + static_cast<std::int64_t>(words) / r.cols;
+      EXPECT_TRUE(end == r.origin.i || end == r.origin.i + r.rows ||
+                  end % 3 == 0)
+          << "rows " << r.origin.i << "+" << r.rows << " forwarded to " << end;
+    }
+    mat.wait_idle();
+    EXPECT_EQ(mat.scheme(), target);
+    ASSERT_TRUE(mirror.matches(mat));
+  }
+  const auto s = mat.stats();
+  EXPECT_EQ(s.migrations_completed, 5u);
+  EXPECT_EQ(s.mismatched_words, 0u);
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
 // Heap discipline of the access engine: after one warm-up pass
 // (templates built, class tables and ExecPlans compiled, scratch sized),
-// read_batch / write_batch / stream_copy_batch and the single accesses
-// read_into / write / read_write perform ZERO heap allocations per call,
+// read_batch / write_batch / stream_copy_batch, the single accesses
+// read_into / write / read_write and the host rectangle transfers
+// fill_rect / dump_rect perform ZERO heap allocations per call,
 // and read_batch_mt allocates per *invocation* (task plumbing), never per
 // access. Verified by counting global operator new calls —
 // including the aligned forms the compiled engine's cache-line-aligned
@@ -11,6 +12,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <new>
+#include <utility>
 #include <vector>
 
 #include "common/units.hpp"
@@ -170,6 +172,28 @@ TEST(BatchAllocation, SteadyStateSingleAccessesAllocateNothing) {
     run(mem);  // warm-up: templates, class tables, reference scratch
     EXPECT_EQ(count_allocations([&] { run(mem); }), 0u)
         << "plan cache " << (use_cache ? "on" : "off");
+  }
+}
+
+// The host rectangle walk keeps its residue table on the stack: no
+// allocation per call, including when a column period outgrows the table
+// (ReTr 4x8, period_j 128) and each row walks in segments.
+TEST(BatchAllocation, RectTransfersAllocateNothing) {
+  for (const auto& [p, q] : {std::pair{2u, 4u}, std::pair{4u, 8u}}) {
+    const auto cfg =
+        PolyMemConfig::with_capacity(64 * KiB, maf::Scheme::kReTr, p, q, 2);
+    PolyMem mem(cfg);
+    const std::int64_t rows = cfg.height - 3;
+    const std::int64_t cols = cfg.width - 5;
+    std::vector<Word> buf(static_cast<std::size_t>(rows * cols), 9);
+    mem.fill_rect({1, 3}, rows, cols, buf);
+    mem.dump_rect({2, 5}, rows, cols, buf);
+    EXPECT_EQ(count_allocations([&] {
+                mem.fill_rect({1, 3}, rows, cols, buf);
+                mem.dump_rect({2, 5}, rows, cols, buf);
+              }),
+              0u)
+        << p << 'x' << q;
   }
 }
 

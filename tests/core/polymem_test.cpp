@@ -163,18 +163,125 @@ TEST(PolyMem, ScalarBackdoorBoundsChecked) {
   EXPECT_THROW(mem.store({0, mem.config().width}, 1), InvalidArgument);
 }
 
+// fill_rect/dump_rect walk each row over the MAF's column period. Sweep
+// every scheme over square, wide and non-power-of-two bank grids, plus one
+// whose column period outgrows the walk's residue table (ReTr 4x8:
+// period_j 128), with 1 and 3 read ports, through seeded rectangles of
+// every shape.
 TEST(PolyMem, FillAndDumpRect) {
-  PolyMem mem(small(maf::Scheme::kReRo));
-  std::vector<Word> in(4 * 6);
-  std::iota(in.begin(), in.end(), 0u);
-  mem.fill_rect({2, 3}, 4, 6, in);
-  std::vector<Word> out(4 * 6);
-  mem.dump_rect({2, 3}, 4, 6, out);
-  EXPECT_EQ(in, out);
-  EXPECT_EQ(mem.load({2, 3}), 0u);
-  EXPECT_EQ(mem.load({5, 8}), 23u);
-  std::vector<Word> wrong(5);
-  EXPECT_THROW(mem.fill_rect({0, 0}, 2, 3, wrong), InvalidArgument);
+  struct Geometry {
+    unsigned p, q;
+  };
+  const Geometry geometries[] = {{2, 2}, {2, 4}, {4, 4}, {2, 8},
+                                 {4, 8}, {3, 2}, {2, 3}};
+  Rng rng(4242);
+  for (const maf::Scheme scheme : maf::kAllSchemes) {
+    for (const Geometry g : geometries) {
+      // ReTr skews need power-of-two geometries.
+      if (scheme == maf::Scheme::kReTr && (g.p == 3 || g.q == 3)) continue;
+      for (const unsigned ports : {1u, 3u}) {
+        PolyMemConfig cfg;
+        cfg.scheme = scheme;
+        cfg.p = g.p;
+        cfg.q = g.q;
+        cfg.read_ports = ports;
+        cfg.height = 6 * g.p;
+        cfg.width = 20 * g.q;
+        PolyMem mem(cfg);
+        SCOPED_TRACE(cfg.describe());
+        const std::int64_t h = cfg.height;
+        const std::int64_t w = cfg.width;
+        ASSERT_NE(mem.supports(PatternKind::kRect), maf::SupportLevel::kNone);
+
+        std::vector<Word> mirror(static_cast<std::size_t>(h * w), 0);
+        const auto matches_mirror = [&]() -> ::testing::AssertionResult {
+          for (std::int64_t i = 0; i < h; ++i)
+            for (std::int64_t j = 0; j < w; ++j)
+              if (mem.load({i, j}) !=
+                  mirror[static_cast<std::size_t>(i * w + j)])
+                return ::testing::AssertionFailure()
+                       << "load(" << i << ", " << j << ") diverged";
+          // Every replica: a p x q rectangle at each aligned anchor, on
+          // every read port.
+          std::vector<Word> lanes(cfg.lanes());
+          for (std::int64_t i = 0; i < h; i += g.p)
+            for (std::int64_t j = 0; j < w; j += g.q)
+              for (unsigned port = 0; port < ports; ++port) {
+                mem.read_into({PatternKind::kRect, {i, j}}, port, lanes);
+                for (unsigned u = 0; u < g.p; ++u)
+                  for (unsigned v = 0; v < g.q; ++v)
+                    if (lanes[u * g.q + v] != mem.load({i + u, j + v}))
+                      return ::testing::AssertionFailure()
+                             << "port " << port << " rect at (" << i << ", "
+                             << j << ") lane " << u * g.q + v;
+              }
+          return ::testing::AssertionSuccess();
+        };
+
+        // Fixed shapes first (1x1, 1xW, Hx1, the full space), then seeded
+        // rectangles at unaligned origins.
+        struct Rect {
+          Coord origin;
+          std::int64_t rows, cols;
+        };
+        std::vector<Rect> rects = {{{0, 0}, 1, 1},
+                                   {{h - 1, w - 1}, 1, 1},
+                                   {{1, 0}, 1, w},
+                                   {{0, w - 1}, h, 1},
+                                   {{0, 3}, h, 1},
+                                   {{0, 0}, h, w}};
+        while (rects.size() < 106) {
+          const std::int64_t i = rng.uniform(0, h - 1);
+          const std::int64_t j = rng.uniform(0, w - 1);
+          rects.push_back({{i, j}, rng.uniform(1, h - i), rng.uniform(1, w - j)});
+        }
+        std::vector<Word> in;
+        std::vector<Word> out;
+        for (const Rect& r : rects) {
+          in.resize(static_cast<std::size_t>(r.rows * r.cols));
+          for (Word& x : in) x = rng.bits();
+          mem.fill_rect(r.origin, r.rows, r.cols, in);
+          std::size_t k = 0;
+          for (std::int64_t i = 0; i < r.rows; ++i)
+            for (std::int64_t j = 0; j < r.cols; ++j)
+              mirror[static_cast<std::size_t>((r.origin.i + i) * w +
+                                              r.origin.j + j)] = in[k++];
+          ASSERT_TRUE(matches_mirror());
+
+          // dump_rect of another seeded rectangle == a per-word load loop.
+          const std::int64_t i0 = rng.uniform(0, h - 1);
+          const std::int64_t j0 = rng.uniform(0, w - 1);
+          const std::int64_t rows = rng.uniform(1, h - i0);
+          const std::int64_t cols = rng.uniform(1, w - j0);
+          out.assign(static_cast<std::size_t>(rows * cols), 0);
+          mem.dump_rect({i0, j0}, rows, cols, out);
+          k = 0;
+          for (std::int64_t i = 0; i < rows; ++i)
+            for (std::int64_t j = 0; j < cols; ++j)
+              ASSERT_EQ(out[k++], mem.load({i0 + i, j0 + j}));
+        }
+        out.resize(static_cast<std::size_t>(h * w));
+        mem.dump_rect({0, 0}, h, w, out);
+        EXPECT_EQ(out, mirror);
+
+        // Rejected rectangles throw the parent's error and touch nothing.
+        std::vector<Word> two(2, 7);
+        std::vector<Word> none;
+        EXPECT_THROW(mem.fill_rect({0, 0}, -1, 2, none), InvalidArgument);
+        EXPECT_THROW(mem.fill_rect({0, 0}, 2, -1, none), InvalidArgument);
+        EXPECT_THROW(mem.fill_rect({0, 0}, 1, 3, two), InvalidArgument);
+        EXPECT_THROW(mem.fill_rect({h - 1, 0}, 2, 1, two), InvalidArgument);
+        EXPECT_THROW(mem.fill_rect({0, w - 1}, 1, 2, two), InvalidArgument);
+        EXPECT_THROW(mem.fill_rect({-1, 0}, 2, 1, two), InvalidArgument);
+        EXPECT_THROW(mem.fill_rect({0, -1}, 1, 2, two), InvalidArgument);
+        EXPECT_THROW(mem.dump_rect({0, 0}, -1, 2, none), InvalidArgument);
+        EXPECT_THROW(mem.dump_rect({0, 0}, 1, 3, two), InvalidArgument);
+        EXPECT_THROW(mem.dump_rect({h - 1, 0}, 2, 1, two), InvalidArgument);
+        EXPECT_THROW(mem.dump_rect({0, w - 1}, 1, 2, two), InvalidArgument);
+        EXPECT_TRUE(matches_mirror());
+      }
+    }
+  }
 }
 
 TEST(PolyMem, AccessCounters) {
