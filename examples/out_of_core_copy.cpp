@@ -4,8 +4,8 @@
 // The README walk-through: both vectors live in simulated board DRAM
 // (maxsim::LMem); PolyMem is split into source and destination frame
 // pools by stream::out_of_core_copy, and the cache faults tiles in,
-// evicts LRU, and (second run) prefetches the next tile asynchronously
-// so its DRAM burst hides behind the PolyMem copy cycles.
+// evicts LRU, and (second run) prefetches the next tile, so the model
+// hides its DRAM burst behind the PolyMem copy cycles.
 #include <cstdio>
 #include <vector>
 
@@ -45,7 +45,8 @@ int main() {
   core::PolyMem mem_sync(cfg);
   const auto sync = stream::out_of_core_copy(lmem, mem_sync, a, c, {});
 
-  // 2. Async prefetch: the next tile streams in on a worker thread.
+  // 2. Prefetch: the next tile is staged after each miss, and its burst
+  //    overlaps the copy in the model.
   core::PolyMem mem_async(cfg);
   runtime::ThreadPool pool(2);
   const auto async = stream::out_of_core_copy(lmem, mem_async, a, c,

@@ -90,8 +90,7 @@ TileCache::TileCache(maxsim::LMem& lmem, core::PolyMem& mem,
       dma_(lmem, mem),
       tiles_i_(ceil_div(matrix.rows, frames.tile_rows())),
       tiles_j_(ceil_div(matrix.cols, frames.tile_cols())),
-      order_(EvictionOrder::make(options.eviction)),
-      slot_(std::make_shared<PrefetchSlot>()) {
+      order_(EvictionOrder::make(options.eviction)) {
   POLYMEM_REQUIRE(matrix.rows >= 1 && matrix.cols >= 1,
                   "cached matrix must be non-empty");
   POLYMEM_REQUIRE(matrix.leading_dim >= matrix.cols,
@@ -101,8 +100,6 @@ TileCache::TileCache(maxsim::LMem& lmem, core::PolyMem& mem,
   // Free list popped from the back: frame 0 is handed out first.
   for (int f = frames_.frames() - 1; f >= 0; --f) free_frames_.push_back(f);
 }
-
-TileCache::~TileCache() { drain_prefetch(); }
 
 std::int64_t TileCache::clipped_rows(std::int64_t ti) const {
   return std::min(frames_.tile_rows(),
@@ -137,25 +134,10 @@ TileCache::TileRef TileCache::acquire(std::int64_t ti, std::int64_t tj) {
   }
   ++stats_.dma.cache.misses;
 
-  // Is the missing tile already staged (or being staged) by the
-  // prefetcher? Wait out an in-flight load of exactly this tile.
-  bool staged = false;
-  {
-    std::unique_lock<std::mutex> lock(slot_->m);
-    if (slot_->inflight && slot_->ti == ti && slot_->tj == tj)
-      slot_->cv.wait(lock, [&] { return !slot_->inflight; });
-    staged = slot_->ready && slot_->ti == ti && slot_->tj == tj;
-  }
-
-  // Free a frame first: an eviction's write-back takes the LMem lock
-  // itself, so it must run before we pin the slot for the install.
   const int frame = take_frame();
-
-  if (staged) {
-    std::unique_lock<std::mutex> lock(slot_->m);
-    install_prefetched(frame, lock);
+  if (staged_.ti == ti && staged_.tj == tj) {
+    install_prefetched(frame);
   } else {
-    std::lock_guard<std::mutex> lock(slot_->m);
     stats_.dma += dma_.load_tile(matrix_, ti * frames_.tile_rows(),
                                  tj * frames_.tile_cols(), ref.rows,
                                  ref.cols, frames_.frame_origin(frame));
@@ -168,8 +150,8 @@ TileCache::TileRef TileCache::acquire(std::int64_t ti, std::int64_t tj) {
   ref.origin = frames_.frame_origin(frame);
 
   // Sequential next-tile prediction: the next tile in row-major tile
-  // order. Issued after the install so the burst overlaps the kernel's
-  // work on the tile we just returned.
+  // order. Issued after the install, so in the modelled system the burst
+  // overlaps the kernel's work on the tile we just returned.
   if (options_.prefetch_pool != nullptr) {
     std::int64_t ni = ti, nj = tj + 1;
     if (nj == tiles_j_) {
@@ -206,7 +188,6 @@ void TileCache::evict(int frame) {
 
 void TileCache::write_back(int frame) {
   Frame& slot = frame_table_[static_cast<std::size_t>(frame)];
-  std::lock_guard<std::mutex> lock(slot_->m);
   stats_.dma += dma_.store_tile(
       matrix_, slot.ti * frames_.tile_rows(), slot.tj * frames_.tile_cols(),
       clipped_rows(slot.ti), clipped_cols(slot.tj),
@@ -227,7 +208,6 @@ void TileCache::write_through(std::int64_t i, std::int64_t j,
                       j + static_cast<std::int64_t>(data.size()) <=
                           matrix_.cols,
                   "write-through outside the matrix");
-  std::lock_guard<std::mutex> lock(slot_->m);
   lmem_->write(matrix_.word_addr(i, j), data);
   stats_.dma.lmem_seconds += lmem_->burst_seconds(data.size() * 8);
 }
@@ -274,13 +254,8 @@ void TileCache::migrate(core::PolyMem& polymem) {
 }
 
 void TileCache::invalidate() {
-  drain_prefetch();
-  {
-    std::lock_guard<std::mutex> lock(slot_->m);
-    if (slot_->ready) ++stats_.dma.cache.prefetch_dropped;
-    slot_->ready = false;
-    slot_->ti = slot_->tj = -1;
-  }
+  if (staged_.ti >= 0) ++stats_.dma.cache.prefetch_dropped;
+  staged_.ti = staged_.tj = -1;
   for (int f = 0; f < frames_.frames(); ++f) {
     Frame& slot = frame_table_[static_cast<std::size_t>(f)];
     if (slot.ti < 0) continue;
@@ -293,66 +268,44 @@ void TileCache::invalidate() {
 
 void TileCache::issue_prefetch(std::int64_t ti, std::int64_t tj) {
   if (resident(ti, tj)) return;
+  if (staged_.ti >= 0) {
+    if (staged_.ti == ti && staged_.tj == tj) return;  // already staged
+    ++stats_.dma.cache.prefetch_dropped;  // stale staging, overwrite
+  }
+  staged_.ti = staged_.tj = -1;  // until the whole tile is read
   const std::int64_t rows = clipped_rows(ti);
   const std::int64_t cols = clipped_cols(tj);
   const std::int64_t row0 = ti * frames_.tile_rows();
   const std::int64_t col0 = tj * frames_.tile_cols();
-  {
-    std::lock_guard<std::mutex> lock(slot_->m);
-    if (slot_->inflight) return;  // one outstanding prefetch at a time
-    if (slot_->ready) {
-      if (slot_->ti == ti && slot_->tj == tj) return;  // already staged
-      ++stats_.dma.cache.prefetch_dropped;  // stale staging, overwrite
-    }
-    slot_->inflight = true;
-    slot_->ready = false;
-    slot_->ti = ti;
-    slot_->tj = tj;
-    slot_->rows = rows;
-    slot_->cols = cols;
-    slot_->issue_cycles = stats_.total_polymem_cycles();
-    ++stats_.dma.cache.prefetch_issued;
-  }
-  options_.prefetch_pool->submit(
-      [slot = slot_, lmem = lmem_, matrix = matrix_, row0, col0, rows,
-       cols] {
-        std::lock_guard<std::mutex> lock(slot->m);
-        slot->data.resize(static_cast<std::size_t>(rows * cols));
-        for (std::int64_t r = 0; r < rows; ++r)
-          lmem->read(matrix.word_addr(row0 + r, col0),
-                     std::span<hw::Word>(slot->data)
-                         .subspan(static_cast<std::size_t>(r * cols),
-                                  static_cast<std::size_t>(cols)));
-        slot->lmem_seconds =
-            lmem->burst_seconds(static_cast<std::uint64_t>(rows) * cols * 8);
-        slot->ready = true;
-        slot->inflight = false;
-        slot->cv.notify_all();
-      });
+  staged_.data.resize(static_cast<std::size_t>(rows * cols));
+  for (std::int64_t r = 0; r < rows; ++r)
+    lmem_->read(matrix_.word_addr(row0 + r, col0),
+                std::span<hw::Word>(staged_.data)
+                    .subspan(static_cast<std::size_t>(r * cols),
+                             static_cast<std::size_t>(cols)));
+  staged_.ti = ti;
+  staged_.tj = tj;
+  staged_.rows = rows;
+  staged_.cols = cols;
+  staged_.lmem_seconds =
+      lmem_->burst_seconds(static_cast<std::uint64_t>(rows) * cols * 8);
+  staged_.issue_cycles = stats_.total_polymem_cycles();
+  ++stats_.dma.cache.prefetch_issued;
 }
 
-void TileCache::install_prefetched(int frame,
-                                   std::unique_lock<std::mutex>& lock) {
-  POLYMEM_REQUIRE(lock.owns_lock() && slot_->ready,
-                  "install without a staged tile");
+void TileCache::install_prefetched(int frame) {
   // Overlap credit first: PolyMem cycles spent since the issue bound the
   // DRAM time the prefetch hid from the critical path.
   const std::uint64_t cycles_since =
-      stats_.total_polymem_cycles() - slot_->issue_cycles;
+      stats_.total_polymem_cycles() - staged_.issue_cycles;
   stats_.lmem_seconds_overlapped +=
-      std::min(slot_->lmem_seconds,
+      std::min(staged_.lmem_seconds,
                static_cast<double>(cycles_since) / options_.clock_hz);
-  stats_.dma += dma_.write_staged(slot_->data, slot_->rows, slot_->cols,
+  stats_.dma += dma_.write_staged(staged_.data, staged_.rows, staged_.cols,
                                   frames_.frame_origin(frame));
-  stats_.dma.lmem_seconds += slot_->lmem_seconds;
+  stats_.dma.lmem_seconds += staged_.lmem_seconds;
   ++stats_.dma.cache.prefetch_useful;
-  slot_->ready = false;
-  slot_->ti = slot_->tj = -1;
-}
-
-void TileCache::drain_prefetch() {
-  std::unique_lock<std::mutex> lock(slot_->m);
-  slot_->cv.wait(lock, [&] { return !slot_->inflight; });
+  staged_.ti = staged_.tj = -1;
 }
 
 CacheStats TileCache::stats() const { return stats_; }

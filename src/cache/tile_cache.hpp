@@ -11,24 +11,30 @@
 //    (i, j) translates to a PolyMem coordinate in O(1);
 //  - pluggable *eviction* (LRU and FIFO) with dirty-tile tracking and
 //    write-back vs write-through policies;
-//  - asynchronous *prefetch* of the predicted next tile on the shared
-//    runtime::ThreadPool: the DRAM burst of the next tile is staged in
-//    the background while the kernel keeps issuing PolyMem accesses, and
-//    the hidden portion of LMem::burst_seconds is accounted separately
-//    (stats().lmem_seconds_overlapped) so benchmarks can report the
-//    overlap win honestly.
+//  - sequential next-tile *prefetch*: after a miss, the next tile in
+//    row-major tile order is staged out of LMem into a slot buffer, so
+//    the miss that asks for it installs it without a refill. In the
+//    modelled system the burst overlaps the kernel's work on the tile
+//    just returned; the hidden part of LMem::burst_seconds,
+//    min(burst, PolyMem cycles since issue / clock), is accounted
+//    separately (stats().lmem_seconds_overlapped) so benchmarks can
+//    report the overlap win honestly.
 //
-// TileCache is single-consumer: one thread calls acquire/flush; the only
-// concurrency is the prefetch worker. The staged-tile handoff is
-// serialized on the slot mutex, LMem itself is internally synchronized
-// (several caches may share one board memory), and PolyMem is only ever
-// touched by the consumer thread.
+// The staging runs on the calling thread. On the simulator the burst is
+// a copy: staging a 512-word tile from LMem takes ~0.1 us, while handing
+// it to a sleeping pool worker cost the caller 1.3-3.6 us (p10-p50) in
+// ThreadPool::submit alone (4-thread Xeon), so a worker only made faults
+// slower. The modelled overlap does not depend on which host thread
+// moves the words.
+//
+// TileCache is single-threaded: one thread calls acquire/flush and every
+// other member. LMem is internally synchronized, so caches on different
+// threads may share one board memory; PolyMem is only ever touched by
+// the consumer thread.
 #pragma once
 
-#include <condition_variable>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <span>
 #include <unordered_map>
 #include <vector>
@@ -66,7 +72,9 @@ class EvictionOrder {
 struct CacheOptions {
   EvictionKind eviction = EvictionKind::kLru;
   WritePolicy write_policy = WritePolicy::kWriteBack;
-  /// Non-null enables sequential next-tile prefetch on this pool.
+  /// Non-null enables sequential next-tile prefetch. The pool itself is
+  /// no longer used: the prefetch stages its tile on the calling thread
+  /// (see the file comment).
   runtime::ThreadPool* prefetch_pool = nullptr;
   /// Clock used to convert PolyMem cycles elapsed while a prefetch was in
   /// flight into the DRAM time it hid (paper Sec. V: 120 MHz design).
@@ -100,13 +108,11 @@ class TileCache {
   /// `frames` (a region of `mem`). The matrix is tiled in
   /// tile_rows x tile_cols steps from its top-left corner; edge tiles are
   /// clipped. The frame pool, LMem and PolyMem must outlive the cache.
+  /// Destruction does NOT flush dirty tiles — call flush() when the LMem
+  /// copy must be current.
   TileCache(maxsim::LMem& lmem, core::PolyMem& mem,
             const maxsim::LMemMatrix& matrix, core::FramePool frames,
             CacheOptions options = {});
-
-  /// Drains any in-flight prefetch. Does NOT flush dirty tiles — call
-  /// flush() when the LMem copy must be current.
-  ~TileCache();
 
   TileCache(const TileCache&) = delete;
   TileCache& operator=(const TileCache&) = delete;
@@ -131,7 +137,7 @@ class TileCache {
 
   /// Writes `data` straight to LMem at matrix row `i`, columns
   /// [j, j + data.size()), accounting the burst — the write-through half
-  /// of a store (serialized against the prefetch worker).
+  /// of a store.
   void write_through(std::int64_t i, std::int64_t j,
                      std::span<const hw::Word> data);
 
@@ -174,15 +180,10 @@ class TileCache {
     bool dirty = false;
   };
 
-  /// Prefetch slot shared with the worker. Held by shared_ptr so a job
-  /// that outlives the cache (never in practice: the destructor drains)
-  /// still touches valid memory. `m` also serializes every LMem access.
-  struct PrefetchSlot {
-    std::mutex m;
-    std::condition_variable cv;
-    bool inflight = false;
-    bool ready = false;
-    std::int64_t ti = -1, tj = -1;
+  /// The prefetched tile, staged out of LMem when the prefetch was
+  /// issued and installed by the miss that asks for it.
+  struct Staged {
+    std::int64_t ti = -1, tj = -1;      ///< staged tile; -1 = none
     std::int64_t rows = 0, cols = 0;
     std::vector<hw::Word> data;          ///< staged row-major tile
     double lmem_seconds = 0;
@@ -198,10 +199,9 @@ class TileCache {
   void evict(int frame);
   void write_back(int frame);
   void issue_prefetch(std::int64_t ti, std::int64_t tj);
-  /// Installs the ready slot's tile into `frame` (counts as a refill
-  /// whose burst happened off the critical path). Caller holds slot->m.
-  void install_prefetched(int frame, std::unique_lock<std::mutex>& lock);
-  void drain_prefetch();
+  /// Installs the staged tile into `frame` (counts as a refill whose
+  /// burst happened off the critical path).
+  void install_prefetched(int frame);
 
   maxsim::LMem* lmem_;
   core::PolyMem* mem_;
@@ -217,7 +217,7 @@ class TileCache {
   std::unordered_map<std::int64_t, int> residency_;
   std::unique_ptr<EvictionOrder> order_;
 
-  std::shared_ptr<PrefetchSlot> slot_;
+  Staged staged_;
   CacheStats stats_;
 };
 

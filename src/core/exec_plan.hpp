@@ -103,6 +103,14 @@ class ExecPlan {
   /// residue classes.
   bool compile(const AccessBatch& batch, PlanCache& cache, TableStore& store);
 
+  /// Re-targets a compiled plan at its batch moved by whole MAF periods:
+  /// every access keeps its residue class, so the class tables stay and
+  /// each delta moves by `shift` (PlanCache::period_shift). O(count),
+  /// allocates nothing.
+  void rebase(std::int64_t shift) {
+    for (std::int64_t& d : delta_) d += shift;
+  }
+
   std::int64_t count() const { return count_; }
   unsigned lanes() const { return lanes_; }
   unsigned ports() const { return ports_; }

@@ -111,6 +111,15 @@ const PlanTemplate* PlanCache::find_or_build(PatternKind kind, std::int64_t ri,
   return &build(kind, ri, rj, key);
 }
 
+std::optional<std::int64_t> PlanCache::period_shift(access::Coord from,
+                                                    access::Coord to) const {
+  const std::int64_t di = to.i - from.i;
+  const std::int64_t dj = to.j - from.j;
+  if (!enabled_ || di % period_i_ != 0 || dj % period_j_ != 0)
+    return std::nullopt;
+  return (di / period_i_) * delta_i_ + (dj / period_j_) * delta_j_;
+}
+
 std::optional<PlanCache::TemplateView> PlanCache::inspect(
     const ParallelAccess& access) {
   TemplateView view;

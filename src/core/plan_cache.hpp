@@ -110,6 +110,14 @@ class PlanCache {
   std::int64_t period_i() const { return period_i_; }
   std::int64_t period_j() const { return period_j_; }
 
+  /// Moving an anchor from `from` to `to` by whole periods on both axes
+  /// keeps its residue class, so its template, and moves its delta by the
+  /// returned amount (the decomposition above). nullopt when the move
+  /// changes a residue or the cache is disabled. Callers pass in-bounds
+  /// anchors, the only ones lookup() serves; this checks nothing else.
+  std::optional<std::int64_t> period_shift(access::Coord from,
+                                           access::Coord to) const;
+
   /// Machine-checked support level of `kind`, probed once per pattern at
   /// construction (also when the cache is disabled) and immutable after:
   /// per-batch callers read it without the probe's process-wide lock.

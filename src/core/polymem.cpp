@@ -180,6 +180,23 @@ ExecPlan* PolyMem::compiled_plan(const AccessBatch& batch,
   if (!use_plan_cache_ || !plan_cache_.enabled()) return nullptr;
   for (ExecSlot& slot : exec_slots_)
     if (slot.valid && slot.key == batch) return &slot.plan;
+  // The same shape moved by whole MAF periods keeps every access's
+  // residue class: shift that plan's deltas instead of recompiling. The
+  // caller validated `batch`, so the lookups this skips could only return
+  // the templates the plan already holds. Never the pinned plan: it is
+  // the live other half of a fused copy.
+  for (ExecSlot& slot : exec_slots_) {
+    if (!slot.valid || &slot.plan == avoid) continue;
+    AccessBatch moved = slot.key;
+    moved.start = batch.start;
+    if (!(moved == batch)) continue;
+    if (const auto shift = plan_cache_.period_shift(slot.key.start,
+                                                    batch.start)) {
+      slot.plan.rebase(*shift);
+      slot.key = batch;
+      return &slot.plan;
+    }
+  }
   if (avoid != nullptr && &exec_slots_[exec_victim_].plan == avoid)
     exec_victim_ = (exec_victim_ + 1) % kExecSlots;
   ExecSlot& slot = exec_slots_[exec_victim_];

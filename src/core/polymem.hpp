@@ -102,7 +102,8 @@ class PolyMem {
   /// it with the dispatched gather/scatter kernels (core/simd/) — no
   /// per-access allocation, re-validation or per-bank call. Compiled
   /// plans are memoized per batch, so replaying an equal batch skips
-  /// compilation entirely. Batches the plan cache cannot compile run
+  /// compilation entirely, and a batch of the same shape moved by whole
+  /// MAF periods only shifts a memoized plan's deltas. Batches the plan cache cannot compile run
   /// access by access through read_into / write (identical results).
   /// Each batch element is its own cycle; results/data are the
   /// concatenation of the per-access canonical lane groups, so
@@ -198,7 +199,9 @@ class PolyMem {
   // Compiled-batch memo: a tiny LRU-ish set of recently executed batches
   // and their ExecPlans. Pointer tables inside a plan stay valid for the
   // PolyMem's lifetime (banks and store entries are pinned), so replaying
-  // an equal batch is pure kernel execution.
+  // an equal batch is pure kernel execution, and a batch of the same
+  // shape moved by whole MAF periods is one pass over the deltas
+  // (ExecPlan::rebase).
   static constexpr std::size_t kExecSlots = 4;
   struct ExecSlot {
     AccessBatch key;
@@ -232,10 +235,12 @@ class PolyMem {
   void execute_write(const ClassTables* t, std::int64_t delta, Scratch& s,
                      std::span<const Word> data);
 
-  /// The compiled plan serving `batch`: a memo hit, or a fresh compile
-  /// into the next slot. Returns nullptr (the batch then runs access by
-  /// access) when the plan cache cannot serve the batch. `avoid` pins one
-  /// plan (the other half of a fused copy) against eviction.
+  /// The compiled plan serving `batch` (validated by the caller): a memo
+  /// hit, a memoized plan of the same shape rebased by whole MAF periods,
+  /// or a fresh compile into the next slot. Returns nullptr (the batch
+  /// then runs access by access) when the plan cache cannot serve the
+  /// batch. `avoid` pins one plan (the other half of a fused copy)
+  /// against eviction and rebasing.
   ExecPlan* compiled_plan(const AccessBatch& batch,
                           const ExecPlan* avoid = nullptr);
   void exec_read(const ExecPlan& plan, unsigned port, std::int64_t t0,

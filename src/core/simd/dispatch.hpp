@@ -10,6 +10,7 @@
 //            without AVX2/NEON;
 //   avx2   — x86-64 `vpgatherqq`-based gathers (compiled with a function
 //            target attribute, so the library itself needs no -mavx2);
+//            its writes are the scalar scatter, which measured faster;
 //   neon   — aarch64: vectorised stores around scalar loads (NEON has no
 //            gather instruction; the win is the flat table walk).
 //

@@ -8,10 +8,13 @@
 // the gathers are UBSan-clean; intermediate below-base values exist only
 // as integers (see dispatch.hpp).
 //
-// AVX2 has no scatter instruction. The write kernels vectorise the data
-// *permutation* (a gather of the canonical data words through
-// lane_for_bank) and issue the bank stores scalar — on the simulator the
-// permutation and the flat table walk are where the time goes.
+// AVX2 has no scatter instruction, so writes use the scalar scatter
+// kernels at this level too. An AVX2 write that permuted the data with a
+// gather and then stored scalar was slower than the scalar kernel on
+// every shape measured (4-thread Xeon, g++ 12 -O2, scatter_run with
+// 8 lanes x 8/64 accesses: 62/528 vs 41/296 ns; 16 lanes x 64: 3034 vs
+// 2595 ns), while the gathers win (gather_run, 8 lanes x 64: 200 vs
+// 268 ns).
 //
 // Everything is compiled behind function-level `target("avx2")`
 // attributes, so the library builds (and the scalar path runs) on any
@@ -79,70 +82,14 @@ __attribute__((target("avx2"))) void gather_multi(
   }
 }
 
-// One write access: permute the canonical data words into bank order with
-// vectorised index gathers, then store per bank (scalar; every replica
-// stores the same permuted word).
-__attribute__((target("avx2"))) inline void scatter_one(
-    const std::uintptr_t* bank_base, unsigned replicas,
-    const std::uint32_t* lane_for_bank, unsigned lanes, std::int64_t db,
-    const Word* d) {
-  alignas(32) Word permuted[4];
-  const unsigned vec = lanes & ~3u;
-  unsigned b = 0;
-  for (; b < vec; b += 4) {
-    const __m128i idx = _mm_loadu_si128(
-        reinterpret_cast<const __m128i*>(lane_for_bank + b));
-    const __m256i v = _mm256_i32gather_epi64(
-        reinterpret_cast<const long long*>(d), idx, 8);
-    _mm256_store_si256(reinterpret_cast<__m256i*>(permuted), v);
-    for (unsigned r = 0; r < replicas; ++r) {
-      const std::uintptr_t* base =
-          bank_base + static_cast<std::size_t>(r) * lanes;
-      for (unsigned u = 0; u < 4; ++u)
-        *reinterpret_cast<Word*>(base[b + u] +
-                                 static_cast<std::uintptr_t>(db)) =
-            permuted[u];
-    }
-  }
-  for (; b < lanes; ++b) {
-    const Word w = d[lane_for_bank[b]];
-    for (unsigned r = 0; r < replicas; ++r)
-      *reinterpret_cast<Word*>(
-          bank_base[static_cast<std::size_t>(r) * lanes + b] +
-          static_cast<std::uintptr_t>(db)) = w;
-  }
-}
-
-__attribute__((target("avx2"))) void scatter_run(
-    const std::uintptr_t* bank_base, unsigned replicas,
-    const std::uint32_t* lane_for_bank, unsigned lanes,
-    const std::int64_t* delta, std::int64_t count, const Word* data) {
-  for (std::int64_t t = 0; t < count; ++t)
-    scatter_one(bank_base, replicas, lane_for_bank, lanes,
-                delta[t] * static_cast<std::int64_t>(sizeof(Word)),
-                data + static_cast<std::size_t>(t) * lanes);
-}
-
-__attribute__((target("avx2"))) void scatter_multi(
-    const std::uintptr_t* const* table_bank_base,
-    const std::uint32_t* const* table_lane_for_bank,
-    const std::int32_t* tmpl_of, unsigned replicas, unsigned lanes,
-    const std::int64_t* delta, std::int64_t count, const Word* data) {
-  for (std::int64_t t = 0; t < count; ++t) {
-    const std::int32_t m = tmpl_of[t];
-    scatter_one(table_bank_base[m], replicas, table_lane_for_bank[m], lanes,
-                delta[t] * static_cast<std::int64_t>(sizeof(Word)),
-                data + static_cast<std::size_t>(t) * lanes);
-  }
-}
-
 }  // namespace
 
 bool avx2_supported() { return __builtin_cpu_supports("avx2") != 0; }
 
 const Kernels& avx2_kernels() {
-  static const Kernels k{Level::kAvx2, gather_run, gather_multi, scatter_run,
-                         scatter_multi};
+  static const Kernels k{Level::kAvx2, gather_run, gather_multi,
+                         scalar_kernels().scatter_run,
+                         scalar_kernels().scatter_multi};
   return k;
 }
 

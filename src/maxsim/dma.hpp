@@ -10,9 +10,13 @@
 //
 // The PolyMem side of a transfer runs through the batched access engine
 // (PolyMem::read_batch / write_batch): the whole tile is one validated
-// AccessBatch replayed through the plan-template cache. The original
-// per-access path is kept behind set_batched(false) as the differential
-// reference (tests/maxsim/dma_test.cpp compares contents and stats).
+// AccessBatch replayed through the plan-template cache. Tiles of one
+// shape whose frame origins differ by whole MAF periods (the row panels
+// of a ReRo 2x4 software cache, for example) reuse one compiled plan:
+// the memo only shifts its deltas. The LMem side moves each tile row as
+// page runs (maxsim/lmem.hpp). The original per-access path is kept
+// behind set_batched(false) as the differential reference
+// (tests/maxsim/dma_test.cpp compares contents and stats).
 #pragma once
 
 #include <cstdint>

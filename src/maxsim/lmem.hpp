@@ -6,12 +6,13 @@
 //  (Sec. II-B). PolyMem exists to cache hot data out of this memory.
 //
 // Storage is allocated page-on-demand so a 24GB device can be modelled
-// without committing 24GB of host RAM.
+// without committing 24GB of host RAM. A transfer walks its range one
+// page run at a time: one page-map probe per run, then a plain copy.
 //
 // Thread safety: read and write serialize on an internal mutex — the
 // real DRAM controller serializes bursts too. This is what lets
-// several software caches (src/cache) share one board memory while
-// their prefetch workers stream tiles concurrently.
+// software caches (src/cache) on different threads share one board
+// memory.
 #pragma once
 
 #include <cstdint>
@@ -35,8 +36,9 @@ class LMem {
 
   std::uint64_t capacity_bytes() const { return capacity_; }
 
-  /// Bulk transfers, word-granular, safe to call from any thread.
-  /// Unwritten memory reads as zero.
+  /// Bulk transfers, word-granular, safe to call from any thread. The
+  /// whole range is checked against the capacity before any word moves.
+  /// Unwritten memory reads as zero and materialises no page.
   void write(std::uint64_t word_addr, std::span<const hw::Word> data);
   void read(std::uint64_t word_addr, std::span<hw::Word> out) const;
 
@@ -52,15 +54,13 @@ class LMem {
  private:
   static constexpr std::uint64_t kPageWords = 512;  // 4KB pages
 
-  hw::Word* slot(std::uint64_t word_addr);
-  const hw::Word* slot_if_present(std::uint64_t word_addr) const;
   void check_range(std::uint64_t word_addr, std::size_t words) const;
 
   std::uint64_t capacity_;
   double bandwidth_;
   double latency_s_;
   mutable std::mutex m_;
-  mutable std::unordered_map<std::uint64_t, std::vector<hw::Word>> pages_;
+  std::unordered_map<std::uint64_t, std::vector<hw::Word>> pages_;
 };
 
 }  // namespace polymem::maxsim

@@ -6,8 +6,9 @@
 // frame regions — the top half caching the source, the bottom half the
 // destination — managed by the software cache (cache::CachedMatrix).
 // Copy then streams block rows through the cache; with prefetch enabled
-// the next source tile's DRAM burst overlaps the PolyMem copy of the
-// current one.
+// the model overlaps the next source tile's DRAM burst with the PolyMem
+// copy of the current one (the host stages that tile on the calling
+// thread, see cache/tile_cache.hpp).
 #pragma once
 
 #include <cstdint>
@@ -19,7 +20,10 @@ namespace polymem::stream {
 struct OutOfCoreOptions {
   cache::EvictionKind eviction = cache::EvictionKind::kLru;
   cache::WritePolicy write_policy = cache::WritePolicy::kWriteBack;
-  runtime::ThreadPool* prefetch_pool = nullptr;  ///< null: synchronous loads
+  /// Non-null enables next-tile prefetch on the source cache, as
+  /// cache::CacheOptions::prefetch_pool: the pool itself is not used.
+  /// Null: every source tile loads on its miss.
+  runtime::ThreadPool* prefetch_pool = nullptr;
   std::int64_t block_rows = 1;  ///< matrix rows moved per block access
   double clock_hz = 120e6;
 };

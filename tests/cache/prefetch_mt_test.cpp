@@ -1,7 +1,11 @@
-// Async-prefetch hammer: the TSan gate target for the cache subsystem.
-// Repeated sequential sweeps (the prefetcher's trigger pattern) mixed
-// with writes, flushes and invalidations while a thread pool races the
-// consumer on the shared LMem.
+// Prefetch hammer: repeated sequential sweeps (the prefetcher's trigger
+// pattern) mixed with writes, flushes and invalidations, with a thread
+// pool configured as the prefetch pool. The prefetch stages its tile on
+// the calling thread, so no worker touches the cache or LMem; these stay
+// in the TSan gate to keep it that way (a reintroduced worker handoff
+// would race here) and as a coherence check of staged tiles against
+// writes and invalidations. LMem's own lock is gated by
+// LMem.ConcurrentPageCrossingTransfersKeepEveryWord.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -58,8 +62,8 @@ TEST(PrefetchHammer, SweepsStayCoherentUnderAsyncPrefetch) {
         mirror[static_cast<std::size_t>(i * m.cols + j)] = w;
       }
     }
-    // Periodically force the cold-start paths while jobs may be in
-    // flight: flush keeps LMem current, invalidate drops residency.
+    // Periodically force the cold-start paths with a tile staged: flush
+    // keeps LMem current, invalidate drops residency and the staging.
     if (sweep % 4 == 3) {
       cached.flush();
       cached.cache().invalidate();
@@ -82,8 +86,8 @@ TEST(PrefetchHammer, SweepsStayCoherentUnderAsyncPrefetch) {
 }
 
 TEST(PrefetchHammer, ManyShortLivedCachesDrainCleanly) {
-  // Construction/teardown races: each cache issues a prefetch and is
-  // destroyed (draining the in-flight job) almost immediately.
+  // Construction/teardown: each cache stages a prefetch and is destroyed
+  // with it still unconsumed; nothing may outlive the cache.
   runtime::ThreadPool pool(3);
   maxsim::LMem lmem(1 << 22);
   const maxsim::LMemMatrix m{0, 64, 32, 32};

@@ -206,7 +206,7 @@ TEST(TileCache, EdgeTilesAreClipped) {
 
 TEST(TileCache, SynchronousPrefetchConsumption) {
   // With a pool, a miss on the predicted next tile must consume the
-  // staged burst (waiting for it if still in flight).
+  // staged burst.
   maxsim::LMem lmem(1 << 20);
   core::PolyMem mem(pm_cfg());
   const auto m = make_matrix(lmem);
@@ -223,6 +223,52 @@ TEST(TileCache, SynchronousPrefetchConsumption) {
   EXPECT_EQ(stats.counters().prefetch_issued, 2u);  // (0,1) and (1,0)
   EXPECT_EQ(stats.counters().prefetch_useful, 1u);
   EXPECT_GE(stats.lmem_seconds_overlapped, 0.0);
+}
+
+// A jumping acquire order: most misses land on a tile other than the
+// staged one, so the prefetch slot is dropped, overwritten and consumed
+// in turn. The prefetch stages on the calling thread, so the whole
+// CacheStats is a function of the acquire order alone: identical on
+// pools of 0, 1 and 3 workers and on every repeat.
+TEST(TileCache, JumpingAcquireOrderStatsAreDeterministic) {
+  const auto run = [](unsigned workers) {
+    maxsim::LMem lmem(1 << 20);
+    core::PolyMem mem(pm_cfg());
+    const auto m = make_matrix(lmem);
+    runtime::ThreadPool pool(workers);
+    TileCache cache(lmem, mem, m, two_frames(mem.config()),
+                    {.prefetch_pool = &pool});
+    for (std::int64_t n = 0; n < 48; ++n) {
+      // Sequential stretches (the prefetch hits) broken by jumps.
+      const std::int64_t ti = n % 5 == 4 ? (n * 3) % 8 : (n / 2) % 8;
+      const std::int64_t tj = n % 5 == 4 ? 1 - n % 2 : n % 2;
+      const auto ref = cache.acquire(ti, tj);
+      EXPECT_EQ(mem.load(ref.origin), static_cast<hw::Word>(ti * 8000 +
+                                                            tj * 32))
+          << "n " << n;
+      cache.note_kernel_accesses(static_cast<std::uint64_t>(n % 7) * 5,
+                                 static_cast<std::uint64_t>(n % 7) * 40);
+      if (n % 3 == 0) cache.mark_dirty(ref.frame);
+    }
+    cache.flush();
+    return cache.stats();
+  };
+  const CacheStats want = run(0);
+  EXPECT_GT(want.counters().prefetch_useful, 0u);
+  EXPECT_GT(want.counters().prefetch_dropped, 0u);
+  EXPECT_GT(want.counters().writebacks, 0u);
+  for (unsigned workers : {0u, 1u, 3u}) {
+    for (int repeat = 0; repeat < 3; ++repeat) {
+      const CacheStats got = run(workers);
+      EXPECT_EQ(got.counters(), want.counters()) << workers << " workers";
+      EXPECT_EQ(got.dma.words, want.dma.words);
+      EXPECT_EQ(got.dma.polymem_accesses, want.dma.polymem_accesses);
+      EXPECT_EQ(got.dma.polymem_cycles, want.dma.polymem_cycles);
+      EXPECT_EQ(got.dma.lmem_seconds, want.dma.lmem_seconds);
+      EXPECT_EQ(got.lmem_seconds_overlapped, want.lmem_seconds_overlapped);
+      EXPECT_EQ(got.kernel_accesses, want.kernel_accesses);
+    }
+  }
 }
 
 TEST(TileCache, RejectsOutOfRangeTiles) {

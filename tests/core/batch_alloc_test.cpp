@@ -1,6 +1,7 @@
 // Heap discipline of the access engine: after one warm-up pass
 // (templates built, class tables and ExecPlans compiled, scratch sized),
-// read_batch / write_batch / stream_copy_batch, the single accesses
+// read_batch / write_batch / stream_copy_batch (replayed, recompiled or
+// rebased by whole MAF periods), the single accesses
 // read_into / write / read_write and the host rectangle transfers
 // fill_rect / dump_rect perform ZERO heap allocations per call,
 // and read_batch_mt allocates per *invocation* (task plumbing), never per
@@ -110,10 +111,16 @@ TEST(BatchAllocation, SteadyStateBatchesAllocateNothing) {
             0u);
 }
 
+std::uint64_t lookups(const PolyMem& mem) {
+  return mem.plan_cache().hits() + mem.plan_cache().builds();
+}
+
 // The compiled-plan memo holds four slots; driving five distinct batch
-// shapes forces a recompile on every call. Recompiling must land in the
-// evicted slot's existing AlignedVec capacity and reuse its table
-// storage — steady-state recompilation is allocation-free too.
+// shapes (equal access counts, different outer strides, so no memoized
+// plan can be rebased onto another) forces a recompile on every call.
+// Recompiling must land in the evicted slot's existing AlignedVec
+// capacity and reuse its table storage — steady-state recompilation is
+// allocation-free too.
 TEST(BatchAllocation, ExecPlanRecompileReusesCapacity) {
   const auto cfg =
       PolyMemConfig::with_capacity(64 * KiB, maf::Scheme::kReRo, 2, 4);
@@ -121,8 +128,8 @@ TEST(BatchAllocation, ExecPlanRecompileReusesCapacity) {
   const auto lanes = static_cast<std::int64_t>(cfg.lanes());
   std::vector<AccessBatch> batches;
   for (std::int64_t r = 0; r < 5; ++r)
-    batches.push_back({PatternKind::kRow, {r, 0}, {0, lanes},
-                       cfg.width / lanes,  {1, 0}, cfg.height / 8});
+    batches.push_back({PatternKind::kRow, {0, 0}, {0, lanes},
+                       cfg.width / lanes,  {r + 1, 0}, cfg.height / 8});
   std::vector<Word> buf(
       static_cast<std::size_t>(batches[0].count()) * lanes);
 
@@ -131,10 +138,43 @@ TEST(BatchAllocation, ExecPlanRecompileReusesCapacity) {
   for (int round = 0; round < 2; ++round)
     for (const AccessBatch& b : batches) mem.read_batch(b, 0, buf);
 
+  std::uint64_t compiles = 0;
   const std::uint64_t allocs = count_allocations([&] {
-    for (const AccessBatch& b : batches) mem.read_batch(b, 0, buf);
+    for (const AccessBatch& b : batches) {
+      const std::uint64_t before = lookups(mem);
+      mem.read_batch(b, 0, buf);
+      compiles += lookups(mem) > before;
+    }
   });
   EXPECT_EQ(allocs, 0u);
+  EXPECT_EQ(compiles, batches.size());
+}
+
+// One batch shape whose start walks by whole MAF periods (ReRo 2x4:
+// 2 rows x 8 columns), up and down, through read_batch, write_batch and
+// both halves of stream_copy_batch: the memo rebases a plan in place on
+// every call, so no call looks up a template or allocates.
+TEST(BatchAllocation, RebasedBatchesAllocateNothing) {
+  const auto cfg =
+      PolyMemConfig::with_capacity(64 * KiB, maf::Scheme::kReRo, 2, 4);
+  PolyMem mem(cfg);
+  const auto lanes = static_cast<std::int64_t>(cfg.lanes());
+  const auto at = [&](std::int64_t n) {
+    return AccessBatch{PatternKind::kRow, {2 * (n % 5), 8 * (n % 3)},
+                       {0, lanes}, 4, {1, 0}, 3};
+  };
+  std::vector<Word> buf(static_cast<std::size_t>(at(0).count()) * lanes);
+  const auto round = [&] {
+    for (std::int64_t n = 0; n < 15; ++n) {
+      mem.read_batch(at(n), 0, buf);
+      mem.write_batch(at(n + 1), buf);
+      mem.stream_copy_batch(at(n + 2), at(n + 7), 0);
+    }
+  };
+  round();  // warm-up: templates, class tables and plans of this shape
+  const std::uint64_t before = lookups(mem);
+  EXPECT_EQ(count_allocations(round), 0u);
+  EXPECT_EQ(lookups(mem), before);
 }
 
 TEST(BatchAllocation, NaiveEngineSteadyStateAlsoAllocationFree) {

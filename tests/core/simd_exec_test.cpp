@@ -3,15 +3,21 @@
 // supported pattern, the compiled path — at every kernel level the host
 // supports — must be bit-identical to the AGU reference for read_batch,
 // write_batch and read_batch_mt, and for the single accesses read_into,
-// write and read_write on every read port. Unsupported, unaligned and
-// out-of-bounds single accesses must throw what the reference throws and
-// change nothing. A forced-scalar dispatch test keeps the fallback kernels
-// exercised on AVX2 hosts.
+// write and read_write on every read port. Batches whose starts move by
+// whole MAF periods, which the compiled-plan memo serves by rebasing a
+// plan instead of recompiling, are held to the same reference, fused
+// copies included. Unsupported, unaligned and out-of-bounds single
+// accesses must throw what the reference throws and change nothing. A
+// forced-scalar dispatch test keeps the fallback kernels exercised on
+// AVX2 hosts.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <optional>
+#include <set>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
@@ -458,6 +464,204 @@ TEST(SimdExec, SingleAccessErrorsMatchReferenceAndChangeNothing) {
       }
     }
   }
+}
+
+// True when every anchor of `batch` is in bounds. Anchors are affine in
+// the index box, so the four corners decide.
+bool batch_fits(const PolyMemConfig& cfg, const AccessBatch& batch) {
+  const std::int64_t last = batch.count() - 1;
+  for (std::int64_t t : {std::int64_t{0}, batch.inner_count - 1,
+                         last - batch.inner_count + 1, last})
+    if (!access::fits(batch.access(t), cfg.p, cfg.q, cfg.height, cfg.width))
+      return false;
+  return true;
+}
+
+// The 1D and 2D batch shapes of the period-shift sweeps, anchored at the
+// first in-bounds (and, for aligned-only patterns, aligned) anchor. Every
+// stride is a multiple of p/q where the pattern needs it.
+std::vector<AccessBatch> shift_shapes(const PolyMemConfig& cfg,
+                                      PatternKind kind, SupportLevel level) {
+  const bool aligned = level == SupportLevel::kAligned;
+  const std::int64_t si = aligned ? cfg.p : 1;
+  const std::int64_t sj = aligned ? cfg.q : 1;
+  std::int64_t j0 = -access::pattern_extent(kind, cfg.p, cfg.q).col_offset;
+  if (aligned && j0 % cfg.q != 0) j0 += cfg.q - j0 % cfg.q;
+  const access::Coord start{0, j0};
+  return {
+      AccessBatch::strided(kind, start, {0, cfg.q}, 3),
+      AccessBatch::strided(kind, start, {si, sj}, 4),
+      {kind, start, {0, sj}, 3, {cfg.p, 0}, 2},
+  };
+}
+
+std::uint64_t lookups(const PolyMem& mem) {
+  return mem.plan_cache().hits() + mem.plan_cache().builds();
+}
+
+// One shape's starts alternate between moves by whole MAF periods (up,
+// down and diagonal — the memo rebases its plan) and other offsets (a
+// fresh compile). Every read and the final image must match the AGU
+// reference, and a call whose start moved by whole periods from the
+// previous call's must run no template lookup at all.
+TEST(SimdExec, PeriodShiftedBatchesMatchReference) {
+  LevelGuard guard;
+  const auto levels = host_levels();
+  std::uint64_t rebased = 0, fresh = 0;
+  for (Scheme scheme : maf::kAllSchemes) {
+    for (Geometry g : kGeometries) {
+      const PolyMemConfig cfg =
+          PolyMemConfig::with_capacity(64 * KiB, scheme, g.p, g.q);
+      const unsigned lanes = cfg.lanes();
+      const std::size_t cells =
+          static_cast<std::size_t>(cfg.height) * cfg.width;
+      for (PatternKind kind : access::kAllPatterns) {
+        PolyMem probe(cfg);
+        const SupportLevel level = probe.supports(kind);
+        if (level == SupportLevel::kNone) continue;
+        const std::int64_t pi = probe.plan_cache().period_i();
+        const std::int64_t pj = probe.plan_cache().period_j();
+        const std::int64_t si = level == SupportLevel::kAligned ? g.p : 1;
+        const std::int64_t sj = level == SupportLevel::kAligned ? g.q : 1;
+        const access::Coord moves[] = {
+            {0, 0},   {pi, 0},          {pi, pj},         {0, pj},
+            {0, 0},   {2 * pi, pj},     {si, sj},         {si + pi, sj},
+            {si, sj + pj},              {0, 0},           {si, 0},
+            {si + 2 * pi, 0},           {0, sj},          {pi, sj + 2 * pj},
+            {0, 0}};
+        for (const AccessBatch& shape : shift_shapes(cfg, kind, level)) {
+          for (simd::Level l : levels) {
+            simd::force_level(l);
+            PolyMem compiled(cfg);
+            PolyMem reference(cfg);
+            reference.set_plan_cache_enabled(false);
+            fill_deterministic(compiled);
+            fill_deterministic(reference);
+            std::vector<Word> want(
+                static_cast<std::size_t>(shape.count()) * lanes);
+            std::vector<Word> got(want.size()), data(want.size());
+            std::optional<access::Coord> prev;
+            Word salt = 1;
+            for (const access::Coord move : moves) {
+              AccessBatch b = shape;
+              b.start = {shape.start.i + move.i, shape.start.j + move.j};
+              if (!batch_fits(cfg, b)) continue;
+              std::ostringstream what;
+              what << where(scheme, g, kind, l) << " shape "
+                   << shape.inner_count << 'x' << shape.outer_count
+                   << " start " << b.start;
+              const bool shifted =
+                  prev && (b.start.i - prev->i) % pi == 0 &&
+                  (b.start.j - prev->j) % pj == 0;
+              const std::uint64_t before = lookups(compiled);
+              reference.read_batch(b, 0, want);
+              compiled.read_batch(b, 0, got);
+              ASSERT_EQ(got, want) << what.str();
+              for (std::size_t k = 0; k < data.size(); ++k)
+                data[k] = (0x9E3779B97F4A7C15ull * (k + 1)) ^ (salt << 40);
+              ++salt;
+              reference.write_batch(b, data);
+              compiled.write_batch(b, data);
+              if (shifted) {
+                EXPECT_EQ(lookups(compiled), before) << what.str();
+                ++rebased;
+              } else {
+                ++fresh;
+              }
+              prev = b.start;
+            }
+            std::vector<Word> image_want(cells), image_got(cells);
+            reference.dump_rect({0, 0}, cfg.height, cfg.width, image_want);
+            compiled.dump_rect({0, 0}, cfg.height, cfg.width, image_got);
+            ASSERT_EQ(image_got, image_want)
+                << where(scheme, g, kind, l) << " shape "
+                << shape.inner_count << 'x' << shape.outer_count;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(rebased, 0u);
+  EXPECT_GT(fresh, 0u);
+}
+
+// True when the element footprints of `a` and `b` share a cell.
+bool footprints_overlap(const PolyMemConfig& cfg, const AccessBatch& a,
+                        const AccessBatch& b) {
+  std::set<std::pair<std::int64_t, std::int64_t>> cells;
+  std::vector<access::Coord> coords;
+  for (std::int64_t t = 0; t < a.count(); ++t) {
+    access::expand_into(a.access(t), cfg.p, cfg.q, coords);
+    for (const access::Coord c : coords) cells.insert({c.i, c.j});
+  }
+  for (std::int64_t t = 0; t < b.count(); ++t) {
+    access::expand_into(b.access(t), cfg.p, cfg.q, coords);
+    for (const access::Coord c : coords)
+      if (cells.count({c.i, c.j}) != 0) return true;
+  }
+  return false;
+}
+
+// Fused copies whose destination is the source moved by one MAF period,
+// overlapping or disjoint. The destination has the source's shape and a
+// whole-period move, yet it must never rebase the source's plan, which
+// the copy is still reading through. A second copy one period further
+// on, and a third back at the start, serve both halves from the memo.
+TEST(SimdExec, StreamCopyOnePeriodAwayMatchesReference) {
+  LevelGuard guard;
+  const auto levels = host_levels();
+  std::uint64_t overlapping = 0, disjoint = 0;
+  for (Scheme scheme : maf::kAllSchemes) {
+    for (Geometry g : kGeometries) {
+      const PolyMemConfig cfg =
+          PolyMemConfig::with_capacity(64 * KiB, scheme, g.p, g.q);
+      const std::size_t cells =
+          static_cast<std::size_t>(cfg.height) * cfg.width;
+      for (PatternKind kind : access::kAllPatterns) {
+        PolyMem probe(cfg);
+        const SupportLevel level = probe.supports(kind);
+        if (level == SupportLevel::kNone) continue;
+        const access::Coord periods[] = {{probe.plan_cache().period_i(), 0},
+                                         {0, probe.plan_cache().period_j()}};
+        for (const AccessBatch& from : shift_shapes(cfg, kind, level)) {
+          for (const access::Coord move : periods) {
+            const auto moved = [&](const AccessBatch& b, std::int64_t n) {
+              AccessBatch m = b;
+              m.start = {b.start.i + n * move.i, b.start.j + n * move.j};
+              return m;
+            };
+            const AccessBatch copies[][2] = {{from, moved(from, 1)},
+                                             {moved(from, 1), moved(from, 2)},
+                                             {from, moved(from, 1)}};
+            if (!batch_fits(cfg, moved(from, 2))) continue;
+            ++(footprints_overlap(cfg, from, moved(from, 1)) ? overlapping
+                                                             : disjoint);
+            for (simd::Level l : levels) {
+              simd::force_level(l);
+              PolyMem compiled(cfg);
+              PolyMem reference(cfg);
+              reference.set_plan_cache_enabled(false);
+              fill_deterministic(compiled);
+              fill_deterministic(reference);
+              std::vector<Word> want(cells), got(cells);
+              for (const auto& copy : copies) {
+                reference.stream_copy_batch(copy[0], copy[1], 0);
+                compiled.stream_copy_batch(copy[0], copy[1], 0);
+                reference.dump_rect({0, 0}, cfg.height, cfg.width, want);
+                compiled.dump_rect({0, 0}, cfg.height, cfg.width, got);
+                ASSERT_EQ(got, want)
+                    << where(scheme, g, kind, l) << " from "
+                    << copy[0].start << " to " << copy[1].start << " shape "
+                    << from.inner_count << 'x' << from.outer_count;
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(overlapping, 0u);
+  EXPECT_GT(disjoint, 0u);
 }
 
 TEST(SimdExec, ForcedScalarDispatchTakesEffect) {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <thread>
+#include <vector>
+
 #include "common/error.hpp"
 
 namespace polymem::maxsim {
@@ -54,6 +57,86 @@ TEST(LMem, OutOfRangeRejected) {
   EXPECT_THROW(mem.write(121, data), InvalidArgument);
   std::vector<hw::Word> out(8);
   EXPECT_THROW(mem.read(121, out), InvalidArgument);
+
+  // An address whose byte offset wraps 64 bits must not slip past the
+  // check: (2^61 + 1) * 8 == 8 (mod 2^64).
+  LMem big(1 << 20);
+  const std::uint64_t wrapping = 1ull << 61;
+  const std::vector<hw::Word> one = {42};
+  EXPECT_THROW(big.write(wrapping, one), InvalidArgument);
+  std::vector<hw::Word> back(1);
+  EXPECT_THROW(big.read(wrapping, back), InvalidArgument);
+  EXPECT_EQ(big.resident_pages(), 0u);
+}
+
+TEST(LMem, ReadAcrossAbsentAndWrittenPagesGivesZerosThenData) {
+  // Page 1 (words 512..1023) is written, page 0 never is: one read over
+  // the boundary returns the zeros of the absent page, then the data,
+  // and materialises nothing.
+  LMem mem(1 << 20);
+  std::vector<hw::Word> data(100);
+  for (std::size_t k = 0; k < data.size(); ++k) data[k] = 1000 + k;
+  mem.write(512, data);
+  EXPECT_EQ(mem.resident_pages(), 1u);
+  std::vector<hw::Word> out(150, 0xFF);
+  mem.read(462, out);
+  for (std::size_t k = 0; k < 50; ++k) EXPECT_EQ(out[k], 0u) << k;
+  for (std::size_t k = 50; k < 150; ++k)
+    EXPECT_EQ(out[k], data[k - 50]) << k;
+  EXPECT_EQ(mem.resident_pages(), 1u);
+}
+
+TEST(LMem, ConcurrentPageCrossingTransfersKeepEveryWord) {
+  // Each thread owns a band of words that straddles page boundaries and
+  // round-trips page-crossing ranges through it while the others do the
+  // same on theirs; every word read back, and every word of the final
+  // image, must be the one its thread wrote last. Under TSan this is the
+  // LMem lock's gate.
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 50;
+  constexpr std::uint64_t kBand = 3 * 512 + 77;
+  const auto base = [](int t) {
+    return 300 + static_cast<std::uint64_t>(t) * kBand;
+  };
+  const auto offset = [](int round) {
+    return static_cast<std::uint64_t>(round) * 131 % 512;
+  };
+  const auto word = [](int t, int round, std::uint64_t k) {
+    return (static_cast<hw::Word>(t) << 48) ^
+           (static_cast<hw::Word>(round) << 32) ^ k;
+  };
+  LMem mem(1 << 22);
+  std::vector<int> bad(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      std::vector<hw::Word> data, back;
+      for (int round = 0; round < kRounds; ++round) {
+        const std::uint64_t off = offset(round);
+        data.resize(static_cast<std::size_t>(kBand - off));
+        for (std::size_t k = 0; k < data.size(); ++k)
+          data[k] = word(t, round, off + k);
+        back.assign(data.size(), 0);
+        mem.write(base(t) + off, data);
+        mem.read(base(t) + off, back);
+        bad[static_cast<std::size_t>(t)] += back != data;
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+
+  std::vector<hw::Word> image(kBand);
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(bad[static_cast<std::size_t>(t)], 0) << "thread " << t;
+    mem.read(base(t), image);
+    for (std::uint64_t k = 0; k < kBand; ++k) {
+      int last = -1;  // the last round whose range covered word k
+      for (int round = 0; round < kRounds; ++round)
+        if (offset(round) <= k) last = round;
+      ASSERT_EQ(image[k], last < 0 ? 0 : word(t, last, k))
+          << "thread " << t << " word " << k;
+    }
+  }
 }
 
 TEST(LMem, BurstTimingLatencyPlusBandwidth) {
