@@ -6,7 +6,7 @@ namespace polymem::core {
 
 BankArray::BankArray(unsigned banks, unsigned read_ports,
                      std::int64_t words_per_bank)
-    : banks_(banks), read_ports_(read_ports), bulk_reads_(read_ports, 0) {
+    : banks_(banks), read_ports_(read_ports) {
   POLYMEM_REQUIRE(banks >= 1, "need at least one bank");
   POLYMEM_REQUIRE(read_ports >= 1, "need at least one read port");
   storage_.reserve(static_cast<std::size_t>(banks) * read_ports);
@@ -72,19 +72,6 @@ void BankArray::check_row(std::span<const unsigned> row_banks,
     POLYMEM_REQUIRE(bank < banks_, "bank/port index out of range");
   storage_.front().check_addr(first);
   storage_.front().check_addr(last);
-}
-
-std::uint64_t BankArray::total_reads() const {
-  std::uint64_t n = 0;
-  for (const auto& bank : storage_) n += bank.total_reads();
-  for (const std::uint64_t bulk : bulk_reads_) n += bulk * banks_;
-  return n;
-}
-
-std::uint64_t BankArray::total_writes() const {
-  std::uint64_t n = 0;
-  for (const auto& bank : storage_) n += bank.total_writes();
-  return n + bulk_writes_ * banks_ * read_ports_;
 }
 
 }  // namespace polymem::core

@@ -11,7 +11,6 @@
 #include <span>
 #include <vector>
 
-#include "common/error.hpp"
 #include "core/agu.hpp"
 #include "hw/bram.hpp"
 
@@ -64,22 +63,6 @@ class BankArray {
   const hw::Word* bank_storage(unsigned port, unsigned bank) const;
   hw::Word* bank_storage(unsigned port, unsigned bank);
 
-  /// Bulk counter credit for compiled-engine accesses, which skip the
-  /// per-cycle port handshake (conflict-freedom is proven per residue
-  /// class at plan-build time). `per_bank` accesses are credited to every
-  /// bank of read replica `port` (reads), respectively every bank of
-  /// every replica (writes). O(1): one counter per port and one for
-  /// writes, folded into the totals.
-  void add_bulk_reads(unsigned port, std::uint64_t per_bank) {
-    POLYMEM_REQUIRE(port < read_ports_, "bank/port index out of range");
-    bulk_reads_[port] += per_bank;
-  }
-  void add_bulk_writes(std::uint64_t per_bank) { bulk_writes_ += per_bank; }
-
-  /// Lifetime bank accesses, ported and bulk-credited alike.
-  std::uint64_t total_reads() const;
-  std::uint64_t total_writes() const;
-
  private:
   hw::BramBank& replica(unsigned port, unsigned bank);
   const hw::BramBank& replica(unsigned port, unsigned bank) const;
@@ -88,8 +71,6 @@ class BankArray {
   unsigned read_ports_;
   std::vector<hw::BramBank> storage_;  // [port][bank] flattened
   std::vector<hw::Word*> bases_;       // storage_[k].data()
-  std::vector<std::uint64_t> bulk_reads_;  // per read port, per bank
-  std::uint64_t bulk_writes_ = 0;          // per bank of every replica
 };
 
 }  // namespace polymem::core

@@ -1,7 +1,5 @@
 #include "core/plan_cache.hpp"
 
-#include <mutex>
-
 #include "common/error.hpp"
 #include "common/math.hpp"
 
@@ -79,36 +77,23 @@ const PlanTemplate* PlanCache::lookup(const ParallelAccess& access,
       rj;
   for (unsigned s = 0; s < Memo::kSlots; ++s) {
     if (memo.key[s] == key) {
-      hits_.fetch_add(1, std::memory_order_relaxed);
+      ++hits_;
       return memo.tmpl[s];
     }
   }
-  const PlanTemplate* tmpl = find_or_build(access.kind, ri, rj, key);
-  if (tmpl == nullptr) return nullptr;  // cache full
+  const PlanTemplate* tmpl = nullptr;
+  if (auto it = templates_.find(key); it != templates_.end()) {
+    ++hits_;
+    tmpl = &it->second;
+  } else if (templates_.size() < kMaxTemplates) {
+    tmpl = &build(access.kind, ri, rj, key);
+  } else {
+    return nullptr;  // cache full
+  }
   memo.key[memo.next] = key;
   memo.tmpl[memo.next] = tmpl;
   memo.next = (memo.next + 1) % Memo::kSlots;
   return tmpl;
-}
-
-const PlanTemplate* PlanCache::find_or_build(PatternKind kind, std::int64_t ri,
-                                             std::int64_t rj,
-                                             std::uint64_t key) {
-  {
-    std::shared_lock<std::shared_mutex> lock(mutex_);
-    if (auto it = templates_.find(key); it != templates_.end()) {
-      hits_.fetch_add(1, std::memory_order_relaxed);
-      return &it->second;
-    }
-  }
-  std::unique_lock<std::shared_mutex> lock(mutex_);
-  // Double-check: another thread may have built it between the locks.
-  if (auto it = templates_.find(key); it != templates_.end()) {
-    hits_.fetch_add(1, std::memory_order_relaxed);
-    return &it->second;
-  }
-  if (templates_.size() >= kMaxTemplates) return nullptr;
-  return &build(kind, ri, rj, key);
 }
 
 std::optional<std::int64_t> PlanCache::period_shift(access::Coord from,
@@ -134,9 +119,6 @@ std::optional<PlanCache::TemplateView> PlanCache::inspect(
 
 const PlanTemplate& PlanCache::build(PatternKind kind, std::int64_t ri,
                                      std::int64_t rj, std::uint64_t key) {
-  // Runs with mutex_ held exclusively (find_or_build); coords_scratch_ is
-  // only touched here, so the exclusive lock also covers it.
-  //
   // The residue anchor (ri, rj) may place elements outside the address
   // space or below zero (SecDiag walks left); bank() and the floordiv
   // decomposition are defined there, and the per-anchor delta shifts the
@@ -164,7 +146,7 @@ const PlanTemplate& PlanCache::build(PatternKind kind, std::int64_t ri,
     t.lane_for_bank[t.bank[k]] = k;
     t.bank_addr0[t.bank[k]] = t.addr0[k];
   }
-  builds_.fetch_add(1, std::memory_order_relaxed);
+  ++builds_;
   return templates_.emplace(key, std::move(t)).first->second;
 }
 

@@ -17,11 +17,12 @@
 // lazily on first use and reused for every later access in the same
 // residue class (strided walks cycle through a handful of classes).
 //
-// Concurrency: lookups are thread-safe. The hot-path memo lives with the
-// caller (one PlanCache::Memo per reader thread), the template map sits
-// behind a shared_mutex (shared find / exclusive build), counters are
-// relaxed atomics, and template pointers are stable for the cache's
-// lifetime — the contract the TSan suite exercises.
+// Threading: a PlanCache has one owner, the PolyMem whose blocks it points
+// into, and only the one thread that runs that PolyMem's engine calls it
+// (core/polymem.hpp). So the template map, the build scratch and the
+// hit/build counters are plain members. The recent-class memo lives with
+// the caller (PlanCache::Memo), and template pointers are stable for the
+// cache's lifetime.
 //
 // Correctness rests on two machine-checked facts: the axis periods
 // (tested against Maf::bank over multiple periods) and conflict-freeness
@@ -32,10 +33,8 @@
 // scheme x pattern x an anchor sweep.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <optional>
-#include <shared_mutex>
 #include <unordered_map>
 #include <vector>
 
@@ -77,11 +76,11 @@ class PlanCache {
   /// Caller-owned memo of the last kSlots residue classes looked up:
   /// strided walks stay in one class for long runs, and row bursts on a
   /// scheme whose i-period is 2 alternate between two, so both skip the
-  /// shared map. Each reader thread keeps its own Memo — the cache itself
-  /// holds no per-lookup mutable state besides the shared template map,
-  /// so concurrent lookups from any number of threads are safe.
-  /// Template pointers are stable (never invalidated while the cache
-  /// lives), which is what makes the memoized pointers sound.
+  /// template map. PolyMem keeps one for its single accesses and each
+  /// ExecPlan compile brings its own, so a batch's walk does not evict
+  /// the single-access classes. Template pointers are stable (never
+  /// invalidated while the cache lives), which is what makes the
+  /// memoized pointers sound.
   struct Memo {
     static constexpr unsigned kSlots = 4;
     std::uint64_t key[kSlots] = {~0ull, ~0ull, ~0ull, ~0ull};
@@ -95,8 +94,7 @@ class PlanCache {
   /// serves the access or reports the exact error — when the pattern is
   /// unsupported (including unaligned anchors of aligned-only patterns),
   /// the access leaves the address space, or the cache is disabled/full.
-  /// Thread-safe: lookups may run concurrently; `memo` carries the
-  /// caller's recent-template fast path (one Memo per thread).
+  /// `memo` carries the caller's recent-template fast path.
   const PlanTemplate* lookup(const access::ParallelAccess& access,
                              std::int64_t& delta, Memo& memo);
 
@@ -126,16 +124,10 @@ class PlanCache {
   }
 
   /// Served-from-cache and template-build counters (lookup misses that
-  /// return nullptr count as neither). Relaxed atomics: exact under any
-  /// serial workload, momentarily stale reads are fine mid-parallel-run.
-  std::uint64_t hits() const { return hits_.load(std::memory_order_relaxed); }
-  std::uint64_t builds() const {
-    return builds_.load(std::memory_order_relaxed);
-  }
-  std::size_t size() const {
-    std::shared_lock<std::shared_mutex> lock(mutex_);
-    return templates_.size();
-  }
+  /// return nullptr count as neither).
+  std::uint64_t hits() const { return hits_; }
+  std::uint64_t builds() const { return builds_; }
+  std::size_t size() const { return templates_.size(); }
 
   /// Template introspection for the static prover (verify/maf_prover.hpp)
   /// and tools: the template serving `access` plus the residue class it is
@@ -171,8 +163,6 @@ class PlanCache {
     std::int64_t min_j = 0, max_j = -1;
   };
 
-  const PlanTemplate* find_or_build(access::PatternKind kind, std::int64_t ri,
-                                    std::int64_t rj, std::uint64_t key);
   const PlanTemplate& build(access::PatternKind kind, std::int64_t ri,
                             std::int64_t rj, std::uint64_t key);
 
@@ -188,15 +178,12 @@ class PlanCache {
   KindInfo kinds_[6];
 
   // Template map. Node-based, so PlanTemplate addresses are stable across
-  // inserts — lookups hand out raw pointers and memos cache them. Guarded
-  // by mutex_: shared for find, exclusive for build+insert. The scratch
-  // vector is only touched under the exclusive lock (build path).
-  mutable std::shared_mutex mutex_;
+  // inserts — lookups hand out raw pointers and memos cache them.
   std::unordered_map<std::uint64_t, PlanTemplate> templates_;
-  std::vector<access::Coord> coords_scratch_;
+  std::vector<access::Coord> coords_scratch_;  // build()'s expansion
 
-  std::atomic<std::uint64_t> hits_{0};
-  std::atomic<std::uint64_t> builds_{0};
+  std::uint64_t hits_ = 0;
+  std::uint64_t builds_ = 0;
 };
 
 }  // namespace polymem::core

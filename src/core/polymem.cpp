@@ -7,7 +7,6 @@
 #include "common/error.hpp"
 #include "core/shuffle.hpp"
 #include "core/simd/dispatch.hpp"
-#include "runtime/thread_pool.hpp"
 
 namespace polymem::core {
 
@@ -54,7 +53,6 @@ void PolyMem::execute_read(const ClassTables* t, std::int64_t delta,
     simd::kernels().gather_run(
         t->lane_base.data() + static_cast<std::size_t>(port) * lanes, lanes,
         &delta, 1, out.data());
-    banks_.add_bulk_reads(port, 1);
     return;
   }
   address_shuffle(s.plan, s.bank_addr);
@@ -68,7 +66,6 @@ void PolyMem::execute_write(const ClassTables* t, std::int64_t delta,
     simd::kernels().scatter_run(t->bank_base.data(), config_.read_ports,
                                 t->lane_for_bank.data(), config_.lanes(),
                                 &delta, 1, data.data());
-    banks_.add_bulk_writes(1);
     return;
   }
   address_shuffle(s.plan, s.bank_addr);
@@ -247,10 +244,6 @@ void PolyMem::read_batch(const AccessBatch& batch, unsigned port,
   if (batch.count() == 0) return;
   if (ExecPlan* plan = compiled_plan(batch)) {
     exec_read(*plan, port, 0, plan->count(), out.data());
-    // Bulk accounting: one read of every bank of replica `port` per
-    // access (conflict-freedom was proven at template build time, so the
-    // per-cycle handshake carries no information here).
-    banks_.add_bulk_reads(port, static_cast<std::uint64_t>(plan->count()));
     parallel_reads_ += static_cast<std::uint64_t>(plan->count());
     return;
   }
@@ -273,7 +266,6 @@ void PolyMem::read_compiled(const ExecPlan& plan, unsigned port,
       out.size() == static_cast<std::size_t>(plan.count()) * plan.lanes(),
       "batch read buffer must provide count * lanes words");
   exec_read(plan, port, 0, plan.count(), out.data());
-  banks_.add_bulk_reads(port, static_cast<std::uint64_t>(plan.count()));
   parallel_reads_ += static_cast<std::uint64_t>(plan.count());
 }
 
@@ -283,56 +275,7 @@ void PolyMem::write_compiled(const ExecPlan& plan,
       data.size() == static_cast<std::size_t>(plan.count()) * plan.lanes(),
       "batch write buffer must provide count * lanes words");
   exec_write(plan, 0, plan.count(), data.data());
-  banks_.add_bulk_writes(static_cast<std::uint64_t>(plan.count()));
   parallel_writes_ += static_cast<std::uint64_t>(plan.count());
-}
-
-void PolyMem::read_batch_mt(const AccessBatch& batch,
-                            runtime::ThreadPool& pool, std::span<Word> out) {
-  validate_batch(batch);
-  const unsigned lanes = config_.lanes();
-  POLYMEM_REQUIRE(out.size() == static_cast<std::size_t>(batch.count()) * lanes,
-                  "batch read buffer must provide count * lanes words");
-  if (batch.count() == 0) return;
-  const unsigned ports = config_.read_ports;
-  Word* const base = out.data();
-  // Claim whole inner rows when the batch is 2D, else modest chunks: long
-  // enough to amortise the claim lock, short enough to steal.
-  const std::int64_t grain =
-      batch.outer_count > 1 ? batch.inner_count
-                            : std::clamp<std::int64_t>(batch.count() / 64, 16, 1024);
-  if (ExecPlan* plan = compiled_plan(batch)) {
-    // Compiled path: one serial compile (or memo hit), then the workers
-    // split the batch into grain-sized chunks and run one kernel call
-    // per chunk — results land slot-addressed, so output is bit-identical
-    // to read_batch for any thread count. Reads go to the worker's port
-    // replica: each port is a full bank replica and nothing writes during
-    // the call, so the workers share no mutable state.
-    const simd::Kernels& kernels = simd::kernels();
-    const std::int64_t count = plan->count();
-    const std::int64_t chunks = (count + grain - 1) / grain;
-    runtime::parallel_for(
-        pool, 0, chunks,
-        [&](std::int64_t c, unsigned worker) {
-          const std::int64_t t0 = c * grain;
-          const std::int64_t n = std::min(count - t0, grain);
-          const std::uintptr_t* const* lane_bases =
-              plan->lane_bases(worker % ports);
-          if (plan->uniform()) {
-            kernels.gather_run(lane_bases[0], lanes, plan->delta() + t0, n,
-                               base + t0 * lanes);
-          } else {
-            kernels.gather_multi(lane_bases, plan->tmpl_of() + t0, lanes,
-                                 plan->delta() + t0, n, base + t0 * lanes);
-          }
-        },
-        1);
-    parallel_reads_ += static_cast<std::uint64_t>(count);
-    return;
-  }
-  for (std::int64_t t = 0; t < batch.count(); ++t)
-    read_into(batch.access(t), 0,
-              out.subspan(static_cast<std::size_t>(t) * lanes, lanes));
 }
 
 void PolyMem::write_batch(const AccessBatch& batch,
@@ -345,9 +288,6 @@ void PolyMem::write_batch(const AccessBatch& batch,
   if (batch.count() == 0) return;
   if (ExecPlan* plan = compiled_plan(batch)) {
     exec_write(*plan, 0, plan->count(), data.data());
-    // Every replica of every bank takes one write per access, exactly as
-    // the interpreted loop would issue them.
-    banks_.add_bulk_writes(static_cast<std::uint64_t>(plan->count()));
     parallel_writes_ += static_cast<std::uint64_t>(plan->count());
     return;
   }
@@ -374,8 +314,6 @@ void PolyMem::stream_copy_batch(const AccessBatch& from,
         exec_read(*rd, port, t, 1, copy_buf_.data());
         exec_write(*wr, t, 1, copy_buf_.data());
       }
-      banks_.add_bulk_reads(port, static_cast<std::uint64_t>(count));
-      banks_.add_bulk_writes(static_cast<std::uint64_t>(count));
       parallel_reads_ += static_cast<std::uint64_t>(count);
       parallel_writes_ += static_cast<std::uint64_t>(count);
       return;

@@ -28,6 +28,14 @@
 //    the plan cache cannot (cache disabled or full), and is the
 //    differential oracle (set_plan_cache_enabled(false)).
 // Both are observably identical (differentially tested).
+//
+// Threading: one thread at a time runs a PolyMem's engine — every access,
+// batch, compile_batch and read_compiled/write_compiled call, which share
+// the lookup memo, the compiled-plan slots, the scratch buffers and the
+// counters. Owners that serve several threads serialize them (the
+// adaptive matrix's engine lock, the service engine's single drain
+// thread). Only the host rectangle transfers and load/store may run beside
+// that thread (see fill_rect).
 #pragma once
 
 #include <array>
@@ -46,10 +54,6 @@
 #include "maf/addressing.hpp"
 #include "maf/conflict.hpp"
 #include "maf/maf.hpp"
-
-namespace polymem::runtime {
-class ThreadPool;
-}
 
 namespace polymem::core {
 
@@ -112,22 +116,6 @@ class PolyMem {
                   std::span<Word> out);
   void write_batch(const AccessBatch& batch, std::span<const Word> data);
 
-  /// Concurrent multi-port batched read: shards the batch across the
-  /// pool's threads, each serving its slice on read port
-  /// `worker % read_ports` — the host-side mirror of the paper's
-  /// replicated read ports answering independent requests in the same
-  /// cycle. Results are bit-identical to read_batch (every element lands
-  /// in its own `out` slot; all port replicas hold the same data) for any
-  /// thread count, including a pool of size 0 (serial). A batch the plan
-  /// cache cannot compile runs serially, access by access through
-  /// read_into on port 0.
-  ///
-  /// Contract: a read-only phase — no concurrent write/store/fill may run
-  /// during the call (the workers' reads skip bank accounting; access
-  /// counters are bulk-added).
-  void read_batch_mt(const AccessBatch& batch, runtime::ThreadPool& pool,
-                     std::span<Word> out);
-
   /// Service-drain entry points (src/service): compile a batch into a
   /// *caller-owned* plan and execute it later. The service loop drains a
   /// coalesced run per iteration, and the runs differ call to call, so
@@ -141,8 +129,8 @@ class PolyMem {
   bool compile_batch(const AccessBatch& batch, ExecPlan& plan);
 
   /// Executes a plan compiled by compile_batch on this PolyMem: the whole
-  /// batch as one gather on read port `port` / one scatter, with the same
-  /// bulk counter accounting as read_batch / write_batch.
+  /// batch as one gather on read port `port` / one scatter, counted like
+  /// read_batch / write_batch.
   void read_compiled(const ExecPlan& plan, unsigned port, std::span<Word> out);
   void write_compiled(const ExecPlan& plan, std::span<const Word> data);
 
@@ -226,8 +214,8 @@ class PolyMem {
   /// unaligned or out-of-bounds access, before any bank is touched.
   const ClassTables* resolve(const access::ParallelAccess& where,
                              std::int64_t& delta, Scratch& s);
-  /// Executes one resolved access: a count-1 kernel call through `t` with
-  /// bulk bank accounting or, when `t` is null, the AGU reference on
+  /// Executes one resolved access: a count-1 kernel call through `t` or,
+  /// when `t` is null, the AGU reference on
   /// `s.plan` — checked shuffles and ported bank accesses within the
   /// current cycle (the caller begins it).
   void execute_read(const ClassTables* t, std::int64_t delta, Scratch& s,

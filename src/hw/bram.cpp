@@ -35,7 +35,6 @@ Word BramBank::read(std::int64_t addr) {
   if (read_used_)
     throw Error("bank conflict: second read on one port in one cycle");
   read_used_ = true;
-  ++total_reads_;
   return mem_[static_cast<std::size_t>(addr)];
 }
 
@@ -44,7 +43,6 @@ void BramBank::write(std::int64_t addr, Word value) {
   if (write_used_)
     throw Error("bank conflict: second write on one port in one cycle");
   write_used_ = true;
-  ++total_writes_;
   mem_[static_cast<std::size_t>(addr)] = value;
 }
 

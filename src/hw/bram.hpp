@@ -37,10 +37,6 @@ class BramBank {
   Word read(std::int64_t addr);
   void write(std::int64_t addr, Word value);
 
-  /// Lifetime counters, for utilisation statistics.
-  std::uint64_t total_reads() const { return total_reads_; }
-  std::uint64_t total_writes() const { return total_writes_; }
-
   /// Throws InvalidArgument unless 0 <= addr < words(): the check every
   /// accessor above runs.
   void check_addr(std::int64_t addr) const;
@@ -55,8 +51,6 @@ class BramBank {
   std::vector<Word> mem_;
   bool read_used_ = false;
   bool write_used_ = false;
-  std::uint64_t total_reads_ = 0;
-  std::uint64_t total_writes_ = 0;
 };
 
 }  // namespace polymem::hw

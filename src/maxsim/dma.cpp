@@ -85,14 +85,7 @@ void DmaEngine::write_staged_into(std::span<const hw::Word> tile,
       // outer = rows) is exactly the row-major tile buffer.
       const AccessBatch batch{PatternKind::kRow, origin,    {0, lanes},
                               cols / lanes,      {1, 0},    rows};
-      if (batched_) {
-        mem_->write_batch(batch, tile);
-      } else {
-        for (std::int64_t t = 0; t < batch.count(); ++t)
-          mem_->write(batch.access(t),
-                      tile.subspan(static_cast<std::size_t>(t * lanes),
-                                   static_cast<std::size_t>(lanes)));
-      }
+      mem_->write_batch(batch, tile);
       stats.polymem_accesses += static_cast<std::uint64_t>(batch.count());
       break;
     }
@@ -113,15 +106,7 @@ void DmaEngine::write_staged_into(std::span<const hw::Word> tile,
             for (std::int64_t v = 0; v < cfg.q; ++v)
               block_[static_cast<std::size_t>(g++)] =
                   tile[static_cast<std::size_t>((br + u) * cols + bc + v)];
-      if (batched_) {
-        mem_->write_batch(batch, block_);
-      } else {
-        for (std::int64_t t = 0; t < batch.count(); ++t)
-          mem_->write(batch.access(t),
-                      std::span<const hw::Word>(block_).subspan(
-                          static_cast<std::size_t>(t * lanes),
-                          static_cast<std::size_t>(lanes)));
-      }
+      mem_->write_batch(batch, block_);
       stats.polymem_accesses += static_cast<std::uint64_t>(batch.count());
       break;
     }
@@ -143,14 +128,7 @@ void DmaEngine::read_staged_into(std::span<hw::Word> tile, std::int64_t rows,
     case Shape::kRowAccesses: {
       const AccessBatch batch{PatternKind::kRow, origin,    {0, lanes},
                               cols / lanes,      {1, 0},    rows};
-      if (batched_) {
-        mem_->read_batch(batch, 0, tile);
-      } else {
-        for (std::int64_t t = 0; t < batch.count(); ++t)
-          mem_->read_into(batch.access(t), 0,
-                          tile.subspan(static_cast<std::size_t>(t * lanes),
-                                       static_cast<std::size_t>(lanes)));
-      }
+      mem_->read_batch(batch, 0, tile);
       stats.polymem_accesses += static_cast<std::uint64_t>(batch.count());
       break;
     }
@@ -162,15 +140,7 @@ void DmaEngine::read_staged_into(std::span<hw::Word> tile, std::int64_t rows,
                               {static_cast<std::int64_t>(cfg.p), 0},
                               rows / cfg.p};
       block_.resize(tile.size());
-      if (batched_) {
-        mem_->read_batch(batch, 0, block_);
-      } else {
-        for (std::int64_t t = 0; t < batch.count(); ++t)
-          mem_->read_into(batch.access(t), 0,
-                          std::span<hw::Word>(block_).subspan(
-                              static_cast<std::size_t>(t * lanes),
-                              static_cast<std::size_t>(lanes)));
-      }
+      mem_->read_batch(batch, 0, block_);
       std::int64_t g = 0;
       for (std::int64_t br = 0; br < rows; br += cfg.p)
         for (std::int64_t bc = 0; bc < cols; bc += cfg.q)

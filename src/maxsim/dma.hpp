@@ -14,9 +14,9 @@
 // shape whose frame origins differ by whole MAF periods (the row panels
 // of a ReRo 2x4 software cache, for example) reuse one compiled plan:
 // the memo only shifts its deltas. The LMem side moves each tile row as
-// page runs (maxsim/lmem.hpp). The original per-access path is kept
-// behind set_batched(false) as the differential reference
-// (tests/maxsim/dma_test.cpp compares contents and stats).
+// page runs (maxsim/lmem.hpp). A PolyMem whose plan cache is off runs
+// those batches access by access on the AGU reference, the differential
+// oracle of tests/maxsim/dma_test.cpp.
 #pragma once
 
 #include <cstdint>
@@ -89,12 +89,6 @@ class DmaEngine {
   Shape pick_shape(std::int64_t rows, std::int64_t cols,
                    access::Coord origin) const;
 
-  /// Toggles the batched engine (default on). The legacy per-access path
-  /// is the differential-test reference; both produce identical memory
-  /// contents and DmaStats.
-  void set_batched(bool batched) { batched_ = batched; }
-  bool batched() const { return batched_; }
-
   /// Points the engine at a different PolyMem (same LMem). The adaptive
   /// layout engine swaps the on-chip memory under a live cache at
   /// migration cutover; transfer shapes re-derive from the new scheme on
@@ -116,7 +110,6 @@ class DmaEngine {
 
   LMem* lmem_;
   core::PolyMem* mem_;
-  bool batched_ = true;
   std::vector<hw::Word> stage_;  ///< tile burst buffer (reused)
   std::vector<hw::Word> block_;  ///< rect-order staging (reused)
 };

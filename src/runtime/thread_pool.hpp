@@ -5,8 +5,8 @@
 // grid of Sec. IV is a set of fully independent design points. This module
 // is the host-side mirror of that parallelism: a small work-stealing
 // thread pool plus a deterministic `parallel_for` that the DSE sweep
-// (dse/explorer.hpp), the concurrent multi-port read engine
-// (core::PolyMem::read_batch_mt) and the benchmark harness all share.
+// (dse/explorer.hpp) runs on; service drains and adaptive migrations run
+// as pool tasks. A PolyMem's engine stays on one thread (core/polymem.hpp).
 //
 // Design rules, in priority order:
 //  1. *Determinism.* Work is identified by its index, never by the worker

@@ -2,7 +2,6 @@
 
 #include "common/error.hpp"
 #include "common/math.hpp"
-#include "runtime/thread_pool.hpp"
 
 namespace polymem::stream {
 
@@ -111,41 +110,6 @@ void StreamController::offload_bulk(Vector v, std::span<double> out) {
                  0,
                  std::span<hw::Word>(words_buf_)
                      .last(static_cast<std::size_t>(tail)));
-  for (std::size_t k = 0; k < out.size(); ++k)
-    out[k] = core::unpack_double(words_buf_[k]);
-}
-
-void StreamController::offload_bulk(Vector v, std::span<double> out,
-                                    runtime::ThreadPool& pool) {
-  const auto n = static_cast<std::int64_t>(out.size());
-  const auto lanes = static_cast<std::int64_t>(mem_.config().lanes());
-  const std::int64_t width = mem_.config().width;
-  POLYMEM_REQUIRE(n >= 1 && n <= vector_capacity_,
-                  "vector exceeds the band capacity");
-  POLYMEM_REQUIRE(n % lanes == 0,
-                  "vector length must be a multiple of the lane count");
-  words_buf_.resize(out.size());
-  auto& f = mem_.functional();
-  const core::VectorBand b = band(v);
-  const std::int64_t full_rows = n / width;
-  const std::int64_t tail = n % width;
-  if (full_rows > 0)
-    f.read_batch_mt({access::PatternKind::kRow,
-                     {b.first_row(), 0},
-                     {0, lanes},
-                     width / lanes,
-                     {1, 0},
-                     full_rows},
-                    pool,
-                    std::span<hw::Word>(words_buf_)
-                        .first(static_cast<std::size_t>(full_rows * width)));
-  if (tail > 0)
-    f.read_batch_mt(core::AccessBatch::strided(access::PatternKind::kRow,
-                                               {b.first_row() + full_rows, 0},
-                                               {0, lanes}, tail / lanes),
-                    pool,
-                    std::span<hw::Word>(words_buf_)
-                        .last(static_cast<std::size_t>(tail)));
   for (std::size_t k = 0; k < out.size(); ++k)
     out[k] = core::unpack_double(words_buf_[k]);
 }

@@ -32,10 +32,6 @@
 #include "core/layout.hpp"
 #include "maxsim/kernel.hpp"
 
-namespace polymem::runtime {
-class ThreadPool;
-}
-
 namespace polymem::stream {
 
 enum class Mode : std::uint8_t {
@@ -91,14 +87,6 @@ class StreamController : public maxsim::Kernel {
   /// host-side verification.
   void preload(Vector v, std::span<const double> data);
   void offload_bulk(Vector v, std::span<double> out);
-
-  /// offload_bulk over the parallel runtime: the band's row batch is
-  /// sharded across the pool's workers, each reading on its own replica
-  /// port (PolyMem::read_batch_mt). Output is bit-identical to the serial
-  /// offload_bulk for every pool size. Host-side only — the simulated
-  /// hardware offload stage stays the per-cycle Mode machinery.
-  void offload_bulk(Vector v, std::span<double> out,
-                    runtime::ThreadPool& pool);
 
  private:
   void tick_load(maxsim::Stream& in, const core::VectorBand& band);

@@ -79,54 +79,6 @@ TEST(BankArray, SizeMismatchRejected) {
   EXPECT_THROW(banks.write(addr, data), InvalidArgument);
 }
 
-TEST(BankArray, Counters) {
-  BankArray banks(2, 2, 4);
-  std::vector<std::int64_t> addr = {0, 0};
-  std::vector<hw::Word> data = {1, 2};
-  std::vector<hw::Word> out(2);
-  banks.begin_cycle();
-  banks.write(addr, data);       // 2 banks x 2 replicas = 4 writes
-  banks.read(0, addr, out);      // 2 reads
-  EXPECT_EQ(banks.total_writes(), 4u);
-  EXPECT_EQ(banks.total_reads(), 2u);
-}
-
-// The compiled engine credits whole accesses in O(1); the totals must
-// equal what the same accesses issued one ported cycle at a time count.
-TEST(BankArray, BulkCreditsMatchPerAccessTotals) {
-  constexpr unsigned kBanks = 4, kPorts = 3;
-  BankArray per_access(kBanks, kPorts, 8);
-  BankArray mixed(kBanks, kPorts, 8);
-  std::vector<std::int64_t> addr = {0, 1, 2, 3};
-  std::vector<hw::Word> data = {1, 2, 3, 4};
-  std::vector<hw::Word> out(kBanks);
-  // Per access: 5 reads on port 0, 2 on port 2, 3 writes.
-  for (int n = 0; n < 5; ++n) {
-    per_access.begin_cycle();
-    per_access.read(0, addr, out);
-  }
-  for (int n = 0; n < 2; ++n) {
-    per_access.begin_cycle();
-    per_access.read(2, addr, out);
-  }
-  for (int n = 0; n < 3; ++n) {
-    per_access.begin_cycle();
-    per_access.write(addr, data);
-  }
-  // Mixed: one read on port 0 and one write ported, the rest bulk.
-  mixed.begin_cycle();
-  mixed.read(0, addr, out);
-  mixed.write(addr, data);
-  mixed.add_bulk_reads(0, 4);
-  mixed.add_bulk_reads(2, 2);
-  mixed.add_bulk_writes(2);
-  EXPECT_EQ(per_access.total_reads(), 7u * kBanks);
-  EXPECT_EQ(per_access.total_writes(), 3u * kBanks * kPorts);
-  EXPECT_EQ(mixed.total_reads(), per_access.total_reads());
-  EXPECT_EQ(mixed.total_writes(), per_access.total_writes());
-  EXPECT_THROW(mixed.add_bulk_reads(kPorts, 1), InvalidArgument);
-}
-
 TEST(BankArray, InvalidIndicesRejected) {
   BankArray banks(2, 1, 4);
   EXPECT_THROW(banks.peek(2, 0), InvalidArgument);

@@ -3,9 +3,8 @@
 // read_batch / write_batch / stream_copy_batch (replayed, recompiled or
 // rebased by whole MAF periods), the single accesses
 // read_into / write / read_write and the host rectangle transfers
-// fill_rect / dump_rect perform ZERO heap allocations per call,
-// and read_batch_mt allocates per *invocation* (task plumbing), never per
-// access. Verified by counting global operator new calls —
+// fill_rect / dump_rect perform ZERO heap allocations per call.
+// Verified by counting global operator new calls —
 // including the aligned forms the compiled engine's cache-line-aligned
 // SoA tables (core/simd/aligned.hpp) go through.
 #include <gtest/gtest.h>
@@ -18,7 +17,6 @@
 
 #include "common/units.hpp"
 #include "core/polymem.hpp"
-#include "runtime/thread_pool.hpp"
 
 namespace {
 
@@ -235,36 +233,6 @@ TEST(BatchAllocation, RectTransfersAllocateNothing) {
               0u)
         << p << 'x' << q;
   }
-}
-
-TEST(BatchAllocation, MtReadAllocatesPerCallNotPerAccess) {
-  const auto cfg =
-      PolyMemConfig::with_capacity(64 * KiB, maf::Scheme::kReRo, 2, 4, 2);
-  PolyMem mem(cfg);
-  const auto lanes = static_cast<std::int64_t>(cfg.lanes());
-  const AccessBatch small{PatternKind::kRow, {0, 0}, {0, lanes},
-                          cfg.width / lanes,  {1, 0}, cfg.height / 8};
-  const AccessBatch large{PatternKind::kRow, {0, 0}, {0, lanes},
-                          cfg.width / lanes,  {1, 0}, cfg.height};
-  std::vector<Word> buf(static_cast<std::size_t>(large.count()) * lanes);
-  runtime::ThreadPool pool(3);
-
-  // Warm-up both shapes (templates + per-participant scratch).
-  mem.read_batch_mt(small, pool,
-                    std::span<Word>(buf).first(
-                        static_cast<std::size_t>(small.count()) * lanes));
-  mem.read_batch_mt(large, pool, buf);
-
-  // 8x the accesses must not mean more allocations: task plumbing is
-  // per-invocation, the per-access hot loop is allocation-free.
-  const std::uint64_t a_small = count_allocations([&] {
-    mem.read_batch_mt(small, pool,
-                      std::span<Word>(buf).first(
-                          static_cast<std::size_t>(small.count()) * lanes));
-  });
-  const std::uint64_t a_large =
-      count_allocations([&] { mem.read_batch_mt(large, pool, buf); });
-  EXPECT_LE(a_large, a_small + 4);  // scheduling jitter tolerance, not O(n)
 }
 
 }  // namespace

@@ -1,9 +1,9 @@
 // Differential gate of the compiled SIMD execution engine
 // (core/exec_plan.hpp + core/simd/): for every scheme x geometry x
 // supported pattern, the compiled path — at every kernel level the host
-// supports — must be bit-identical to the AGU reference for read_batch,
-// write_batch and read_batch_mt, and for the single accesses read_into,
-// write and read_write on every read port. Batches whose starts move by
+// supports — must be bit-identical to the AGU reference for read_batch
+// and write_batch, and for the single accesses read_into, write and
+// read_write, on every read port. Batches whose starts move by
 // whole MAF periods, which the compiled-plan memo serves by rebasing a
 // plan instead of recompiling, are held to the same reference, fused
 // copies included. Unsupported, unaligned and out-of-bounds single
@@ -24,7 +24,6 @@
 #include "common/units.hpp"
 #include "core/polymem.hpp"
 #include "core/simd/dispatch.hpp"
-#include "runtime/thread_pool.hpp"
 
 namespace polymem::core {
 namespace {
@@ -65,8 +64,8 @@ PolyMemConfig make_config(Scheme scheme, Geometry g, unsigned ports = 1) {
   return PolyMemConfig::with_capacity(16 * KiB, scheme, g.p, g.q, ports);
 }
 
-// Read ports of the single-access sweeps: enough that a wrong replica
-// offset in a gather table shows.
+// Read ports of the sweeps: enough that a wrong replica offset in a gather
+// table shows, and that a write must land on more than one replica.
 constexpr unsigned kPorts = 3;
 
 std::string where(Scheme scheme, Geometry g, PatternKind kind,
@@ -112,7 +111,7 @@ TEST(SimdExec, ReadBatchBitIdenticalAcrossLevels) {
   const auto levels = host_levels();
   for (Scheme scheme : maf::kAllSchemes) {
     for (Geometry g : kGeometries) {
-      const PolyMemConfig cfg = make_config(scheme, g);
+      const PolyMemConfig cfg = make_config(scheme, g, kPorts);
       PolyMem compiled(cfg);
       PolyMem interpreted(cfg);
       interpreted.set_plan_cache_enabled(false);
@@ -124,16 +123,16 @@ TEST(SimdExec, ReadBatchBitIdenticalAcrossLevels) {
         const AccessBatch batch = full_sweep(cfg, compiled, kind, level);
         std::vector<Word> want(
             static_cast<std::size_t>(batch.count()) * cfg.lanes());
-        interpreted.read_batch(batch, 0, want);
         std::vector<Word> got(want.size());
-        for (simd::Level l : levels) {
-          simd::force_level(l);
-          got.assign(got.size(), 0);
-          compiled.read_batch(batch, 0, got);
-          ASSERT_EQ(got, want)
-              << maf::scheme_name(scheme) << " " << g.p << "x" << g.q << " "
-              << access::pattern_name(kind) << " level "
-              << simd::level_name(l);
+        for (unsigned port = 0; port < kPorts; ++port) {
+          interpreted.read_batch(batch, port, want);
+          for (simd::Level l : levels) {
+            simd::force_level(l);
+            got.assign(got.size(), 0);
+            compiled.read_batch(batch, port, got);
+            ASSERT_EQ(got, want) << where(scheme, g, kind, l) << " port "
+                                 << port;
+          }
         }
       }
     }
@@ -145,7 +144,7 @@ TEST(SimdExec, WriteBatchBitIdenticalAcrossLevels) {
   const auto levels = host_levels();
   for (Scheme scheme : maf::kAllSchemes) {
     for (Geometry g : kGeometries) {
-      const PolyMemConfig cfg = make_config(scheme, g);
+      const PolyMemConfig cfg = make_config(scheme, g, kPorts);
       for (PatternKind kind : access::kAllPatterns) {
         // Fresh, identically-seeded instances per pattern: sweeps that do
         // not cover every cell must still match on the untouched ones.
@@ -164,44 +163,24 @@ TEST(SimdExec, WriteBatchBitIdenticalAcrossLevels) {
         std::vector<Word> want(cells), got(cells);
         interpreted.write_batch(batch, data);
         interpreted.dump_rect({0, 0}, cfg.height, cfg.width, want);
+        // The sweep's footprint read back on every port: each replica
+        // must hold the written image.
+        std::vector<Word> want_back(data.size()), got_back(data.size());
         for (simd::Level l : levels) {
           simd::force_level(l);
           PolyMem compiled(cfg);
           fill_deterministic(compiled);
           compiled.write_batch(batch, data);
           compiled.dump_rect({0, 0}, cfg.height, cfg.width, got);
-          ASSERT_EQ(got, want)
-              << maf::scheme_name(scheme) << " " << g.p << "x" << g.q << " "
-              << access::pattern_name(kind) << " level "
-              << simd::level_name(l);
+          ASSERT_EQ(got, want) << where(scheme, g, kind, l);
+          for (unsigned port = 0; port < kPorts; ++port) {
+            interpreted.read_batch(batch, port, want_back);
+            compiled.read_batch(batch, port, got_back);
+            ASSERT_EQ(got_back, want_back) << where(scheme, g, kind, l)
+                                           << " port " << port;
+          }
         }
       }
-    }
-  }
-}
-
-TEST(SimdExec, ReadBatchMtBitIdenticalAcrossLevelsAndWorkerCounts) {
-  LevelGuard guard;
-  const auto levels = host_levels();
-  const PolyMemConfig cfg = PolyMemConfig::with_capacity(
-      64 * KiB, Scheme::kReRo, 2, 4, /*read_ports=*/2);
-  PolyMem mem(cfg);
-  fill_deterministic(mem);
-  const AccessBatch batch{PatternKind::kRow, {0, 0},
-                          {0, static_cast<std::int64_t>(cfg.lanes())},
-                          cfg.width / cfg.lanes(), {1, 0},
-                          cfg.height};
-  std::vector<Word> want(
-      static_cast<std::size_t>(batch.count()) * cfg.lanes());
-  mem.read_batch(batch, 0, want);
-  for (unsigned workers : {0u, 1u, 3u}) {
-    runtime::ThreadPool pool(workers);
-    for (simd::Level l : levels) {
-      simd::force_level(l);
-      std::vector<Word> got(want.size(), 0);
-      mem.read_batch_mt(batch, pool, got);
-      ASSERT_EQ(got, want) << workers << " workers, level "
-                           << simd::level_name(l);
     }
   }
 }

@@ -56,17 +56,6 @@ TEST(BramBank, AddressBoundsChecked) {
   EXPECT_THROW(b.peek(100), InvalidArgument);
 }
 
-TEST(BramBank, Counters) {
-  BramBank b(8);
-  for (int c = 0; c < 5; ++c) {
-    b.begin_cycle();
-    b.read(0);
-    if (c % 2 == 0) b.write(1, c);
-  }
-  EXPECT_EQ(b.total_reads(), 5u);
-  EXPECT_EQ(b.total_writes(), 3u);
-}
-
 TEST(BramBank, PeekPokeBypassPortAccounting) {
   BramBank b(8);
   b.begin_cycle();

@@ -17,12 +17,19 @@ struct ValidationCase {
   unsigned size_kb, lanes, ports;
 };
 
-std::string case_name(const ::testing::TestParamInfo<ValidationCase>& info) {
-  const auto& c = info.param;
+std::string label(const ValidationCase& c) {
   return std::string(maf::scheme_name(c.scheme)) + "_" +
          std::to_string(c.size_kb) + "KB_" + std::to_string(c.lanes) + "L_" +
          std::to_string(c.ports) + "P";
 }
+
+std::string case_name(const ::testing::TestParamInfo<ValidationCase>& info) {
+  return label(info.param);
+}
+
+// gtest puts the printed param into every discovered test name; without a
+// printer it dumps the struct's raw bytes, padding included.
+void PrintTo(const ValidationCase& c, std::ostream* os) { *os << label(c); }
 
 class DseValidation : public ::testing::TestWithParam<ValidationCase> {};
 

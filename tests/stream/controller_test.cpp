@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "common/error.hpp"
-#include "runtime/thread_pool.hpp"
 #include "stream/design.hpp"
 
 namespace polymem::stream {
@@ -203,22 +202,6 @@ TEST_F(ControllerTest, BulkTransfersRoundTrip) {
   std::vector<double> back(64);
   ctl_.offload_bulk(Vector::kA, back);
   EXPECT_EQ(back, a);
-}
-
-TEST_F(ControllerTest, PooledOffloadMatchesSerialOffload) {
-  // The threaded host-side offload (read_batch_mt under the hood) must be
-  // bit-identical to the serial one for every pool size.
-  const auto b = iota_doubles(64, -3.25);
-  ctl_.preload(Vector::kB, b);
-  std::vector<double> serial(64);
-  ctl_.offload_bulk(Vector::kB, serial);
-  EXPECT_EQ(serial, b);
-  for (unsigned workers : {0u, 1u, 3u}) {
-    runtime::ThreadPool pool(workers);
-    std::vector<double> pooled(64, -1.0);
-    ctl_.offload_bulk(Vector::kB, pooled, pool);
-    EXPECT_EQ(pooled, serial) << "workers " << workers;
-  }
 }
 
 TEST_F(ControllerTest, BackToBackStagesReuseTheController) {

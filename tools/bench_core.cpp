@@ -24,7 +24,6 @@
 #include "common/units.hpp"
 #include "core/polymem.hpp"
 #include "core/simd/dispatch.hpp"
-#include "runtime/thread_pool.hpp"
 
 namespace {
 
@@ -96,18 +95,13 @@ double cpu_ghz() {
   return 0.0;
 }
 
-// Workers of the batched_mt pool (the caller is the extra participant).
-unsigned mt_pool_workers() {
-  return runtime::ThreadPool::hardware_threads() - 1;
-}
-
 struct Result {
   std::string scheme;
   unsigned p, q;
   std::string pattern;
-  double naive_ns, single_ns, batched_ns, mt_ns;
+  double naive_ns, single_ns, batched_ns;
   double scalar_ns, simd_ns;
-  double single_speedup, batched_speedup, mt_speedup, simd_speedup;
+  double single_speedup, batched_speedup, simd_speedup;
   double single_over_batched;
   double bytes_per_access, bytes_per_cycle;
 };
@@ -163,20 +157,6 @@ Result run_case(const Case& c) {
   const double bytes_per_cycle =
       ghz > 0.0 ? bytes_per_access / (simd_ns * ghz) : 0.0;
 
-  // Threaded variant of the batched engine (read_batch_mt over the
-  // parallel runtime, hardware-sized pool). Same workload, bit-identical
-  // output — see bench_parallel for the dedicated multi-port study. The
-  // batch is one column of 32-128 anchors, so each call wakes the pool
-  // for about a microsecond of gathers: on a one-core host (pool size 0)
-  // the figure tracks batched_ns, on a multi-core host the wake-up
-  // dominates.
-  runtime::ThreadPool pool(mt_pool_workers());
-  auto batched_mt = [&] {
-    for (std::int64_t r = 0; r < reps; ++r)
-      mem.read_batch_mt(batch, pool, bulk);
-  };
-  const double mt_ns = measure_ns(batched_mt) / scale;
-
   return {maf::scheme_name(c.scheme),
           c.p,
           c.q,
@@ -184,12 +164,10 @@ Result run_case(const Case& c) {
           naive_ns,
           single_ns,
           batched_ns,
-          mt_ns,
           scalar_ns,
           simd_ns,
           naive_ns / single_ns,
           naive_ns / batched_ns,
-          naive_ns / mt_ns,
           scalar_ns / simd_ns,
           single_ns / batched_ns,
           bytes_per_access,
@@ -206,7 +184,6 @@ void write_json(const std::vector<Result>& results, const std::string& path) {
      << "  \"trials\": " << kTrials << ",\n"
      << "  \"simd_level\": \""
      << core::simd::level_name(core::simd::detected_level()) << "\",\n"
-     << "  \"mt_pool_workers\": " << mt_pool_workers() << ",\n"
      << "  \"cases\": [\n";
   for (std::size_t k = 0; k < results.size(); ++k) {
     const Result& r = results[k];
@@ -214,14 +191,12 @@ void write_json(const std::vector<Result>& results, const std::string& path) {
        << ", \"q\": " << r.q << ", \"pattern\": \"" << r.pattern << "\",\n"
        << "     \"naive_ns\": " << r.naive_ns
        << ", \"single_ns\": " << r.single_ns
-       << ", \"batched_ns\": " << r.batched_ns
-       << ", \"batched_mt_ns\": " << r.mt_ns << ",\n"
+       << ", \"batched_ns\": " << r.batched_ns << ",\n"
        << "     \"scalar_ns\": " << r.scalar_ns
        << ", \"simd_ns\": " << r.simd_ns
        << ", \"simd_speedup\": " << r.simd_speedup << ",\n"
        << "     \"single_speedup\": " << r.single_speedup
        << ", \"batched_speedup\": " << r.batched_speedup
-       << ", \"batched_mt_speedup\": " << r.mt_speedup
        << ", \"single_over_batched\": " << r.single_over_batched << ",\n"
        << "     \"bytes_per_access\": " << r.bytes_per_access
        << ", \"bytes_per_cycle\": " << r.bytes_per_cycle << "}"
@@ -242,7 +217,6 @@ int main(int argc, char** argv) {
               << "): naive " << r.naive_ns << " ns, single " << r.single_ns
               << " ns (" << r.single_speedup << "x), batched "
               << r.batched_ns << " ns (" << r.batched_speedup
-              << "x), batched-mt " << r.mt_ns << " ns (" << r.mt_speedup
               << "x), scalar " << r.scalar_ns << " ns vs simd " << r.simd_ns
               << " ns (" << r.simd_speedup << "x), " << r.bytes_per_cycle
               << " B/cycle\n";

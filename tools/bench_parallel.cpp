@@ -1,23 +1,17 @@
-// Parallel-runtime benchmark runner: measures (1) the DSE sweep wall time
+// Parallel-runtime benchmark runner: measures the DSE sweep wall time
 // serial vs multi-threaded (dse::DseExplorer::sweep over the thread pool)
-// and (2) batched parallel-read throughput of the serial single-port
-// engine vs the concurrent multi-port engine (PolyMem::read_batch vs
-// read_batch_mt), and emits machine-readable JSON (BENCH_parallel.json)
-// committed at the repo root.
+// and emits machine-readable JSON (BENCH_parallel.json) committed at the
+// repo root.
 //
 // Like bench_core this runner is dependency-free (plain chrono, fixed
-// workloads). Trial wall times feed the common/stats Reservoir, so the
-// read comparison reports a p95 tail next to the median instead of wall
-// time alone. Both comparisons cross-check results
-// before timing counts: the sweep checksums must match the serial sweep
-// and the MT read output must be bit-identical to the serial read, so a
+// workloads, median of trials through the common/stats Reservoir). The
+// sweep checksums must match the serial sweep before timing counts, so a
 // determinism regression fails the benchmark rather than skewing it.
 //
-// The container this repo grows in may expose a single hardware thread;
-// the JSON therefore records hardware_threads next to every speedup so
-// numbers from different hosts are comparable. On a 1-CPU host the
-// speedups hover around 1x — the interesting signal is then the
-// *overhead* (how far below 1x the threaded path falls).
+// The JSON records hardware_threads next to the speedup so numbers from
+// different hosts are comparable. On a 1-CPU host the speedup hovers
+// around 1x — the interesting signal is then the *overhead* (how far
+// below 1x the threaded path falls).
 //
 // Usage: bench_parallel [output.json] [threads]
 //        (defaults: BENCH_parallel.json, hardware concurrency)
@@ -31,8 +25,6 @@
 #include <vector>
 
 #include "common/stats.hpp"
-#include "common/units.hpp"
-#include "core/polymem.hpp"
 #include "dse/explorer.hpp"
 #include "runtime/thread_pool.hpp"
 
@@ -41,29 +33,22 @@ namespace {
 using namespace polymem;
 using Clock = std::chrono::steady_clock;
 
-constexpr int kTrials = 5;        // slow sweeps: median only
-constexpr int kReadTrials = 31;   // fast reads: enough for a p95 tail
+constexpr int kTrials = 5;
 
-/// Times `trials` runs (after one warm-up) and summarizes the per-trial
-/// wall-time distribution in milliseconds through the common/stats
-/// Reservoir — the same percentile machinery the service load generator
-/// uses for request latency.
+/// Median wall time in milliseconds of kTrials runs after one warm-up,
+/// through the common/stats Reservoir — the same percentile machinery the
+/// service load generator uses for request latency.
 template <typename Fn>
-Reservoir::Summary trial_summary(Fn&& run, int trials) {
-  Reservoir res(static_cast<std::size_t>(trials), /*seed=*/7);
+double median_ms(Fn&& run) {
+  Reservoir res(static_cast<std::size_t>(kTrials), /*seed=*/7);
   run();  // warm-up
-  for (int t = 0; t < trials; ++t) {
+  for (int t = 0; t < kTrials; ++t) {
     const auto start = Clock::now();
     run();
     const auto stop = Clock::now();
     res.add(std::chrono::duration<double, std::milli>(stop - start).count());
   }
-  return res.summary();
-}
-
-template <typename Fn>
-double median_ms(Fn&& run) {
-  return trial_summary(run, kTrials).p50;
+  return res.summary().p50;
 }
 
 struct SweepResult {
@@ -93,91 +78,21 @@ SweepResult bench_sweep(unsigned threads) {
   return r;
 }
 
-struct ReadResult {
-  unsigned ports;
-  double serial_ns, mt_ns, speedup;      // per access, from the p50 trial
-  double serial_p95_ns, mt_p95_ns;       // per access, p95 trial tail
-  double serial_gbps, mt_gbps;  // aggregate bandwidth over the batch
-  bool bit_identical;
-};
-
-ReadResult bench_read(unsigned ports, unsigned threads) {
-  const auto cfg = core::PolyMemConfig::with_capacity(
-      256 * KiB, maf::Scheme::kReRo, 2, 4, ports);
-  core::PolyMem mem(cfg);
-  std::vector<core::Word> row(cfg.width);
-  for (std::int64_t i = 0; i < cfg.height; ++i) {
-    for (std::int64_t j = 0; j < cfg.width; ++j)
-      row[j] = static_cast<core::Word>(i * cfg.width + j);
-    mem.fill_rect({i, 0}, 1, cfg.width, row);
-  }
-
-  const auto lanes = static_cast<std::int64_t>(cfg.lanes());
-  const core::AccessBatch batch{access::PatternKind::kRow, {0, 0},
-                                {0, lanes}, cfg.width / lanes,
-                                {1, 0},     cfg.height};
-  const std::int64_t accesses = batch.count();
-  std::vector<core::Word> serial(static_cast<std::size_t>(accesses) * lanes);
-  std::vector<core::Word> parallel(serial.size());
-  runtime::ThreadPool pool(threads > 0 ? threads - 1 : 0);
-
-  mem.read_batch(batch, 0, serial);
-  mem.read_batch_mt(batch, pool, parallel);
-  const bool identical = serial == parallel;
-
-  const auto serial_trials = trial_summary(
-      [&] { mem.read_batch(batch, 0, serial); }, kReadTrials);
-  const auto mt_trials = trial_summary(
-      [&] { mem.read_batch_mt(batch, pool, parallel); }, kReadTrials);
-
-  const double bytes =
-      static_cast<double>(serial.size()) * sizeof(core::Word);
-  const double per_access = 1e6 / static_cast<double>(accesses);
-  ReadResult r{};
-  r.ports = ports;
-  r.serial_ns = serial_trials.p50 * per_access;
-  r.mt_ns = mt_trials.p50 * per_access;
-  r.serial_p95_ns = serial_trials.p95 * per_access;
-  r.mt_p95_ns = mt_trials.p95 * per_access;
-  r.speedup = r.serial_ns / r.mt_ns;
-  r.serial_gbps = bytes / (serial_trials.p50 * 1e-3) / 1e9;
-  r.mt_gbps = bytes / (mt_trials.p50 * 1e-3) / 1e9;
-  r.bit_identical = identical;
-  return r;
-}
-
 void write_json(const std::string& path, unsigned threads,
-                const SweepResult& sweep,
-                const std::vector<ReadResult>& reads) {
+                const SweepResult& sweep) {
   std::ofstream os(path);
   os.precision(2);
   os << std::fixed;
   os << "{\n  \"benchmark\": \"polymem_parallel_runtime\",\n"
      << "  \"hardware_threads\": " << runtime::ThreadPool::hardware_threads()
      << ",\n  \"threads\": " << threads << ",\n  \"trials\": " << kTrials
-     << ",\n  \"read_trials\": " << kReadTrials << ",\n"
+     << ",\n"
      << "  \"dse_sweep\": {\"points\": 90, \"validate\": true,\n"
      << "    \"serial_ms\": " << sweep.serial_ms
      << ", \"parallel_ms\": " << sweep.parallel_ms
      << ", \"speedup\": " << sweep.speedup << ",\n"
      << "    \"checksums_match\": "
-     << (sweep.checksums_match ? "true" : "false") << "},\n"
-     << "  \"batched_read\": [\n";
-  for (std::size_t k = 0; k < reads.size(); ++k) {
-    const ReadResult& r = reads[k];
-    os << "    {\"scheme\": \"ReRo\", \"p\": 2, \"q\": 4, \"ports\": "
-       << r.ports << ",\n"
-       << "     \"serial_ns_per_access\": " << r.serial_ns
-       << ", \"mt_ns_per_access\": " << r.mt_ns
-       << ", \"speedup\": " << r.speedup << ",\n"
-       << "     \"serial_p95_ns_per_access\": " << r.serial_p95_ns
-       << ", \"mt_p95_ns_per_access\": " << r.mt_p95_ns << ",\n"
-       << "     \"serial_gb_per_s\": " << r.serial_gbps
-       << ", \"mt_gb_per_s\": " << r.mt_gbps << ", \"bit_identical\": "
-       << (r.bit_identical ? "true" : "false") << "}"
-       << (k + 1 < reads.size() ? ",\n" : "\n");
-  }
-  os << "  ]\n}\n";
+     << (sweep.checksums_match ? "true" : "false") << "}\n}\n";
 }
 
 }  // namespace
@@ -198,25 +113,10 @@ int main(int argc, char** argv) {
             << " ms (" << sweep.speedup << "x), checksums "
             << (sweep.checksums_match ? "match" : "DIVERGE") << "\n";
 
-  std::vector<ReadResult> reads;
-  for (unsigned ports : {1u, 2u, 4u}) {
-    reads.push_back(bench_read(ports, threads));
-    const ReadResult& r = reads.back();
-    std::cout << "batched read ReRo 2x4 " << r.ports << "P: serial "
-              << r.serial_ns << " ns/access (p95 " << r.serial_p95_ns
-              << ", " << r.serial_gbps << " GB/s), mt " << r.mt_ns
-              << " ns/access (p95 " << r.mt_p95_ns << ", " << r.mt_gbps
-              << " GB/s, " << r.speedup << "x), "
-              << (r.bit_identical ? "bit-identical" : "OUTPUT DIVERGES")
-              << "\n";
-  }
-
-  write_json(path, threads, sweep, reads);
+  write_json(path, threads, sweep);
   std::cout << "wrote " << path << "\n";
 
-  bool ok = sweep.checksums_match;
-  for (const ReadResult& r : reads) ok = ok && r.bit_identical;
-  if (!ok) {
+  if (!sweep.checksums_match) {
     std::cerr << "ERROR: parallel results diverge from serial reference\n";
     return 1;
   }
