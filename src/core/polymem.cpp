@@ -50,7 +50,7 @@ void PolyMem::execute_read(const ClassTables* t, std::int64_t delta,
                            Scratch& s, unsigned port, std::span<Word> out) {
   if (t != nullptr) {
     const unsigned lanes = config_.lanes();
-    simd::kernels().gather_run(
+    simd::gather_run(
         t->lane_base.data() + static_cast<std::size_t>(port) * lanes, lanes,
         &delta, 1, out.data());
     return;
@@ -63,9 +63,9 @@ void PolyMem::execute_read(const ClassTables* t, std::int64_t delta,
 void PolyMem::execute_write(const ClassTables* t, std::int64_t delta,
                             Scratch& s, std::span<const Word> data) {
   if (t != nullptr) {
-    simd::kernels().scatter_run(t->bank_base.data(), config_.read_ports,
-                                t->lane_for_bank.data(), config_.lanes(),
-                                &delta, 1, data.data());
+    simd::scatter_run(t->bank_base.data(), config_.read_ports,
+                      t->lane_for_bank.data(), config_.lanes(), &delta, 1,
+                      data.data());
     return;
   }
   address_shuffle(s.plan, s.bank_addr);
@@ -209,29 +209,27 @@ ExecPlan* PolyMem::compiled_plan(const AccessBatch& batch,
 
 void PolyMem::exec_read(const ExecPlan& plan, unsigned port, std::int64_t t0,
                         std::int64_t count, Word* out) {
-  const simd::Kernels& kernels = simd::kernels();
   const std::uintptr_t* const* lane_bases = plan.lane_bases(port);
   if (plan.uniform()) {
-    kernels.gather_run(lane_bases[0], plan.lanes(), plan.delta() + t0, count,
-                       out);
+    simd::gather_run(lane_bases[0], plan.lanes(), plan.delta() + t0, count,
+                     out);
     return;
   }
-  kernels.gather_multi(lane_bases, plan.tmpl_of() + t0, plan.lanes(),
-                       plan.delta() + t0, count, out);
+  simd::gather_multi(lane_bases, plan.tmpl_of() + t0, plan.lanes(),
+                     plan.delta() + t0, count, out);
 }
 
 void PolyMem::exec_write(const ExecPlan& plan, std::int64_t t0,
                          std::int64_t count, const Word* data) {
-  const simd::Kernels& kernels = simd::kernels();
   if (plan.uniform()) {
-    kernels.scatter_run(plan.bank_bases()[0], plan.ports(),
-                        plan.lanes_for_bank()[0], plan.lanes(),
-                        plan.delta() + t0, count, data);
+    simd::scatter_run(plan.bank_bases()[0], plan.ports(),
+                      plan.lanes_for_bank()[0], plan.lanes(),
+                      plan.delta() + t0, count, data);
     return;
   }
-  kernels.scatter_multi(plan.bank_bases(), plan.lanes_for_bank(),
-                        plan.tmpl_of() + t0, plan.ports(), plan.lanes(),
-                        plan.delta() + t0, count, data);
+  simd::scatter_multi(plan.bank_bases(), plan.lanes_for_bank(),
+                      plan.tmpl_of() + t0, plan.ports(), plan.lanes(),
+                      plan.delta() + t0, count, data);
 }
 
 void PolyMem::read_batch(const AccessBatch& batch, unsigned port,

@@ -18,9 +18,8 @@
 //    computed once (core/plan_cache.hpp) and compiled to flat pointer
 //    tables (core/exec_plan.hpp). A single access is one template lookup
 //    plus a one-access gather/scatter; a batch is lowered whole to
-//    structure-of-arrays form. CPU-dispatched kernels (core/simd/) —
-//    scalar, AVX2 or NEON, selected at startup and overridable via
-//    POLYMEM_SIMD / POLYMEM_FORCE_SCALAR — execute both;
+//    structure-of-arrays form. One family of portable gather/scatter
+//    kernels (core/simd/) executes both;
 //  - the *AGU reference* runs the data path literally per access (support
 //    probe, bounds check, per-lane MAF + addressing, three checked
 //    shuffles, per-cycle bank port accounting). It reports the exact
@@ -103,7 +102,7 @@ class PolyMem {
 
   /// Batched access engine: validates the whole batch once (support,
   /// alignment, bounds), then compiles it to a flat ExecPlan and executes
-  /// it with the dispatched gather/scatter kernels (core/simd/) — no
+  /// it with the gather/scatter kernels (core/simd/) — no
   /// per-access allocation, re-validation or per-bank call. Compiled
   /// plans are memoized per batch, so replaying an equal batch skips
   /// compilation entirely, and a batch of the same shape moved by whole

@@ -1,12 +1,9 @@
-// Scalar reference kernels: the portable fallback every SIMD level must
-// match bit-for-bit (tests/core/simd_exec_test.cpp), and the default on
-// hosts without AVX2/NEON or under POLYMEM_FORCE_SCALAR.
+// The engine's gather/scatter kernels (contracts in dispatch.hpp).
 //
-// Even "scalar" is the fast path relative to the pre-compiled engine: one
-// access is `lanes` independent loads off a flat pointer table — no bank
-// objects, no port accounting, no per-lane function calls — which the
-// compiler unrolls and schedules freely.
-#include "core/simd/kernels.hpp"
+// One access is `lanes` independent loads off a flat pointer table — no
+// bank objects, no port accounting, no per-lane function calls — which
+// the compiler unrolls and schedules freely.
+#include "core/simd/dispatch.hpp"
 
 namespace polymem::core::simd {
 
@@ -21,6 +18,18 @@ inline Word* mut_word_at(std::uintptr_t base, std::int64_t delta_bytes) {
   return reinterpret_cast<Word*>(base +
                                  static_cast<std::uintptr_t>(delta_bytes));
 }
+
+inline void scatter_one(const std::uintptr_t* bank_base, unsigned replicas,
+                        const std::uint32_t* lane_for_bank, unsigned lanes,
+                        std::int64_t db, const Word* d) {
+  for (unsigned r = 0; r < replicas; ++r) {
+    const std::uintptr_t* base = bank_base + static_cast<std::size_t>(r) * lanes;
+    for (unsigned b = 0; b < lanes; ++b)
+      *mut_word_at(base[b], db) = d[lane_for_bank[b]];
+  }
+}
+
+}  // namespace
 
 void gather_run(const std::uintptr_t* lane_base, unsigned lanes,
                 const std::int64_t* delta, std::int64_t count, Word* out) {
@@ -41,16 +50,6 @@ void gather_multi(const std::uintptr_t* const* table_lane_base,
         delta[t] * static_cast<std::int64_t>(sizeof(Word));
     Word* o = out + static_cast<std::size_t>(t) * lanes;
     for (unsigned k = 0; k < lanes; ++k) o[k] = *word_at(lane_base[k], db);
-  }
-}
-
-inline void scatter_one(const std::uintptr_t* bank_base, unsigned replicas,
-                        const std::uint32_t* lane_for_bank, unsigned lanes,
-                        std::int64_t db, const Word* d) {
-  for (unsigned r = 0; r < replicas; ++r) {
-    const std::uintptr_t* base = bank_base + static_cast<std::size_t>(r) * lanes;
-    for (unsigned b = 0; b < lanes; ++b)
-      *mut_word_at(base[b], db) = d[lane_for_bank[b]];
   }
 }
 
@@ -75,14 +74,6 @@ void scatter_multi(const std::uintptr_t* const* table_bank_base,
                 delta[t] * static_cast<std::int64_t>(sizeof(Word)),
                 data + static_cast<std::size_t>(t) * lanes);
   }
-}
-
-}  // namespace
-
-const Kernels& scalar_kernels() {
-  static const Kernels k{Level::kScalar, gather_run, gather_multi,
-                         scatter_run, scatter_multi};
-  return k;
 }
 
 }  // namespace polymem::core::simd

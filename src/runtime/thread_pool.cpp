@@ -25,11 +25,6 @@ unsigned ThreadPool::hardware_threads() {
   return std::max(1u, std::thread::hardware_concurrency());
 }
 
-ThreadPool& ThreadPool::hardware() {
-  static ThreadPool pool(hardware_threads());
-  return pool;
-}
-
 void ThreadPool::submit(std::function<void()> task) {
   // Design rule 3: a pool of size 0 degrades to serial execution. Without
   // workers a queued task would never run (and wait_idle would block

@@ -43,7 +43,7 @@ namespace polymem::runtime {
 class ThreadPool {
  public:
   /// `threads` worker threads (0 is valid: every operation then runs on
-  /// the calling thread). `hardware()` picks the host's concurrency.
+  /// the calling thread).
   explicit ThreadPool(unsigned threads);
   ~ThreadPool();
 
@@ -54,9 +54,6 @@ class ThreadPool {
 
   /// Host hardware concurrency (at least 1).
   static unsigned hardware_threads();
-
-  /// Pool sized to the host (size() == hardware_threads()).
-  static ThreadPool& hardware();
 
   /// Enqueues one task. Tasks must not throw (parallel_for wraps user
   /// callables and routes their exceptions; raw submit is for internal

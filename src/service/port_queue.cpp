@@ -70,9 +70,4 @@ PortQueueStats PortQueue::stats() const {
   return {pushed_, shed_, depth_high_water_.max()};
 }
 
-void PortQueue::note_shed() {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  ++shed_;
-}
-
 }  // namespace polymem::service

@@ -77,9 +77,6 @@ class PortQueue {
   bool empty() const { return depth() == 0; }
   PortQueueStats stats() const;
 
-  /// Records a shed decided by the engine (e.g. submit after stop).
-  void note_shed();
-
  private:
   bool same_tile(const access::Coord& a, const access::Coord& b) const;
   std::size_t slot(std::size_t offset) const {

@@ -1,15 +1,14 @@
-// Differential gate of the compiled SIMD execution engine
+// Differential gate of the compiled execution engine
 // (core/exec_plan.hpp + core/simd/): for every scheme x geometry x
-// supported pattern, the compiled path — at every kernel level the host
-// supports — must be bit-identical to the AGU reference for read_batch
-// and write_batch, and for the single accesses read_into, write and
-// read_write, on every read port. Batches whose starts move by
-// whole MAF periods, which the compiled-plan memo serves by rebasing a
-// plan instead of recompiling, are held to the same reference, fused
-// copies included. Unsupported, unaligned and out-of-bounds single
-// accesses must throw what the reference throws and change nothing. A
-// forced-scalar dispatch test keeps the fallback kernels exercised on
-// AVX2 hosts.
+// supported pattern, the compiled path — its gather/scatter kernels run
+// by the single-access and batch executors — must be bit-identical to
+// the AGU reference for read_batch and write_batch, and for the single
+// accesses read_into, write and read_write, on every read port. Batches
+// whose starts move by whole MAF periods, which the compiled-plan memo
+// serves by rebasing a plan instead of recompiling, are held to the same
+// reference, fused copies included. Unsupported, unaligned and
+// out-of-bounds single accesses must throw what the reference throws and
+// change nothing.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -39,27 +38,6 @@ struct Geometry {
 
 constexpr Geometry kGeometries[] = {{2, 2}, {2, 4}, {4, 4}};
 
-// Restores whatever level was active on entry (which may be scalar via
-// POLYMEM_FORCE_SCALAR even on an AVX2 host) when a test exits, pass or
-// fail — the SIMD sweeps must not leak a forced level into later tests.
-struct LevelGuard {
-  simd::Level entry = simd::active_level();
-  ~LevelGuard() { simd::force_level(entry); }
-};
-
-// Every level the host can actually run (scalar always; AVX2/NEON when
-// detected). force_level clamps, so requesting an unsupported level
-// silently stays scalar — filter those out to avoid duplicate runs.
-std::vector<simd::Level> host_levels() {
-  LevelGuard guard;
-  std::vector<simd::Level> levels{simd::Level::kScalar};
-  for (simd::Level l : {simd::Level::kAvx2, simd::Level::kNeon}) {
-    simd::force_level(l);
-    if (simd::active_level() == l) levels.push_back(l);
-  }
-  return levels;
-}
-
 PolyMemConfig make_config(Scheme scheme, Geometry g, unsigned ports = 1) {
   return PolyMemConfig::with_capacity(16 * KiB, scheme, g.p, g.q, ports);
 }
@@ -68,11 +46,10 @@ PolyMemConfig make_config(Scheme scheme, Geometry g, unsigned ports = 1) {
 // table shows, and that a write must land on more than one replica.
 constexpr unsigned kPorts = 3;
 
-std::string where(Scheme scheme, Geometry g, PatternKind kind,
-                  simd::Level level) {
+std::string where(Scheme scheme, Geometry g, PatternKind kind) {
   std::ostringstream os;
   os << maf::scheme_name(scheme) << " " << g.p << "x" << g.q << " "
-     << access::pattern_name(kind) << " level " << simd::level_name(level);
+     << access::pattern_name(kind);
   return os.str();
 }
 
@@ -107,8 +84,6 @@ AccessBatch full_sweep(const PolyMemConfig& cfg, const PolyMem& mem,
 }
 
 TEST(SimdExec, ReadBatchBitIdenticalAcrossLevels) {
-  LevelGuard guard;
-  const auto levels = host_levels();
   for (Scheme scheme : maf::kAllSchemes) {
     for (Geometry g : kGeometries) {
       const PolyMemConfig cfg = make_config(scheme, g, kPorts);
@@ -126,13 +101,9 @@ TEST(SimdExec, ReadBatchBitIdenticalAcrossLevels) {
         std::vector<Word> got(want.size());
         for (unsigned port = 0; port < kPorts; ++port) {
           interpreted.read_batch(batch, port, want);
-          for (simd::Level l : levels) {
-            simd::force_level(l);
-            got.assign(got.size(), 0);
-            compiled.read_batch(batch, port, got);
-            ASSERT_EQ(got, want) << where(scheme, g, kind, l) << " port "
-                                 << port;
-          }
+          got.assign(got.size(), 0);
+          compiled.read_batch(batch, port, got);
+          ASSERT_EQ(got, want) << where(scheme, g, kind) << " port " << port;
         }
       }
     }
@@ -140,8 +111,6 @@ TEST(SimdExec, ReadBatchBitIdenticalAcrossLevels) {
 }
 
 TEST(SimdExec, WriteBatchBitIdenticalAcrossLevels) {
-  LevelGuard guard;
-  const auto levels = host_levels();
   for (Scheme scheme : maf::kAllSchemes) {
     for (Geometry g : kGeometries) {
       const PolyMemConfig cfg = make_config(scheme, g, kPorts);
@@ -166,31 +135,26 @@ TEST(SimdExec, WriteBatchBitIdenticalAcrossLevels) {
         // The sweep's footprint read back on every port: each replica
         // must hold the written image.
         std::vector<Word> want_back(data.size()), got_back(data.size());
-        for (simd::Level l : levels) {
-          simd::force_level(l);
-          PolyMem compiled(cfg);
-          fill_deterministic(compiled);
-          compiled.write_batch(batch, data);
-          compiled.dump_rect({0, 0}, cfg.height, cfg.width, got);
-          ASSERT_EQ(got, want) << where(scheme, g, kind, l);
-          for (unsigned port = 0; port < kPorts; ++port) {
-            interpreted.read_batch(batch, port, want_back);
-            compiled.read_batch(batch, port, got_back);
-            ASSERT_EQ(got_back, want_back) << where(scheme, g, kind, l)
-                                           << " port " << port;
-          }
+        PolyMem compiled(cfg);
+        fill_deterministic(compiled);
+        compiled.write_batch(batch, data);
+        compiled.dump_rect({0, 0}, cfg.height, cfg.width, got);
+        ASSERT_EQ(got, want) << where(scheme, g, kind);
+        for (unsigned port = 0; port < kPorts; ++port) {
+          interpreted.read_batch(batch, port, want_back);
+          compiled.read_batch(batch, port, got_back);
+          ASSERT_EQ(got_back, want_back)
+              << where(scheme, g, kind) << " port " << port;
         }
       }
     }
   }
 }
 
-// Write-then-read round trip through the compiled engine at every level,
-// against a host-side mirror — catches a scatter/gather pair that is
+// Write-then-read round trip through the compiled engine, against a
+// host-side mirror — catches a scatter/gather pair that is
 // self-consistently wrong.
 TEST(SimdExec, RoundTripMatchesHostMirror) {
-  LevelGuard guard;
-  const auto levels = host_levels();
   const PolyMemConfig cfg = make_config(Scheme::kRoCo, {4, 4});
   const AccessBatch batch{PatternKind::kRect, {0, 0},
                           {0, 4}, cfg.width / 4, {4, 0}, cfg.height / 4};
@@ -198,19 +162,14 @@ TEST(SimdExec, RoundTripMatchesHostMirror) {
       static_cast<std::size_t>(batch.count()) * cfg.lanes());
   for (std::size_t k = 0; k < data.size(); ++k)
     data[k] = 0xA24BAED4963EE407ull ^ (k * 0x9FB21C651E98DF25ull);
-  for (simd::Level l : levels) {
-    simd::force_level(l);
-    PolyMem mem(cfg);
-    mem.write_batch(batch, data);
-    std::vector<Word> got(data.size(), 0);
-    mem.read_batch(batch, 0, got);
-    ASSERT_EQ(got, data) << "level " << simd::level_name(l);
-  }
+  PolyMem mem(cfg);
+  mem.write_batch(batch, data);
+  std::vector<Word> got(data.size(), 0);
+  mem.read_batch(batch, 0, got);
+  ASSERT_EQ(got, data);
 }
 
 TEST(SimdExec, SingleReadsBitIdenticalAcrossLevelsAndPorts) {
-  LevelGuard guard;
-  const auto levels = host_levels();
   for (Scheme scheme : maf::kAllSchemes) {
     for (Geometry g : kGeometries) {
       const PolyMemConfig cfg = make_config(scheme, g, kPorts);
@@ -231,17 +190,13 @@ TEST(SimdExec, SingleReadsBitIdenticalAcrossLevelsAndPorts) {
           // With the plan cache off, read_batch is a loop of reference
           // read_into calls.
           reference.read_batch(batch, port, want);
-          for (simd::Level l : levels) {
-            simd::force_level(l);
-            got.assign(got.size(), 0);
-            for (std::int64_t t = 0; t < batch.count(); ++t)
-              compiled.read_into(
-                  batch.access(t), port,
-                  std::span<Word>(got).subspan(
-                      static_cast<std::size_t>(t) * lanes, lanes));
-            ASSERT_EQ(got, want) << where(scheme, g, kind, l) << " port "
-                                 << port;
-          }
+          got.assign(got.size(), 0);
+          for (std::int64_t t = 0; t < batch.count(); ++t)
+            compiled.read_into(
+                batch.access(t), port,
+                std::span<Word>(got).subspan(
+                    static_cast<std::size_t>(t) * lanes, lanes));
+          ASSERT_EQ(got, want) << where(scheme, g, kind) << " port " << port;
         }
       }
     }
@@ -282,8 +237,6 @@ std::vector<Word> drive_single_writes(PolyMem& mem, const AccessBatch& batch) {
 }
 
 TEST(SimdExec, SingleWritesAndReadWritesBitIdenticalAcrossLevels) {
-  LevelGuard guard;
-  const auto levels = host_levels();
   for (Scheme scheme : maf::kAllSchemes) {
     for (Geometry g : kGeometries) {
       const PolyMemConfig cfg = make_config(scheme, g, kPorts);
@@ -295,21 +248,17 @@ TEST(SimdExec, SingleWritesAndReadWritesBitIdenticalAcrossLevels) {
         if (level == SupportLevel::kNone) continue;
         const AccessBatch batch = full_sweep(cfg, reference, kind, level);
         const std::vector<Word> want = drive_single_writes(reference, batch);
-        for (simd::Level l : levels) {
-          simd::force_level(l);
-          PolyMem compiled(cfg);
-          fill_deterministic(compiled);
-          ASSERT_EQ(drive_single_writes(compiled, batch), want)
-              << where(scheme, g, kind, l);
-          EXPECT_GT(compiled.plan_cache().hits(), 0u);
-        }
+        PolyMem compiled(cfg);
+        fill_deterministic(compiled);
+        ASSERT_EQ(drive_single_writes(compiled, batch), want)
+            << where(scheme, g, kind);
+        EXPECT_GT(compiled.plan_cache().hits(), 0u);
       }
     }
   }
 }
 
 TEST(SimdExec, OverlappingReadWriteReturnsPreWriteData) {
-  LevelGuard guard;
   const PolyMemConfig cfg = make_config(Scheme::kReRo, {2, 4}, kPorts);
   const unsigned lanes = cfg.lanes();
   // Same anchor, and a half-overlapping row (4 of 8 elements shared).
@@ -317,21 +266,18 @@ TEST(SimdExec, OverlappingReadWriteReturnsPreWriteData) {
   for (const access::ParallelAccess write_to :
        {read_from, access::ParallelAccess{PatternKind::kRow, {3, 9}}}) {
     for (bool use_cache : {true, false}) {
-      for (simd::Level l : host_levels()) {
-        simd::force_level(l);
-        PolyMem mem(cfg);
-        mem.set_plan_cache_enabled(use_cache);
-        fill_deterministic(mem);
-        const std::vector<Word> before = mem.read(read_from, 0);
-        std::vector<Word> data(lanes), out(lanes, 0);
-        for (unsigned k = 0; k < lanes; ++k) data[k] = 0xABCD0000u + k;
-        mem.read_write(read_from, 2, out, write_to, data);
-        EXPECT_EQ(out, before) << "cache " << use_cache << " write at "
-                               << write_to.anchor;
-        EXPECT_EQ(mem.read(write_to, 1), data);
-        EXPECT_EQ(mem.parallel_reads(), 3u);
-        EXPECT_EQ(mem.parallel_writes(), 1u);
-      }
+      PolyMem mem(cfg);
+      mem.set_plan_cache_enabled(use_cache);
+      fill_deterministic(mem);
+      const std::vector<Word> before = mem.read(read_from, 0);
+      std::vector<Word> data(lanes), out(lanes, 0);
+      for (unsigned k = 0; k < lanes; ++k) data[k] = 0xABCD0000u + k;
+      mem.read_write(read_from, 2, out, write_to, data);
+      EXPECT_EQ(out, before) << "cache " << use_cache << " write at "
+                             << write_to.anchor;
+      EXPECT_EQ(mem.read(write_to, 1), data);
+      EXPECT_EQ(mem.parallel_reads(), 3u);
+      EXPECT_EQ(mem.parallel_writes(), 1u);
     }
   }
 }
@@ -404,7 +350,6 @@ void expect_rejected(PolyMem& mem, Thrown expected, std::vector<Word>& out,
 }
 
 TEST(SimdExec, SingleAccessErrorsMatchReferenceAndChangeNothing) {
-  LevelGuard guard;
   for (Scheme scheme : maf::kAllSchemes) {
     for (Geometry g : kGeometries) {
       const PolyMemConfig cfg = make_config(scheme, g, kPorts);
@@ -484,8 +429,6 @@ std::uint64_t lookups(const PolyMem& mem) {
 // reference, and a call whose start moved by whole periods from the
 // previous call's must run no template lookup at all.
 TEST(SimdExec, PeriodShiftedBatchesMatchReference) {
-  LevelGuard guard;
-  const auto levels = host_levels();
   std::uint64_t rebased = 0, fresh = 0;
   for (Scheme scheme : maf::kAllSchemes) {
     for (Geometry g : kGeometries) {
@@ -509,53 +452,50 @@ TEST(SimdExec, PeriodShiftedBatchesMatchReference) {
             {si + 2 * pi, 0},           {0, sj},          {pi, sj + 2 * pj},
             {0, 0}};
         for (const AccessBatch& shape : shift_shapes(cfg, kind, level)) {
-          for (simd::Level l : levels) {
-            simd::force_level(l);
-            PolyMem compiled(cfg);
-            PolyMem reference(cfg);
-            reference.set_plan_cache_enabled(false);
-            fill_deterministic(compiled);
-            fill_deterministic(reference);
-            std::vector<Word> want(
-                static_cast<std::size_t>(shape.count()) * lanes);
-            std::vector<Word> got(want.size()), data(want.size());
-            std::optional<access::Coord> prev;
-            Word salt = 1;
-            for (const access::Coord move : moves) {
-              AccessBatch b = shape;
-              b.start = {shape.start.i + move.i, shape.start.j + move.j};
-              if (!batch_fits(cfg, b)) continue;
-              std::ostringstream what;
-              what << where(scheme, g, kind, l) << " shape "
-                   << shape.inner_count << 'x' << shape.outer_count
-                   << " start " << b.start;
-              const bool shifted =
-                  prev && (b.start.i - prev->i) % pi == 0 &&
-                  (b.start.j - prev->j) % pj == 0;
-              const std::uint64_t before = lookups(compiled);
-              reference.read_batch(b, 0, want);
-              compiled.read_batch(b, 0, got);
-              ASSERT_EQ(got, want) << what.str();
-              for (std::size_t k = 0; k < data.size(); ++k)
-                data[k] = (0x9E3779B97F4A7C15ull * (k + 1)) ^ (salt << 40);
-              ++salt;
-              reference.write_batch(b, data);
-              compiled.write_batch(b, data);
-              if (shifted) {
-                EXPECT_EQ(lookups(compiled), before) << what.str();
-                ++rebased;
-              } else {
-                ++fresh;
-              }
-              prev = b.start;
+          PolyMem compiled(cfg);
+          PolyMem reference(cfg);
+          reference.set_plan_cache_enabled(false);
+          fill_deterministic(compiled);
+          fill_deterministic(reference);
+          std::vector<Word> want(
+              static_cast<std::size_t>(shape.count()) * lanes);
+          std::vector<Word> got(want.size()), data(want.size());
+          std::optional<access::Coord> prev;
+          Word salt = 1;
+          for (const access::Coord move : moves) {
+            AccessBatch b = shape;
+            b.start = {shape.start.i + move.i, shape.start.j + move.j};
+            if (!batch_fits(cfg, b)) continue;
+            std::ostringstream what;
+            what << where(scheme, g, kind) << " shape "
+                 << shape.inner_count << 'x' << shape.outer_count
+                 << " start " << b.start;
+            const bool shifted =
+                prev && (b.start.i - prev->i) % pi == 0 &&
+                (b.start.j - prev->j) % pj == 0;
+            const std::uint64_t before = lookups(compiled);
+            reference.read_batch(b, 0, want);
+            compiled.read_batch(b, 0, got);
+            ASSERT_EQ(got, want) << what.str();
+            for (std::size_t k = 0; k < data.size(); ++k)
+              data[k] = (0x9E3779B97F4A7C15ull * (k + 1)) ^ (salt << 40);
+            ++salt;
+            reference.write_batch(b, data);
+            compiled.write_batch(b, data);
+            if (shifted) {
+              EXPECT_EQ(lookups(compiled), before) << what.str();
+              ++rebased;
+            } else {
+              ++fresh;
             }
-            std::vector<Word> image_want(cells), image_got(cells);
-            reference.dump_rect({0, 0}, cfg.height, cfg.width, image_want);
-            compiled.dump_rect({0, 0}, cfg.height, cfg.width, image_got);
-            ASSERT_EQ(image_got, image_want)
-                << where(scheme, g, kind, l) << " shape "
-                << shape.inner_count << 'x' << shape.outer_count;
+            prev = b.start;
           }
+          std::vector<Word> image_want(cells), image_got(cells);
+          reference.dump_rect({0, 0}, cfg.height, cfg.width, image_want);
+          compiled.dump_rect({0, 0}, cfg.height, cfg.width, image_got);
+          ASSERT_EQ(image_got, image_want)
+              << where(scheme, g, kind) << " shape "
+              << shape.inner_count << 'x' << shape.outer_count;
         }
       }
     }
@@ -587,8 +527,6 @@ bool footprints_overlap(const PolyMemConfig& cfg, const AccessBatch& a,
 // the copy is still reading through. A second copy one period further
 // on, and a third back at the start, serve both halves from the memo.
 TEST(SimdExec, StreamCopyOnePeriodAwayMatchesReference) {
-  LevelGuard guard;
-  const auto levels = host_levels();
   std::uint64_t overlapping = 0, disjoint = 0;
   for (Scheme scheme : maf::kAllSchemes) {
     for (Geometry g : kGeometries) {
@@ -615,24 +553,21 @@ TEST(SimdExec, StreamCopyOnePeriodAwayMatchesReference) {
             if (!batch_fits(cfg, moved(from, 2))) continue;
             ++(footprints_overlap(cfg, from, moved(from, 1)) ? overlapping
                                                              : disjoint);
-            for (simd::Level l : levels) {
-              simd::force_level(l);
-              PolyMem compiled(cfg);
-              PolyMem reference(cfg);
-              reference.set_plan_cache_enabled(false);
-              fill_deterministic(compiled);
-              fill_deterministic(reference);
-              std::vector<Word> want(cells), got(cells);
-              for (const auto& copy : copies) {
-                reference.stream_copy_batch(copy[0], copy[1], 0);
-                compiled.stream_copy_batch(copy[0], copy[1], 0);
-                reference.dump_rect({0, 0}, cfg.height, cfg.width, want);
-                compiled.dump_rect({0, 0}, cfg.height, cfg.width, got);
-                ASSERT_EQ(got, want)
-                    << where(scheme, g, kind, l) << " from "
-                    << copy[0].start << " to " << copy[1].start << " shape "
-                    << from.inner_count << 'x' << from.outer_count;
-              }
+            PolyMem compiled(cfg);
+            PolyMem reference(cfg);
+            reference.set_plan_cache_enabled(false);
+            fill_deterministic(compiled);
+            fill_deterministic(reference);
+            std::vector<Word> want(cells), got(cells);
+            for (const auto& copy : copies) {
+              reference.stream_copy_batch(copy[0], copy[1], 0);
+              compiled.stream_copy_batch(copy[0], copy[1], 0);
+              reference.dump_rect({0, 0}, cfg.height, cfg.width, want);
+              compiled.dump_rect({0, 0}, cfg.height, cfg.width, got);
+              ASSERT_EQ(got, want)
+                  << where(scheme, g, kind) << " from "
+                  << copy[0].start << " to " << copy[1].start << " shape "
+                  << from.inner_count << 'x' << from.outer_count;
             }
           }
         }
@@ -643,34 +578,8 @@ TEST(SimdExec, StreamCopyOnePeriodAwayMatchesReference) {
   EXPECT_GT(disjoint, 0u);
 }
 
-TEST(SimdExec, ForcedScalarDispatchTakesEffect) {
-  LevelGuard guard;
-  simd::force_level(simd::Level::kScalar);
-  EXPECT_EQ(simd::active_level(), simd::Level::kScalar);
-  EXPECT_EQ(simd::kernels().level, simd::Level::kScalar);
-  // Forcing a level the host lacks stays scalar rather than crashing.
-  if (simd::detected_level() == simd::Level::kScalar) {
-    simd::force_level(simd::Level::kAvx2);
-    EXPECT_EQ(simd::active_level(), simd::Level::kScalar);
-  }
-  // And the scalar engine still serves data correctly.
-  const PolyMemConfig cfg = make_config(Scheme::kReRo, {2, 4});
-  PolyMem mem(cfg);
-  fill_deterministic(mem);
-  const AccessBatch batch = AccessBatch::strided(
-      PatternKind::kRow, {0, 0}, {1, 0}, cfg.height);
-  std::vector<Word> a(static_cast<std::size_t>(batch.count()) * cfg.lanes());
-  mem.read_batch(batch, 0, a);
-  simd::force_level(simd::detected_level());
-  std::vector<Word> b(a.size(), 0);
-  mem.read_batch(batch, 0, b);
-  EXPECT_EQ(a, b);
-}
-
 TEST(SimdExec, LevelNamesRoundTrip) {
   EXPECT_STREQ(simd::level_name(simd::Level::kScalar), "scalar");
-  EXPECT_STREQ(simd::level_name(simd::Level::kAvx2), "avx2");
-  EXPECT_STREQ(simd::level_name(simd::Level::kNeon), "neon");
 }
 
 }  // namespace

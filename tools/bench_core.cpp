@@ -1,11 +1,9 @@
 // Hot-path benchmark runner: measures the functional model's parallel-read
 // throughput on the naive AGU reference, on single read_into calls through
-// the compiled engine, and on the compiled batched engine — at the host's
-// best SIMD level and with the kernels forced scalar — and emits
-// machine-readable JSON (BENCH_core.json) so both the engine speedup and
-// the SIMD contribution are tracked in the repository. A roofline-style
-// bytes/cycle figure per case shows how close the gather loop runs to the
-// load-port limit.
+// the compiled engine, and on the compiled batched engine, and emits
+// machine-readable JSON (BENCH_core.json) so the engine speedup is tracked
+// in the repository. A roofline-style bytes/cycle figure per case shows
+// how close the gather loop runs to the load-port limit.
 //
 // Unlike bench/bench_micro.cpp (google-benchmark, interactive tuning) this
 // runner is deliberately dependency-free: plain chrono timing, median of
@@ -23,7 +21,6 @@
 
 #include "common/units.hpp"
 #include "core/polymem.hpp"
-#include "core/simd/dispatch.hpp"
 
 namespace {
 
@@ -100,8 +97,7 @@ struct Result {
   unsigned p, q;
   std::string pattern;
   double naive_ns, single_ns, batched_ns;
-  double scalar_ns, simd_ns;
-  double single_speedup, batched_speedup, simd_speedup;
+  double single_speedup, batched_speedup;
   double single_over_batched;
   double bytes_per_access, bytes_per_cycle;
 };
@@ -141,13 +137,7 @@ Result run_case(const Case& c) {
   // Normalise to the actual access count of one batched trial.
   const double scale = static_cast<double>(reps * batch.count()) /
                        static_cast<double>(kAccessesPerTrial);
-  // Same compiled ExecPlan, kernels forced scalar vs the host's best
-  // level — isolates the SIMD contribution from the plan compilation win.
-  core::simd::force_level(core::simd::Level::kScalar);
-  const double scalar_ns = measure_ns(batched) / scale;
-  core::simd::force_level(core::simd::detected_level());
-  const double simd_ns = measure_ns(batched) / scale;
-  const double batched_ns = simd_ns;
+  const double batched_ns = measure_ns(batched) / scale;
 
   // Roofline-style figure: one parallel access gathers lanes words from
   // the banks and stores lanes words to the caller's buffer.
@@ -155,7 +145,7 @@ Result run_case(const Case& c) {
       2.0 * static_cast<double>(cfg.lanes()) * sizeof(core::Word);
   const double ghz = cpu_ghz();
   const double bytes_per_cycle =
-      ghz > 0.0 ? bytes_per_access / (simd_ns * ghz) : 0.0;
+      ghz > 0.0 ? bytes_per_access / (batched_ns * ghz) : 0.0;
 
   return {maf::scheme_name(c.scheme),
           c.p,
@@ -164,11 +154,8 @@ Result run_case(const Case& c) {
           naive_ns,
           single_ns,
           batched_ns,
-          scalar_ns,
-          simd_ns,
           naive_ns / single_ns,
           naive_ns / batched_ns,
-          scalar_ns / simd_ns,
           single_ns / batched_ns,
           bytes_per_access,
           bytes_per_cycle};
@@ -182,8 +169,6 @@ void write_json(const std::vector<Result>& results, const std::string& path) {
      << "  \"unit\": \"ns_per_parallel_access\",\n"
      << "  \"accesses_per_trial\": " << kAccessesPerTrial << ",\n"
      << "  \"trials\": " << kTrials << ",\n"
-     << "  \"simd_level\": \""
-     << core::simd::level_name(core::simd::detected_level()) << "\",\n"
      << "  \"cases\": [\n";
   for (std::size_t k = 0; k < results.size(); ++k) {
     const Result& r = results[k];
@@ -192,9 +177,6 @@ void write_json(const std::vector<Result>& results, const std::string& path) {
        << "     \"naive_ns\": " << r.naive_ns
        << ", \"single_ns\": " << r.single_ns
        << ", \"batched_ns\": " << r.batched_ns << ",\n"
-       << "     \"scalar_ns\": " << r.scalar_ns
-       << ", \"simd_ns\": " << r.simd_ns
-       << ", \"simd_speedup\": " << r.simd_speedup << ",\n"
        << "     \"single_speedup\": " << r.single_speedup
        << ", \"batched_speedup\": " << r.batched_speedup
        << ", \"single_over_batched\": " << r.single_over_batched << ",\n"
@@ -217,14 +199,10 @@ int main(int argc, char** argv) {
               << "): naive " << r.naive_ns << " ns, single " << r.single_ns
               << " ns (" << r.single_speedup << "x), batched "
               << r.batched_ns << " ns (" << r.batched_speedup
-              << "x), scalar " << r.scalar_ns << " ns vs simd " << r.simd_ns
-              << " ns (" << r.simd_speedup << "x), " << r.bytes_per_cycle
-              << " B/cycle\n";
+              << "x), " << r.bytes_per_cycle << " B/cycle\n";
   }
   write_json(results, path);
-  std::cout << "wrote " << path << " (simd level "
-            << core::simd::level_name(core::simd::detected_level())
-            << ")\n";
+  std::cout << "wrote " << path << "\n";
 
   // Tracking gates. Single accesses and batches both run on the compiled
   // kernels and keep a 2.5x-over-naive gate; the batched path is also
