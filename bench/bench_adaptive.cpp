@@ -6,8 +6,8 @@
 // sweeps, ~25% writes) through six engines built on the same serve path:
 // the five static schemes (AdaptiveMatrix with adapt=false — identical
 // batched/fallback dispatch, no profiling) and the adaptive engine
-// (profiler + policy + live copy-forward migration on a background
-// worker). No static scheme serves all three phases at 2x4 — rows need
+// (profiler + policy + epoch migrations, each run inline by the op that
+// triggered it). No static scheme serves all three phases at 2x4 — rows need
 // {ReRo, RoCo}, columns {ReCo, RoCo}, main diagonals {ReRo, ReCo} — so
 // the only way to win end-to-end is to migrate mid-run, which is exactly
 // what the bench measures.
@@ -20,11 +20,11 @@
 //    through each engine.
 //
 // Correctness is not sampled, it is exhaustive: an untimed replay pass
-// (src/replay, adaptive mode, inline migrations) diffs the migrating
-// engine word-for-word against the host oracle from every starting
-// scheme, and the timed adaptive run must finish with zero differential-
-// oracle mismatches and zero aborted migrations. Any divergence, or an
-// adaptive loss on a gate, exits nonzero so CI can gate on --tiny.
+// (src/replay, adaptive mode) diffs the migrating engine word-for-word
+// against the host oracle from every starting scheme, and the timed
+// adaptive run must finish with zero differential-oracle mismatches and
+// zero aborted migrations. Any divergence, or an adaptive loss on a
+// gate, exits nonzero so CI can gate on --tiny.
 //
 // Usage: bench_adaptive [--tiny] [--trace file] [--passes N] [out.json]
 #include <chrono>
@@ -40,7 +40,6 @@
 
 #include "adapt/adaptive_matrix.hpp"
 #include "replay/replay.hpp"
-#include "runtime/thread_pool.hpp"
 #include "sched/trace_io.hpp"
 
 #ifndef POLYMEM_PHASE_TRACE
@@ -73,7 +72,6 @@ struct RunResult {
   std::uint64_t migrations = 0;
   std::uint64_t aborted = 0;
   std::uint64_t mismatched_words = 0;
-  std::uint64_t forwarded_words = 0;
   maf::Scheme final_scheme = maf::Scheme::kReO;
 };
 
@@ -81,12 +79,11 @@ struct RunResult {
 /// meters. Data correctness is the replay pass's job; here writes carry a
 /// constant payload and reads land in scratch — pure serve-path timing.
 RunResult run_engine(const sched::RecordedTrace& trace, maf::Scheme start,
-                     bool adaptive, int passes, runtime::ThreadPool* pool) {
+                     bool adaptive, int passes) {
   adapt::AdaptiveOptions opts;
   opts.adapt = adaptive;
   opts.verify_migrations = true;
   opts.profiler.window = kWindow;
-  opts.pool = pool;
 
   adapt::AdaptiveMatrix mat(base_config(trace, start), opts);
   const unsigned lanes = mat.lanes();
@@ -108,7 +105,6 @@ RunResult run_engine(const sched::RecordedTrace& trace, maf::Scheme start,
       }
     }
   }
-  mat.wait_idle();
   const auto t1 = std::chrono::steady_clock::now();
 
   const adapt::AdaptiveStats stats = mat.stats();
@@ -121,7 +117,6 @@ RunResult run_engine(const sched::RecordedTrace& trace, maf::Scheme start,
   r.migrations = stats.migrations_completed;
   r.aborted = stats.migrations_aborted;
   r.mismatched_words = stats.mismatched_words;
-  r.forwarded_words = stats.forwarded_words;
   r.final_scheme = stats.scheme;
   const std::uint64_t cells = static_cast<std::uint64_t>(
       base_config(trace, start).height * base_config(trace, start).width);
@@ -166,8 +161,8 @@ int main(int argc, char** argv) {
   }
 
   // Untimed correctness pass: the replay harness diffs the migrating
-  // engine against the host oracle from every starting scheme (inline
-  // migrations, each verified band-by-band before its epoch flip).
+  // engine against the host oracle from every starting scheme (each
+  // migration verified band by band before its epoch flip).
   bool replay_ok = true;
   std::int64_t replay_migrations = 0;
   for (maf::Scheme scheme : maf::kAllSchemes) {
@@ -184,16 +179,13 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Timed passes: five statics, then the adaptive engine with a
-  // background migration worker.
+  // Timed passes: five statics, then the adaptive engine.
   std::vector<RunResult> runs;
   for (maf::Scheme scheme : maf::kAllSchemes) {
-    runs.push_back(run_engine(trace, scheme, /*adaptive=*/false, passes,
-                              /*pool=*/nullptr));
+    runs.push_back(run_engine(trace, scheme, /*adaptive=*/false, passes));
   }
-  runtime::ThreadPool pool(1);
   runs.push_back(run_engine(trace, maf::Scheme::kReO, /*adaptive=*/true,
-                            passes, &pool));
+                            passes));
   const RunResult& adaptive = runs.back();
 
   bool beats_cycles = true;
@@ -229,7 +221,6 @@ int main(int argc, char** argv) {
         << ",\n     \"migrations\": " << r.migrations
         << ", \"aborted\": " << r.aborted
         << ", \"mismatched_words\": " << r.mismatched_words
-        << ", \"forwarded_words\": " << r.forwarded_words
         << ", \"final_scheme\": \"" << maf::scheme_name(r.final_scheme)
         << "\"}" << (k + 1 < runs.size() ? "," : "") << "\n";
   }

@@ -70,8 +70,8 @@ struct WindowProfile {
   access::PatternKind dominant() const;
 };
 
-/// Windowed histogram accumulator. Not thread-safe: the owner serializes
-/// observe calls (AdaptiveMatrix holds its engine lock; a TraceRecorder is
+/// Windowed histogram accumulator. Not thread-safe: its owner calls it
+/// from one thread at a time (AdaptiveMatrix and TraceRecorder are both
 /// single-threaded by contract).
 class AccessProfiler {
  public:

@@ -241,18 +241,6 @@ void TileCache::flush() {
   }
 }
 
-void TileCache::migrate(core::PolyMem& polymem) {
-  POLYMEM_REQUIRE(
-      polymem.config().height >= frames_.origin().i + frames_.region_rows() &&
-          polymem.config().width >= frames_.origin().j + frames_.region_cols(),
-      "migrated PolyMem too small for the frame pool");
-  flush();        // ordered write-back: LMem becomes the only truth
-  invalidate();   // drop residency; tiles refill from LMem on demand
-  mem_ = &polymem;
-  dma_.retarget(polymem);
-  ++stats_.dma.cache.relayouts;
-}
-
 void TileCache::invalidate() {
   if (staged_.ti >= 0) ++stats_.dma.cache.prefetch_dropped;
   staged_.ti = staged_.tj = -1;

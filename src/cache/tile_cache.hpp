@@ -151,13 +151,6 @@ class TileCache {
   /// (counters().flush_runs counts the runs; 1 == perfectly contiguous).
   void flush();
 
-  /// Tile re-layout on scheme migration: flushes (ordered), drops all
-  /// residency and re-points the cache (and its DMA engine) at `polymem`,
-  /// which must cover the frame pool's region. Tiles refill lazily from
-  /// LMem under the new scheme; counters().relayouts counts these. The
-  /// new PolyMem must outlive the cache.
-  void migrate(core::PolyMem& polymem);
-
   /// Drops all residency without writing anything back.
   void invalidate();
 

@@ -23,7 +23,6 @@ CacheCounters& CacheCounters::operator+=(const CacheCounters& other) {
   prefetch_useful += other.prefetch_useful;
   prefetch_dropped += other.prefetch_dropped;
   flush_runs += other.flush_runs;
-  relayouts += other.relayouts;
   return *this;
 }
 

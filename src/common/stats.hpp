@@ -32,9 +32,6 @@ struct CacheCounters {
   /// it would count up to N. The burst-friendliness measure of the DMA
   /// path (Ferry et al., PAPERS.md).
   std::uint64_t flush_runs = 0;
-  /// Tile re-layouts: the cache was re-pointed at a migrated PolyMem
-  /// (adaptive layout engine) and repopulates on demand.
-  std::uint64_t relayouts = 0;
 
   /// hits / (hits + misses); 0 when no accesses happened.
   double hit_rate() const;

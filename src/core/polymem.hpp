@@ -31,10 +31,9 @@
 // Threading: one thread at a time runs a PolyMem's engine — every access,
 // batch, compile_batch and read_compiled/write_compiled call, which share
 // the lookup memo, the compiled-plan slots, the scratch buffers and the
-// counters. Owners that serve several threads serialize them (the
-// adaptive matrix's engine lock, the service engine's single drain
-// thread). Only the host rectangle transfers and load/store may run beside
-// that thread (see fill_rect).
+// counters. An owner that serves several threads serializes them (the
+// service engine's single drain thread). Only the host rectangle
+// transfers and load/store may run beside that thread (see fill_rect).
 #pragma once
 
 #include <array>
@@ -152,10 +151,9 @@ class PolyMem {
   /// and address checks of load()/store() run once per row, and each
   /// residue's words are copied as one strided run through the banks'
   /// base pointers (fill_rect writes every read replica). Both write no
-  /// member state and allocate nothing, so they
-  /// may run concurrently with each other on disjoint rows (fill_rect),
-  /// and beside one thread running the engine on rows nobody fills — the
-  /// adaptive copier's contract (adapt/adaptive_matrix.hpp).
+  /// member state and allocate nothing, so they may run concurrently with
+  /// each other on disjoint rows (fill_rect), and beside one thread
+  /// running the engine on rows nobody fills.
   void fill_rect(access::Coord origin, std::int64_t rows, std::int64_t cols,
                  std::span<const Word> values);
   void dump_rect(access::Coord origin, std::int64_t rows, std::int64_t cols,

@@ -89,12 +89,6 @@ class DmaEngine {
   Shape pick_shape(std::int64_t rows, std::int64_t cols,
                    access::Coord origin) const;
 
-  /// Points the engine at a different PolyMem (same LMem). The adaptive
-  /// layout engine swaps the on-chip memory under a live cache at
-  /// migration cutover; transfer shapes re-derive from the new scheme on
-  /// the next call.
-  void retarget(core::PolyMem& polymem) { mem_ = &polymem; }
-
  private:
   void check_tile(const LMemMatrix& m, std::int64_t tile_i,
                   std::int64_t tile_j, std::int64_t rows,

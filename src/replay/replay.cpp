@@ -218,7 +218,6 @@ ReplayReport replay_adaptive(const RecordedTrace& trace,
   const core::PolyMemConfig cfg = direct_config(trace, opts);
 
   adapt::AdaptiveOptions aopts;
-  aopts.pool = nullptr;  // inline migrations: deterministic replay
   aopts.verify_migrations = true;
   aopts.profiler.window =
       opts.adaptive_window > 0
@@ -278,7 +277,6 @@ ReplayReport replay_adaptive(const RecordedTrace& trace,
       static_cast<std::int64_t>(astats.migrations_aborted);
   report.migration_mismatches =
       static_cast<std::int64_t>(astats.mismatched_words);
-  report.forwarded_words = static_cast<std::int64_t>(astats.forwarded_words);
 
   std::vector<std::uint64_t> image(
       static_cast<std::size_t>(trace.height * trace.width));

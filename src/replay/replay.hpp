@@ -15,9 +15,10 @@
 //    where rectangle-family ops map to block accesses and diagonal ops
 //    exercise the scalar-fallback path of the software cache.
 //  - *adaptive*: an adapt::AdaptiveMatrix starting on the chosen scheme,
-//    migrating live as the trace's pattern mix shifts (inline, so the
-//    replay is deterministic); the same word-for-word mirror diffs the
-//    migrating engine against the static-scheme oracle.
+//    migrating as the trace's pattern mix shifts (each migration runs
+//    inside the op that triggered it, so the replay is deterministic);
+//    the same word-for-word mirror diffs the migrating engine against the
+//    static-scheme oracle.
 //
 // Verification is threefold, against the same canonical data model the
 // recorder used: every read is compared word-for-word with a host-memory
@@ -48,10 +49,10 @@ struct ReplayOptions {
   bool verify_checksums = true;
   /// Route through the adaptive layout engine (src/adapt): `scheme` is
   /// only the *initial* scheme; the profiler/policy migrate the matrix
-  /// as the trace's pattern mix shifts. Migrations run inline (no pool),
-  /// so the replay — including every migration decision — is
-  /// deterministic, and each one is verified bit-identical before its
-  /// epoch flip. Mutually exclusive with through_cache.
+  /// as the trace's pattern mix shifts. Each migration runs inside the op
+  /// that triggered it, so the replay — including every migration
+  /// decision — is deterministic, and each one is verified bit-identical
+  /// before its epoch flip. Mutually exclusive with through_cache.
   bool adaptive = false;
   /// Profiler window for adaptive mode; 0 derives one from the trace
   /// length (accesses / 6, clamped to [64, 4096]) so short traces can
@@ -79,7 +80,6 @@ struct ReplayReport {
   std::int64_t migrations = 0;              ///< completed epoch flips
   std::int64_t migrations_aborted = 0;
   std::int64_t migration_mismatches = 0;    ///< migration-oracle word diffs
-  std::int64_t forwarded_words = 0;         ///< writes forwarded to epoch B
 
   /// Populated in through_cache mode.
   cache::CacheStats cache_stats;

@@ -7,15 +7,6 @@
 
 namespace polymem::service {
 
-namespace {
-
-/// Recycled PendingBatch buffers kept between drains; beyond this the
-/// extras are freed (the in-flight window is bounded by the modeled
-/// latency, so steady state never needs more than a handful).
-constexpr std::size_t kBatchPoolCap = 64;
-
-}  // namespace
-
 const char* status_name(Status status) {
   switch (status) {
     case Status::kAccepted:
@@ -226,10 +217,11 @@ bool ServiceEngine::service_once() {
     execute_run(port, batch);
     return true;
   }
-  if (!in_flight_.empty()) {
+  if (in_flight_runs_ > 0) {
     // Nothing left to issue: fast-forward the clock to the next
     // completion instead of spinning cycle by cycle.
-    cycle_.store(in_flight_.begin()->first, std::memory_order_relaxed);
+    cycle_.store(in_flight_[in_flight_head_].complete_cycle,
+                 std::memory_order_relaxed);
     retire_due();
     return true;
   }
@@ -258,7 +250,7 @@ void ServiceEngine::execute_run(unsigned queue_port,
     cache_->note_kernel_accesses(n, static_cast<std::uint64_t>(n) * lanes);
   }
   const unsigned port = queue_port % mem_->config().read_ports;
-  PendingBatch pending = take_batch_buffer();
+  PendingBatch& pending = free_slot();
   const bool compiled = n >= 2 && mem_->compile_batch(exec, plan_);
   if (op == Op::kRead) {
     pending.data.resize(n * lanes);
@@ -304,7 +296,7 @@ void ServiceEngine::execute_run(unsigned queue_port,
   const std::uint64_t advance = n + extra_latency;
   const std::uint64_t issued =
       cycle_.fetch_add(advance, std::memory_order_relaxed) + advance;
-  const std::uint64_t complete_cycle = issued + mem_->config().read_latency;
+  pending.complete_cycle = issued + mem_->config().read_latency;
   pending.requests.reserve(n);
   for (const PendingRequest& pr : run_) {
     pending.requests.push_back({pr.id, pr.request.tag, pr.request.tenant, op,
@@ -315,16 +307,16 @@ void ServiceEngine::execute_run(unsigned queue_port,
   if (in_flight_requests_ > max_in_flight_.load(std::memory_order_relaxed)) {
     max_in_flight_.store(in_flight_requests_, std::memory_order_relaxed);
   }
-  in_flight_.emplace(complete_cycle, std::move(pending));
+  ++in_flight_runs_;
 }
 
 bool ServiceEngine::retire_due() {
   bool any = false;
   const std::uint64_t now = cycle_.load(std::memory_order_relaxed);
   const unsigned lanes = mem_->lanes();
-  while (!in_flight_.empty() && in_flight_.begin()->first <= now) {
-    auto node = in_flight_.extract(in_flight_.begin());
-    PendingBatch& pending = node.mapped();
+  while (in_flight_runs_ > 0 &&
+         in_flight_[in_flight_head_].complete_cycle <= now) {
+    PendingBatch& pending = in_flight_[in_flight_head_];
     for (std::size_t x = 0; x < pending.requests.size(); ++x) {
       const Pending& req = pending.requests[x];
       Completion completion;
@@ -342,23 +334,24 @@ bool ServiceEngine::retire_due() {
       }
       completion.sequence = req.sequence;
       completion.submit_cycle = req.submit_cycle;
-      completion.complete_cycle = node.key();
+      completion.complete_cycle = pending.complete_cycle;
       req.listener->on_complete(completion);
       any = true;
     }
     in_flight_requests_ -= pending.requests.size();
     pending.requests.clear();
     pending.data.clear();
-    if (batch_pool_.size() < kBatchPoolCap) {
-      batch_pool_.push_back(std::move(pending));
-    }
+    in_flight_head_ = (in_flight_head_ + 1) % in_flight_.size();
+    --in_flight_runs_;
   }
   return any;
 }
 
 void ServiceEngine::retire_all() {
-  if (in_flight_.empty()) return;
-  cycle_.store(in_flight_.rbegin()->first, std::memory_order_relaxed);
+  if (in_flight_runs_ == 0) return;
+  const std::size_t newest =
+      (in_flight_head_ + in_flight_runs_ - 1) % in_flight_.size();
+  cycle_.store(in_flight_[newest].complete_cycle, std::memory_order_relaxed);
   retire_due();
 }
 
@@ -424,11 +417,18 @@ void ServiceEngine::drain_loop() {
   exit_cv_.notify_all();
 }
 
-ServiceEngine::PendingBatch ServiceEngine::take_batch_buffer() {
-  if (batch_pool_.empty()) return {};
-  PendingBatch pending = std::move(batch_pool_.back());
-  batch_pool_.pop_back();
-  return pending;
+ServiceEngine::PendingBatch& ServiceEngine::free_slot() {
+  if (in_flight_runs_ == in_flight_.size()) {
+    // Every slot is in flight: unroll the ring oldest-first and append a
+    // slot. Moving a slot keeps its vectors' buffers.
+    std::rotate(in_flight_.begin(),
+                in_flight_.begin() +
+                    static_cast<std::ptrdiff_t>(in_flight_head_),
+                in_flight_.end());
+    in_flight_head_ = 0;
+    in_flight_.emplace_back();
+  }
+  return in_flight_[(in_flight_head_ + in_flight_runs_) % in_flight_.size()];
 }
 
 EngineStats ServiceEngine::stats() const {

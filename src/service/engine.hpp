@@ -14,13 +14,15 @@
 //    idling between synchronous read_batch calls. Runs of one request,
 //    and runs the plan cache cannot serve, fall back to the per-access
 //    plan-template path (read_into); results are identical either way.
-//  - *In-flight tracking.* Executed runs enter a cycle-ordered
-//    std::multimap keyed by modeled completion cycle (issue cycle +
-//    config read_latency, + a miss penalty when a tile-cached engine
-//    faulted), the mgsim ParallelMemory idiom. Completions retire in
-//    cycle order; each request's listener fires exactly once. One map
-//    node and one recycled data buffer per *run*, not per request, so
-//    the steady-state drain allocates nothing.
+//  - *In-flight tracking.* Executed runs wait in a FIFO of reused slots,
+//    each carrying its modeled completion cycle (issue cycle + config
+//    read_latency, + a miss penalty when a tile-cached engine faulted).
+//    Issue cycles strictly increase, the latency is one constant and the
+//    idle fast-forward only moves the clock to the oldest completion, so
+//    issue order is retire order: completions retire in cycle order
+//    without the cycle-keyed multimap of the mgsim ParallelMemory idiom.
+//    Each request's listener fires exactly once. A slot keeps its
+//    buffers, so the steady-state drain allocates nothing.
 //  - *Admission control.* Bounded queues shed with Status::kOverloaded
 //    instead of growing without bound; malformed requests are rejected
 //    synchronously with Status::kRejected; submits after stop() return
@@ -46,7 +48,6 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <vector>
@@ -154,7 +155,7 @@ class ServiceEngine {
   EngineStats stats() const;
 
  private:
-  /// One request of an executed run, waiting in the in-flight map.
+  /// One request of an executed run, waiting in the in-flight FIFO.
   struct Pending {
     RequestId id = 0;
     std::uint64_t tag = 0;
@@ -164,10 +165,11 @@ class ServiceEngine {
     std::uint64_t submit_cycle = 0;
     std::uint64_t sequence = 0;
   };
-  /// One executed run: its requests plus (reads) the gathered data; both
-  /// vectors recycle through batch_pool_, so steady state allocates
-  /// nothing.
+  /// One executed run: its completion cycle, its requests and (reads)
+  /// the gathered data. Slots are reused with their vectors' capacity,
+  /// so steady state allocates nothing.
   struct PendingBatch {
+    std::uint64_t complete_cycle = 0;
     std::vector<Pending> requests;
     std::vector<Word> data;
   };
@@ -181,7 +183,9 @@ class ServiceEngine {
   void shutdown_sweep();
   void drain_loop();
   bool any_queued() const;
-  PendingBatch take_batch_buffer();
+  /// The slot behind the newest in-flight run; grows the ring only when
+  /// every slot is in flight. ++in_flight_runs_ commits it.
+  PendingBatch& free_slot();
 
   core::PolyMem* mem_;
   cache::TileCache* cache_ = nullptr;
@@ -194,8 +198,11 @@ class ServiceEngine {
   core::ExecPlan plan_;
   std::vector<PendingRequest> run_;
   std::vector<Word> write_staging_;
-  std::multimap<std::uint64_t, PendingBatch> in_flight_;
-  std::vector<PendingBatch> batch_pool_;
+  // In-flight runs, oldest first: a ring of in_flight_runs_ slots
+  // starting at in_flight_head_.
+  std::vector<PendingBatch> in_flight_;
+  std::size_t in_flight_head_ = 0;
+  std::size_t in_flight_runs_ = 0;
   unsigned round_robin_ = 0;
   std::uint64_t sequence_ = 0;
   std::uint64_t in_flight_requests_ = 0;

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <vector>
 
 #include "common/error.hpp"
@@ -139,7 +138,7 @@ TEST(AdaptiveMatrix, InjectedFaultRollsBackWithoutFlipping) {
   AdaptiveMatrix mat(cfg_16x32(), static_opts());
   fill_cells(mat);
 
-  // The copier "crashes" when it reaches band 2: the target epoch is
+  // The copy "crashes" when it reaches band 2: the target epoch is
   // discarded, the active epoch stays authoritative and untouched.
   mat.set_fault_band(2);
   EXPECT_TRUE(mat.migrate_to(Scheme::kReCo));
@@ -161,24 +160,13 @@ TEST(AdaptiveMatrix, InjectedFaultRollsBackWithoutFlipping) {
   EXPECT_TRUE(cells_intact(mat));
 }
 
-TEST(AdaptiveMatrix, AbortOnPoolLeavesAConsistentMatrix) {
+TEST(AdaptiveMatrix, RejectsABackgroundPool) {
+  // Migrations run inline on the calling thread; no option selects a
+  // background copier.
+  runtime::ThreadPool pool(0);
   AdaptiveOptions opts = static_opts();
-  runtime::ThreadPool pool(1);
   opts.pool = &pool;
-  AdaptiveMatrix mat(cfg_16x32(), opts);
-  fill_cells(mat);
-
-  EXPECT_TRUE(mat.migrate_to(Scheme::kRoCo));
-  mat.abort_migration();  // may land mid-copy or after the flip
-  EXPECT_FALSE(mat.migration_in_progress());
-
-  const auto s = mat.stats();
-  EXPECT_EQ(s.migrations_started, 1u);
-  EXPECT_EQ(s.migrations_completed + s.migrations_aborted, 1u);
-  EXPECT_EQ(s.mismatched_words, 0u);
-  // Whichever epoch won, the data is whole.
-  EXPECT_TRUE(mat.scheme() == Scheme::kReRo || mat.scheme() == Scheme::kRoCo);
-  EXPECT_TRUE(cells_intact(mat));
+  EXPECT_THROW(AdaptiveMatrix(cfg_16x32(), opts), InvalidArgument);
 }
 
 TEST(AdaptiveMatrix, AdaptsToAColumnPhaseAndStaysCorrect) {
@@ -254,36 +242,25 @@ struct Mirror {
   }
 };
 
-struct Rect {
-  Coord origin;
-  std::int64_t rows = 0, cols = 0;
-};
-
-/// Fills a seeded rectangle, at most `max_rows` tall, with random words.
-Rect random_fill(AdaptiveMatrix& mat, Mirror& mirror, Rng& rng,
-                 std::int64_t max_rows = 1 << 30) {
+/// Fills a seeded rectangle with random words.
+void random_fill(AdaptiveMatrix& mat, Mirror& mirror, Rng& rng) {
   const std::int64_t i = rng.uniform(0, mat.height() - 1);
   const std::int64_t j = rng.uniform(0, mat.width() - 1);
-  const std::int64_t rows =
-      rng.uniform(1, std::min(max_rows, mat.height() - i));
+  const std::int64_t rows = rng.uniform(1, mat.height() - i);
   const std::int64_t cols = rng.uniform(1, mat.width() - j);
   std::vector<core::Word> values(static_cast<std::size_t>(rows * cols));
   for (core::Word& v : values) v = rng.bits();
   mat.fill_rect({i, j}, rows, cols, values);
   mirror.fill({i, j}, rows, cols, values);
-  return {{i, j}, rows, cols};
 }
 
-// band_rows = 3 on a 20-row space: bands start on rows 0, 3, 6, ..., 18,
-// half of them odd, and the last band is one row short. Writes of every
-// kind land between inline migrations through all five schemes.
-TEST(AdaptiveMatrix, OddBandsMigrateThroughEveryScheme) {
+// Writes of every kind (rectangles, stores, a row batch) land between
+// inline migrations through all five schemes on a 20-row space, and each
+// flip must carry all of them.
+TEST(AdaptiveMatrix, WritesBetweenMigrationsSurviveEveryScheme) {
   core::PolyMemConfig config = cfg_16x32(Scheme::kReO);
   config.height = 20;
-  AdaptiveOptions opts = static_opts();
-  opts.band_rows = 3;
-  AdaptiveMatrix mat(config, opts);
-  ASSERT_EQ(mat.bands(), 7);
+  AdaptiveMatrix mat(config, static_opts());
   Mirror mirror{mat.width(),
                 std::vector<core::Word>(static_cast<std::size_t>(20 * 32))};
   Rng rng(303);
@@ -321,50 +298,6 @@ TEST(AdaptiveMatrix, OddBandsMigrateThroughEveryScheme) {
   EXPECT_EQ(s.migrations_completed, 5u);
   EXPECT_EQ(s.mismatched_words, 0u);
   EXPECT_EQ(s.verified_words, 5u * 20u * 32u);
-}
-
-// fill_rect during a background migration forwards one fill_rect per
-// copied band to the target epoch. Whether a rectangle lands before or
-// after its bands are copied, the flipped matrix must hold every write.
-// The space is wide enough that a migration outlasts a scheduler time
-// slice, so fills interleave with the copier even on a loaded host, and
-// short rectangles keep many of them in flight. Bands copy in order, so
-// each fill forwards a prefix of its rows that ends on a band boundary
-// (or at its last row).
-TEST(AdaptiveMatrix, RectWritesDuringLiveMigrationsSurviveTheFlip) {
-  runtime::ThreadPool pool(1);
-  core::PolyMemConfig config = cfg_16x32(Scheme::kReO);
-  config.height = 20;
-  config.width = 16384;
-  AdaptiveOptions opts = static_opts();
-  opts.band_rows = 3;
-  opts.pool = &pool;
-  AdaptiveMatrix mat(config, opts);
-  Mirror mirror{mat.width(),
-                std::vector<core::Word>(static_cast<std::size_t>(20 * 16384))};
-  Rng rng(404);
-  for (const Scheme target :
-       {Scheme::kReRo, Scheme::kReCo, Scheme::kRoCo, Scheme::kReTr,
-        Scheme::kReO}) {
-    ASSERT_TRUE(mat.migrate_to(target));
-    for (int n = 0; n < 8 || mat.migration_in_progress(); ++n) {
-      const std::uint64_t before = mat.stats().forwarded_words;
-      const Rect r = random_fill(mat, mirror, rng, 4);
-      const std::uint64_t words = mat.stats().forwarded_words - before;
-      ASSERT_EQ(words % static_cast<std::uint64_t>(r.cols), 0u);
-      const std::int64_t end =
-          r.origin.i + static_cast<std::int64_t>(words) / r.cols;
-      EXPECT_TRUE(end == r.origin.i || end == r.origin.i + r.rows ||
-                  end % 3 == 0)
-          << "rows " << r.origin.i << "+" << r.rows << " forwarded to " << end;
-    }
-    mat.wait_idle();
-    EXPECT_EQ(mat.scheme(), target);
-    ASSERT_TRUE(mirror.matches(mat));
-  }
-  const auto s = mat.stats();
-  EXPECT_EQ(s.migrations_completed, 5u);
-  EXPECT_EQ(s.mismatched_words, 0u);
 }
 
 }  // namespace

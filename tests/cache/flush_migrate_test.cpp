@@ -1,7 +1,6 @@
-// Ordered write-back and scheme re-layout: the two TileCache duties the
-// adaptive layout engine leans on (flush feeds the migration's
-// LMem-as-truth step; migrate() re-points a live cache at the PolyMem
-// of the winning scheme).
+// Ordered write-back: flush() returns dirty tiles to LMem in ascending
+// address order, so adjacent tiles coalesce into one burst run
+// (counters().flush_runs) and a hole in the order starts a new one.
 #include <gtest/gtest.h>
 
 #include "cache/tile_cache.hpp"
@@ -9,9 +8,9 @@
 namespace polymem::cache {
 namespace {
 
-core::PolyMemConfig pm_cfg(maf::Scheme scheme = maf::Scheme::kReRo) {
+core::PolyMemConfig pm_cfg() {
   core::PolyMemConfig c;
-  c.scheme = scheme;
+  c.scheme = maf::Scheme::kReRo;
   c.p = 2;
   c.q = 4;
   c.height = 16;
@@ -85,33 +84,6 @@ TEST(TileCacheFlush, DisjointDirtyTilesFlushAsSeparateRuns) {
   EXPECT_EQ(cache.stats().counters().flush_runs, 2u);
   EXPECT_EQ(lmem_at(lmem, m, 1, 2), 111u);
   EXPECT_EQ(lmem_at(lmem, m, 17, 34), 333u);
-}
-
-TEST(TileCacheMigrate, RelayoutPreservesDirtyDataUnderTheNewScheme) {
-  maxsim::LMem lmem(1 << 20);
-  core::PolyMem re_ro(pm_cfg(maf::Scheme::kReRo));
-  const auto m = make_matrix(lmem);
-  TileCache cache(lmem, re_ro, m,
-                  core::FramePool::whole_space(re_ro.config(), 8, 32));
-
-  dirty_tile(cache, 1, 0, 444);  // matrix cell (9, 2)
-  ASSERT_TRUE(cache.resident(1, 0));
-
-  // Live scheme migration: flush (LMem becomes the only truth), drop
-  // residency, re-point at the ReCo PolyMem.
-  core::PolyMem re_co(pm_cfg(maf::Scheme::kReCo));
-  cache.migrate(re_co);
-
-  EXPECT_EQ(&cache.polymem(), &re_co);
-  EXPECT_EQ(cache.stats().counters().relayouts, 1u);
-  EXPECT_FALSE(cache.resident(1, 0));
-  EXPECT_EQ(lmem_at(lmem, m, 9, 2), 444u);  // the dirty word was flushed
-
-  // Refill on demand: the tile comes back under the new layout with the
-  // migrated word intact.
-  const auto ref = cache.acquire(1, 0);
-  EXPECT_EQ(re_co.load({ref.origin.i + 1, ref.origin.j + 2}), 444u);
-  EXPECT_EQ(re_co.load({ref.origin.i, ref.origin.j}), 8u * 1000u);
 }
 
 }  // namespace

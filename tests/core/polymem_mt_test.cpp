@@ -1,7 +1,6 @@
 // The threading contract of a PolyMem (core/polymem.hpp, "Threading"):
 // one thread runs the engine, and the host rectangle transfers and
-// load/store run beside it and beside each other, as the adaptive copier
-// relies on. A TSan gate.
+// load/store run beside it and beside each other. A TSan gate.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -15,12 +14,9 @@ namespace {
 
 using access::PatternKind;
 
-// AdaptiveMatrix's copier calls dump_rect on the active epoch without the
-// engine lock while a client runs that epoch's engine (or its own locked
-// dump_rect), and fill_rect on the target epoch while forwarding writes
-// (fill_rect or store) land in other bands. Here all of it runs on one
-// PolyMem: two dump_rect loops and an engine loop over the same read-only
-// rows, two fill_rect loops into disjoint rows, a store loop into a third
+// fill_rect, dump_rect and store beside the engine, all on one PolyMem:
+// two dump_rect loops and an engine loop over the same read-only rows,
+// two fill_rect loops into disjoint rows, a store loop into a third
 // range. Under TSan this fails as soon as either call writes member state.
 TEST(RectBackdoorMt, CopierCallsRunBesideTheEngine) {
   PolyMemConfig cfg;

@@ -15,6 +15,7 @@
 #include <iostream>
 
 #include "adapt/policy.hpp"
+#include "adapt/profiler.hpp"
 #include "common/config.hpp"
 #include "core/frame_pool.hpp"
 #include "dse/explorer.hpp"
@@ -40,8 +41,7 @@ constexpr const char* kExample =
     "# service_queue_bound = 256   # per-port admission bound\n"
     "# service_shards = 2     # multi-tenant shard count\n"
     "# service_max_coalesce = 64   # longest run one drain serves\n"
-    "# adapt_window = 4096    # adaptive profiler window (accesses)\n"
-    "# adapt_band_rows = 2    # migration band height (defaults to p)\n";
+    "# adapt_window = 4096    # adaptive profiler window (accesses)\n";
 
 }  // namespace
 
@@ -75,6 +75,11 @@ int main(int argc, char** argv) {
         file.has("clock_mhz") ? file.get_double("clock_mhz")
                               : fmax_model.fmax_mhz(cfg);
     const auto est = resources.estimate(cfg);
+    // Built before any output: the profiler's own checks reject an
+    // adapt_window it would refuse.
+    adapt::ProfilerOptions prof;
+    prof.window = file.get_int_or("adapt_window", prof.window);
+    const adapt::AccessProfiler profiler(cfg.p, cfg.q, prof);
 
     std::printf("configuration : %s\n", cfg.describe().c_str());
     std::printf("address space : %lld x %lld elements (%u-bit)\n",
@@ -172,20 +177,12 @@ int main(int argc, char** argv) {
     // cost for a uniform pattern mix — the policy's view when the
     // workload gives it no preference.
     {
-      adapt::ProfilerOptions prof_defaults;
-      const auto window = file.get_int_or("adapt_window",
-                                          prof_defaults.window);
-      const auto band_rows = file.get_int_or("adapt_band_rows", cfg.p);
-      const std::int64_t bands = (cfg.height + band_rows - 1) / band_rows;
+      const std::int64_t window = profiler.options().window;
       const std::int64_t cells = cfg.height * cfg.width;
       const adapt::MigrationPolicy policy(cfg.p, cfg.q, cells);
       std::printf("\nadaptive layout engine (src/adapt):\n");
       std::printf("  profiler window: %lld parallel accesses\n",
                   static_cast<long long>(window));
-      std::printf("  migration bands: %lld bands x %lld rows "
-                  "(copy-forward granularity)\n",
-                  static_cast<long long>(bands),
-                  static_cast<long long>(band_rows));
       std::printf("  migration cost : %.0f access slots (one full copy, "
                   "2*cells/lanes)\n",
                   policy.migration_cost_accesses());

@@ -103,9 +103,7 @@ void print_json(std::ostream& out, const std::vector<ReplayReport>& reports,
           << polymem::maf::scheme_name(r.final_scheme) << "\",\n"
           << "      \"migrations\": " << r.migrations << ",\n"
           << "      \"migrations_aborted\": " << r.migrations_aborted << ",\n"
-          << "      \"migration_mismatches\": " << r.migration_mismatches
-          << ",\n"
-          << "      \"forwarded_words\": " << r.forwarded_words;
+          << "      \"migration_mismatches\": " << r.migration_mismatches;
     }
     if (k < lints.size()) {
       out << ",\n      \"lint\": {\"errors\": " << lints[k].errors()
