@@ -32,8 +32,6 @@ AccessProfiler::AccessProfiler(unsigned p, unsigned q, ProfilerOptions opts)
     : p_(p), q_(q), opts_(opts) {
   POLYMEM_REQUIRE(p > 0 && q > 0, "profiler: bank geometry must be nonzero");
   POLYMEM_REQUIRE(opts_.window > 0, "profiler: window must be positive");
-  POLYMEM_REQUIRE(opts_.sample_period > 0,
-                  "profiler: sample_period must be positive");
 }
 
 void AccessProfiler::observe_run(bool is_write, access::PatternKind kind,
@@ -41,17 +39,12 @@ void AccessProfiler::observe_run(bool is_write, access::PatternKind kind,
                                  std::int64_t count) {
   if (count <= 0) return;
   observed_total_ += count;
-  in_window_ += count;
-  const bool sampled = run_index_++ % opts_.sample_period == 0;
-  if (sampled) {
-    const std::int64_t scaled = count * opts_.sample_period;
-    KindCounts& k = cur_.kinds[static_cast<std::size_t>(kind)];
-    (is_write ? k.writes : k.reads) += scaled;
-    (is_write ? cur_.writes : cur_.reads) += scaled;
-    cur_.accesses += scaled;
-    if (run_aligned(p_, q_, anchor, stride)) k.aligned += scaled;
-  }
-  if (in_window_ >= opts_.window) seal();
+  KindCounts& k = cur_.kinds[static_cast<std::size_t>(kind)];
+  (is_write ? k.writes : k.reads) += count;
+  (is_write ? cur_.writes : cur_.reads) += count;
+  cur_.accesses += count;
+  if (run_aligned(p_, q_, anchor, stride)) k.aligned += count;
+  if (cur_.accesses >= opts_.window) seal();
 }
 
 WindowProfile AccessProfiler::take_window() {
@@ -64,8 +57,6 @@ void AccessProfiler::reset() {
   cur_ = WindowProfile{};
   sealed_ = WindowProfile{};
   ready_ = false;
-  in_window_ = 0;
-  run_index_ = 0;
 }
 
 void AccessProfiler::seal() {
@@ -73,7 +64,6 @@ void AccessProfiler::seal() {
   sealed_ = cur_;
   ready_ = true;
   cur_ = WindowProfile{};
-  in_window_ = 0;
 }
 
 }  // namespace polymem::adapt

@@ -5,17 +5,13 @@
 // workload is *doing*: which Table-I patterns dominate, how many of them
 // land on p/q-aligned anchors, and how the mix shifts over time. This is
 // exactly the provenance the AccessTrace already carries per access
-// (pattern kind + anchor), so the profiler consumes the same stream —
-// either directly from AdaptiveMatrix's serve path, or from any
-// sched::TraceRecorder via the ProfilingObserver adapter.
+// (pattern kind + anchor), so the profiler consumes the same stream,
+// directly from AdaptiveMatrix's serve path.
 //
 // Accesses accumulate into fixed-size *windows* (ProfilerOptions::window
 // parallel accesses each). When a window fills it is sealed into a
 // WindowProfile histogram and the accumulator restarts; the policy engine
-// (adapt/policy.hpp) consumes sealed windows one at a time. Sampling
-// (sample_period > 1) records every Nth run scaled by the period, so the
-// histogram stays an unbiased estimate while the observe cost drops
-// proportionally.
+// (adapt/policy.hpp) consumes sealed windows one at a time.
 //
 // Alignment is classified with the same rule the batched execution engine
 // uses for kAligned schemes: a run is aligned when its first anchor *and*
@@ -28,15 +24,12 @@
 #include <cstdint>
 
 #include "access/pattern.hpp"
-#include "sched/trace_io.hpp"
 
 namespace polymem::adapt {
 
 struct ProfilerOptions {
   /// Parallel accesses per sealed window.
   std::int64_t window = 4096;
-  /// Record every Nth run (counts scaled by N); 1 = exact.
-  std::int64_t sample_period = 1;
 };
 
 /// True when a constant-stride run starting at `anchor` keeps every access
@@ -57,7 +50,7 @@ struct KindCounts {
 /// One sealed histogram window.
 struct WindowProfile {
   std::array<KindCounts, std::size(access::kAllPatterns)> kinds{};
-  std::int64_t accesses = 0;  ///< observed accesses (sampling-scaled)
+  std::int64_t accesses = 0;  ///< observed accesses
   std::int64_t reads = 0;
   std::int64_t writes = 0;
   std::int64_t sequence = 0;  ///< 0-based seal index
@@ -71,8 +64,8 @@ struct WindowProfile {
 };
 
 /// Windowed histogram accumulator. Not thread-safe: its owner calls it
-/// from one thread at a time (AdaptiveMatrix and TraceRecorder are both
-/// single-threaded by contract).
+/// from one thread at a time (AdaptiveMatrix is single-threaded by
+/// contract).
 class AccessProfiler {
  public:
   AccessProfiler(unsigned p, unsigned q, ProfilerOptions opts = {});
@@ -109,26 +102,8 @@ class AccessProfiler {
   WindowProfile cur_;
   WindowProfile sealed_;
   bool ready_ = false;
-  std::int64_t in_window_ = 0;  ///< unscaled accesses since last seal
   std::int64_t sealed_count_ = 0;
   std::int64_t observed_total_ = 0;
-  std::int64_t run_index_ = 0;
-};
-
-/// sched::AccessObserver adapter: tees every access a TraceRecorder sees
-/// into a profiler — the sampling hook of ROADMAP item 3 ("an observer
-/// that samples the AccessTrace").
-class ProfilingObserver final : public sched::AccessObserver {
- public:
-  explicit ProfilingObserver(AccessProfiler& profiler) : profiler_(&profiler) {}
-
-  void on_access(sched::TraceOp::Dir dir,
-                 const access::ParallelAccess& access) override {
-    profiler_->observe(dir == sched::TraceOp::Dir::kWrite, access);
-  }
-
- private:
-  AccessProfiler* profiler_;
 };
 
 }  // namespace polymem::adapt

@@ -1,7 +1,6 @@
 #include "cache/tile_cache.hpp"
 
 #include <algorithm>
-#include <list>
 
 #include "common/error.hpp"
 #include "common/math.hpp"
@@ -24,59 +23,27 @@ const char* write_policy_name(WritePolicy policy) {
   return "?";
 }
 
-namespace {
+void TileCache::EvictionList::insert(int frame) {
+  pos_[frame] = order_.insert(order_.end(), frame);
+}
 
-/// One list covers both policies: frames enter at the back, the victim is
-/// the front; LRU additionally moves a touched frame to the back.
-class ListOrder : public EvictionOrder {
- public:
-  ListOrder(bool move_on_access, const char* name)
-      : move_on_access_(move_on_access), name_(name) {}
+void TileCache::EvictionList::touch(int frame) {
+  if (!move_on_touch_) return;
+  const auto it = pos_.find(frame);
+  POLYMEM_REQUIRE(it != pos_.end(), "access to a frame not in the order");
+  order_.splice(order_.end(), order_, it->second);
+}
 
-  const char* name() const override { return name_; }
+void TileCache::EvictionList::erase(int frame) {
+  const auto it = pos_.find(frame);
+  POLYMEM_REQUIRE(it != pos_.end(), "erase of a frame not in the order");
+  order_.erase(it->second);
+  pos_.erase(it);
+}
 
-  void on_insert(int frame) override {
-    pos_[frame] = order_.insert(order_.end(), frame);
-  }
-
-  void on_access(int frame) override {
-    if (!move_on_access_) return;
-    const auto it = pos_.find(frame);
-    POLYMEM_REQUIRE(it != pos_.end(), "access to a frame not in the order");
-    order_.splice(order_.end(), order_, it->second);
-  }
-
-  void on_erase(int frame) override {
-    const auto it = pos_.find(frame);
-    POLYMEM_REQUIRE(it != pos_.end(), "erase of a frame not in the order");
-    order_.erase(it->second);
-    pos_.erase(it);
-  }
-
-  int victim() const override {
-    POLYMEM_REQUIRE(!order_.empty(), "no frame to evict");
-    return order_.front();
-  }
-
-  bool empty() const override { return order_.empty(); }
-
- private:
-  std::list<int> order_;
-  std::unordered_map<int, std::list<int>::iterator> pos_;
-  bool move_on_access_;
-  const char* name_;
-};
-
-}  // namespace
-
-std::unique_ptr<EvictionOrder> EvictionOrder::make(EvictionKind kind) {
-  switch (kind) {
-    case EvictionKind::kLru:
-      return std::make_unique<ListOrder>(true, "lru");
-    case EvictionKind::kFifo:
-      return std::make_unique<ListOrder>(false, "fifo");
-  }
-  throw InvalidArgument("unknown eviction kind");
+int TileCache::EvictionList::victim() const {
+  POLYMEM_REQUIRE(!order_.empty(), "no frame to evict");
+  return order_.front();
 }
 
 TileCache::TileCache(maxsim::LMem& lmem, core::PolyMem& mem,
@@ -90,7 +57,10 @@ TileCache::TileCache(maxsim::LMem& lmem, core::PolyMem& mem,
       dma_(lmem, mem),
       tiles_i_(ceil_div(matrix.rows, frames.tile_rows())),
       tiles_j_(ceil_div(matrix.cols, frames.tile_cols())),
-      order_(EvictionOrder::make(options.eviction)) {
+      order_(options.eviction == EvictionKind::kLru) {
+  POLYMEM_REQUIRE(options.eviction == EvictionKind::kLru ||
+                      options.eviction == EvictionKind::kFifo,
+                  "unknown eviction kind");
   POLYMEM_REQUIRE(matrix.rows >= 1 && matrix.cols >= 1,
                   "cached matrix must be non-empty");
   POLYMEM_REQUIRE(matrix.leading_dim >= matrix.cols,
@@ -127,7 +97,7 @@ TileCache::TileRef TileCache::acquire(std::int64_t ti, std::int64_t tj) {
 
   if (const auto it = residency_.find(key); it != residency_.end()) {
     ++stats_.dma.cache.hits;
-    order_->on_access(it->second);
+    order_.touch(it->second);
     ref.frame = it->second;
     ref.origin = frames_.frame_origin(it->second);
     return ref;
@@ -145,7 +115,7 @@ TileCache::TileRef TileCache::acquire(std::int64_t ti, std::int64_t tj) {
 
   residency_[key] = frame;
   frame_table_[static_cast<std::size_t>(frame)] = {ti, tj, false};
-  order_->on_insert(frame);
+  order_.insert(frame);
   ref.frame = frame;
   ref.origin = frames_.frame_origin(frame);
 
@@ -169,7 +139,7 @@ int TileCache::take_frame() {
     free_frames_.pop_back();
     return frame;
   }
-  const int victim = order_->victim();
+  const int victim = order_.victim();
   evict(victim);
   free_frames_.pop_back();
   return victim;
@@ -181,7 +151,7 @@ void TileCache::evict(int frame) {
   if (slot.dirty) write_back(frame);
   ++stats_.dma.cache.evictions;
   residency_.erase(tile_key(slot.ti, slot.tj));
-  order_->on_erase(frame);
+  order_.erase(frame);
   slot = Frame{};
   free_frames_.push_back(frame);
 }
@@ -248,7 +218,7 @@ void TileCache::invalidate() {
     Frame& slot = frame_table_[static_cast<std::size_t>(f)];
     if (slot.ti < 0) continue;
     residency_.erase(tile_key(slot.ti, slot.tj));
-    order_->on_erase(f);
+    order_.erase(f);
     slot = Frame{};
     free_frames_.push_back(f);
   }

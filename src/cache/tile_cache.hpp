@@ -9,8 +9,9 @@
 //
 //  - a *residency map* from matrix tile coordinates to frames, so matrix
 //    (i, j) translates to a PolyMem coordinate in O(1);
-//  - pluggable *eviction* (LRU and FIFO) with dirty-tile tracking and
-//    write-back vs write-through policies;
+//  - LRU or FIFO *eviction* (one frame list; LRU also moves a touched
+//    frame to the back) with dirty-tile tracking and write-back vs
+//    write-through policies;
 //  - sequential next-tile *prefetch*: after a miss, the next tile in
 //    row-major tile order is staged out of LMem into a slot buffer, so
 //    the miss that asks for it installs it without a refill. In the
@@ -34,7 +35,7 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
+#include <list>
 #include <span>
 #include <unordered_map>
 #include <vector>
@@ -53,21 +54,6 @@ enum class WritePolicy : std::uint8_t { kWriteBack, kWriteThrough };
 
 const char* eviction_name(EvictionKind kind);
 const char* write_policy_name(WritePolicy policy);
-
-/// Pluggable eviction order over frame ids. TileCache notifies residency
-/// changes and touches; victim() names the frame to displace next.
-class EvictionOrder {
- public:
-  virtual ~EvictionOrder() = default;
-  virtual const char* name() const = 0;
-  virtual void on_insert(int frame) = 0;  ///< frame became resident
-  virtual void on_access(int frame) = 0;  ///< resident frame was touched
-  virtual void on_erase(int frame) = 0;   ///< frame was evicted/invalidated
-  virtual int victim() const = 0;         ///< next frame to displace
-  virtual bool empty() const = 0;
-
-  static std::unique_ptr<EvictionOrder> make(EvictionKind kind);
-};
 
 struct CacheOptions {
   EvictionKind eviction = EvictionKind::kLru;
@@ -173,6 +159,24 @@ class TileCache {
     bool dirty = false;
   };
 
+  /// Eviction order over resident frame ids, one list for both policies:
+  /// frames enter at the back and the victim is the front; LRU
+  /// (move_on_touch) also moves a touched frame to the back.
+  class EvictionList {
+   public:
+    explicit EvictionList(bool move_on_touch)
+        : move_on_touch_(move_on_touch) {}
+    void insert(int frame);  ///< frame became resident
+    void touch(int frame);   ///< resident frame was hit
+    void erase(int frame);   ///< frame was evicted or invalidated
+    int victim() const;      ///< next frame to displace
+
+   private:
+    std::list<int> order_;
+    std::unordered_map<int, std::list<int>::iterator> pos_;
+    bool move_on_touch_;
+  };
+
   /// The prefetched tile, staged out of LMem when the prefetch was
   /// issued and installed by the miss that asks for it.
   struct Staged {
@@ -208,7 +212,7 @@ class TileCache {
   std::vector<Frame> frame_table_;
   std::vector<int> free_frames_;
   std::unordered_map<std::int64_t, int> residency_;
-  std::unique_ptr<EvictionOrder> order_;
+  EvictionList order_;
 
   Staged staged_;
   CacheStats stats_;

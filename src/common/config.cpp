@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <fstream>
 #include <sstream>
 
@@ -116,6 +117,14 @@ double ConfigFile::get_double_or(const std::string& key,
 
 bool ConfigFile::get_bool_or(const std::string& key, bool fallback) const {
   return has(key) ? get_bool(key) : fallback;
+}
+
+std::optional<std::int64_t> parse_decimal(const std::string& text) {
+  std::int64_t value = 0;
+  const char* end = text.data() + text.size();
+  const auto [last, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || last != end) return std::nullopt;
+  return value;
 }
 
 }  // namespace polymem

@@ -43,4 +43,10 @@ class ConfigFile {
   std::map<std::string, std::string> kv_;
 };
 
+/// Parses all of `text` as a base-10 integer: an optional '-' then digits,
+/// with no '+', spaces, base prefix or trailing characters. nullopt for
+/// anything else, or when the value does not fit in 64 bits. The CLIs use
+/// it for numeric flags.
+std::optional<std::int64_t> parse_decimal(const std::string& text);
+
 }  // namespace polymem

@@ -122,27 +122,6 @@ Reservoir::Summary Reservoir::summary() const {
   return s;
 }
 
-double mean_abs_error(const std::vector<double>& a,
-                      const std::vector<double>& b) {
-  POLYMEM_REQUIRE(a.size() == b.size() && !a.empty(),
-                  "series must be non-empty and equally sized");
-  double sum = 0.0;
-  for (std::size_t i = 0; i < a.size(); ++i) sum += std::abs(a[i] - b[i]);
-  return sum / static_cast<double>(a.size());
-}
-
-double mean_abs_rel_error(const std::vector<double>& model,
-                          const std::vector<double>& reference) {
-  POLYMEM_REQUIRE(model.size() == reference.size() && !model.empty(),
-                  "series must be non-empty and equally sized");
-  double sum = 0.0;
-  for (std::size_t i = 0; i < model.size(); ++i) {
-    POLYMEM_REQUIRE(reference[i] != 0.0, "reference value must be non-zero");
-    sum += std::abs(model[i] - reference[i]) / std::abs(reference[i]);
-  }
-  return sum / static_cast<double>(model.size());
-}
-
 double pearson(const std::vector<double>& a, const std::vector<double>& b) {
   POLYMEM_REQUIRE(a.size() == b.size(), "series must be equally sized");
   const std::size_t n = a.size();

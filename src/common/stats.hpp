@@ -1,8 +1,8 @@
 // Running statistics and small fitting helpers.
 //
 // Used by the STREAM harness (min/avg/max over 1000 runs, as the original
-// STREAM reports), by the synthesis-model calibration (error metrics) and
-// by the software-cache observability counters (src/cache hot path).
+// STREAM reports), by the software-cache observability counters (src/cache
+// hot path) and, for pearson, by the synthesis-model tests' oracle.
 #pragma once
 
 #include <cstddef>
@@ -115,14 +115,6 @@ class HighWater {
  private:
   std::uint64_t max_ = 0;
 };
-
-/// Mean absolute error between two equal-length series.
-double mean_abs_error(const std::vector<double>& a,
-                      const std::vector<double>& b);
-
-/// Mean absolute *relative* error |a-b|/|b| (b is the reference).
-double mean_abs_rel_error(const std::vector<double>& model,
-                          const std::vector<double>& reference);
 
 /// Pearson correlation coefficient; returns 0 for degenerate input.
 double pearson(const std::vector<double>& a, const std::vector<double>& b);

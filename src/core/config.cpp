@@ -45,7 +45,8 @@ PolyMemConfig PolyMemConfig::with_capacity(std::uint64_t capacity_bytes,
 void PolyMemConfig::validate() const {
   POLYMEM_REQUIRE(p >= 1 && q >= 1, "bank geometry must be at least 1x1");
   POLYMEM_REQUIRE(read_ports >= 1, "at least one read port is required");
-  POLYMEM_REQUIRE(read_ports <= 16, "more than 16 read ports is not sensible");
+  POLYMEM_REQUIRE(read_ports <= kMaxReadPorts,
+                  "more than 16 read ports is not sensible");
   POLYMEM_REQUIRE(data_width_bits == 32 || data_width_bits == 64,
                   "data width must be 32 or 64 bits");
   POLYMEM_REQUIRE(height >= 1 && width >= 1, "address space must be non-empty");

@@ -29,6 +29,9 @@ struct PolyMemConfig {
   unsigned read_latency = 14;      ///< pipeline read latency in cycles
                                    ///< (paper Sec. V: 14 for the Vectis design)
 
+  /// Most read ports validate() accepts (each one replicates every bank).
+  static constexpr unsigned kMaxReadPorts = 16;
+
   /// Lanes per port: elements moved per cycle per data port.
   unsigned lanes() const { return p * q; }
 

@@ -33,7 +33,8 @@ bool CyclePolyMem::issue_read(unsigned port, const access::ParallelAccess& where
 
 void CyclePolyMem::tick() {
   // Execute this cycle's accesses. Reads happen before the write (BRAM
-  // read-first behaviour), matching PolyMem::read_write.
+  // read-first behaviour), so a read that overlaps this cycle's write
+  // returns the pre-write data.
   bool any = write_where_.has_value();
   for (unsigned port = 0; port < read_req_.size(); ++port) {
     std::optional<ReadResponse> issued;

@@ -105,18 +105,6 @@ std::optional<std::int64_t> PlanCache::period_shift(access::Coord from,
   return (di / period_i_) * delta_i_ + (dj / period_j_) * delta_j_;
 }
 
-std::optional<PlanCache::TemplateView> PlanCache::inspect(
-    const ParallelAccess& access) {
-  TemplateView view;
-  view.tmpl = lookup(access, view.delta);
-  if (view.tmpl == nullptr) return std::nullopt;
-  // lookup() only serves in-bounds (non-negative) anchors, so plain
-  // remainder is the floored residue.
-  view.residue_i = access.anchor.i % period_i_;
-  view.residue_j = access.anchor.j % period_j_;
-  return view;
-}
-
 const PlanTemplate& PlanCache::build(PatternKind kind, std::int64_t ri,
                                      std::int64_t rj, std::uint64_t key) {
   // The residue anchor (ri, rj) may place elements outside the address

@@ -129,19 +129,6 @@ class PlanCache {
   std::uint64_t builds() const { return builds_; }
   std::size_t size() const { return templates_.size(); }
 
-  /// Template introspection for the static prover (verify/maf_prover.hpp)
-  /// and tools: the template serving `access` plus the residue class it is
-  /// keyed under and the per-anchor address offset. Goes through the same
-  /// cache (and counters) as lookup(); nullopt exactly when lookup() would
-  /// return nullptr.
-  struct TemplateView {
-    const PlanTemplate* tmpl = nullptr;
-    std::int64_t residue_i = 0;  ///< anchor.i mod period_i
-    std::int64_t residue_j = 0;  ///< anchor.j mod period_j
-    std::int64_t delta = 0;      ///< addresses are tmpl->addr0[k] + delta
-  };
-  std::optional<TemplateView> inspect(const access::ParallelAccess& access);
-
   /// Aggregate cache state, one call — for polymem_info and reports.
   struct Stats {
     bool enabled = false;

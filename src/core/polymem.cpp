@@ -18,18 +18,12 @@ PolyMem::PolyMem(PolyMemConfig config)
       banks_(config.lanes(), config.read_ports, config.words_per_bank()),
       plan_cache_(config_, maf_, addressing_),
       tables_(banks_, config.lanes()) {
-  init_scratch(scratch_);
-  init_scratch(write_scratch_);
-  copy_buf_.resize(config_.lanes());
-}
-
-void PolyMem::init_scratch(Scratch& s) {
   // Sized once here; every later access reuses the buffers (the AGU's
   // resize calls become no-ops and expansion never reallocates).
   const unsigned lanes = config_.lanes();
-  s.plan.reserve(lanes);
-  s.bank_addr.resize(lanes);
-  s.bank_data.resize(lanes);
+  scratch_.plan.reserve(lanes);
+  scratch_.bank_addr.resize(lanes);
+  scratch_.bank_data.resize(lanes);
 }
 
 maf::SupportLevel PolyMem::supports(access::PatternKind pattern) const {
@@ -37,17 +31,17 @@ maf::SupportLevel PolyMem::supports(access::PatternKind pattern) const {
 }
 
 const ClassTables* PolyMem::resolve(const access::ParallelAccess& where,
-                                    std::int64_t& delta, Scratch& s) {
+                                    std::int64_t& delta) {
   if (use_plan_cache_) {
     if (const PlanTemplate* t = plan_cache_.lookup(where, delta, memo_))
       return &tables_.get(*t);
   }
-  agu_.expand_into(where, s.plan);
+  agu_.expand_into(where, scratch_.plan);
   return nullptr;
 }
 
 void PolyMem::execute_read(const ClassTables* t, std::int64_t delta,
-                           Scratch& s, unsigned port, std::span<Word> out) {
+                           unsigned port, std::span<Word> out) {
   if (t != nullptr) {
     const unsigned lanes = config_.lanes();
     simd::gather_run(
@@ -55,22 +49,22 @@ void PolyMem::execute_read(const ClassTables* t, std::int64_t delta,
         &delta, 1, out.data());
     return;
   }
-  address_shuffle(s.plan, s.bank_addr);
-  banks_.read(port, s.bank_addr, s.bank_data);
-  read_data_shuffle(s.plan, s.bank_data, out);
+  address_shuffle(scratch_.plan, scratch_.bank_addr);
+  banks_.read(port, scratch_.bank_addr, scratch_.bank_data);
+  read_data_shuffle(scratch_.plan, scratch_.bank_data, out);
 }
 
 void PolyMem::execute_write(const ClassTables* t, std::int64_t delta,
-                            Scratch& s, std::span<const Word> data) {
+                            std::span<const Word> data) {
   if (t != nullptr) {
     simd::scatter_run(t->bank_base.data(), config_.read_ports,
                       t->lane_for_bank.data(), config_.lanes(), &delta, 1,
                       data.data());
     return;
   }
-  address_shuffle(s.plan, s.bank_addr);
-  write_data_shuffle(s.plan, data, s.bank_data);
-  banks_.write(s.bank_addr, s.bank_data);
+  address_shuffle(scratch_.plan, scratch_.bank_addr);
+  write_data_shuffle(scratch_.plan, data, scratch_.bank_data);
+  banks_.write(scratch_.bank_addr, scratch_.bank_data);
 }
 
 void PolyMem::write(const access::ParallelAccess& where,
@@ -78,9 +72,9 @@ void PolyMem::write(const access::ParallelAccess& where,
   POLYMEM_REQUIRE(data.size() == config_.lanes(),
                   "write data must provide one word per lane");
   std::int64_t delta = 0;
-  const ClassTables* t = resolve(where, delta, scratch_);
+  const ClassTables* t = resolve(where, delta);
   if (t == nullptr) banks_.begin_cycle();
-  execute_write(t, delta, scratch_, data);
+  execute_write(t, delta, data);
   ++parallel_writes_;
 }
 
@@ -90,9 +84,9 @@ void PolyMem::read_into(const access::ParallelAccess& where, unsigned port,
   POLYMEM_REQUIRE(out.size() == config_.lanes(),
                   "read buffer must provide one word per lane");
   std::int64_t delta = 0;
-  const ClassTables* t = resolve(where, delta, scratch_);
+  const ClassTables* t = resolve(where, delta);
   if (t == nullptr) banks_.begin_cycle();
-  execute_read(t, delta, scratch_, port, out);
+  execute_read(t, delta, port, out);
   ++parallel_reads_;
 }
 
@@ -101,27 +95,6 @@ std::vector<Word> PolyMem::read(const access::ParallelAccess& where,
   std::vector<Word> out(config_.lanes());
   read_into(where, port, out);
   return out;
-}
-
-void PolyMem::read_write(const access::ParallelAccess& read_from,
-                         unsigned port, std::span<Word> read_out,
-                         const access::ParallelAccess& write_to,
-                         std::span<const Word> write_data) {
-  POLYMEM_REQUIRE(port < config_.read_ports, "read port out of range");
-  POLYMEM_REQUIRE(read_out.size() == config_.lanes() &&
-                      write_data.size() == config_.lanes(),
-                  "buffers must provide one word per lane");
-  std::int64_t read_delta = 0;
-  std::int64_t write_delta = 0;
-  const ClassTables* rt = resolve(read_from, read_delta, scratch_);
-  const ClassTables* wt = resolve(write_to, write_delta, write_scratch_);
-  if (rt == nullptr || wt == nullptr) banks_.begin_cycle();
-  // Read first: an overlapping concurrent write lands *after* the read,
-  // matching BRAM read-first port behaviour.
-  execute_read(rt, read_delta, scratch_, port, read_out);
-  execute_write(wt, write_delta, write_scratch_, write_data);
-  ++parallel_reads_;
-  ++parallel_writes_;
 }
 
 void PolyMem::validate_batch(const AccessBatch& batch) const {
@@ -172,18 +145,16 @@ void PolyMem::validate_batch(const AccessBatch& batch) const {
   }
 }
 
-ExecPlan* PolyMem::compiled_plan(const AccessBatch& batch,
-                                 const ExecPlan* avoid) {
+ExecPlan* PolyMem::compiled_plan(const AccessBatch& batch) {
   if (!use_plan_cache_ || !plan_cache_.enabled()) return nullptr;
   for (ExecSlot& slot : exec_slots_)
     if (slot.valid && slot.key == batch) return &slot.plan;
   // The same shape moved by whole MAF periods keeps every access's
   // residue class: shift that plan's deltas instead of recompiling. The
   // caller validated `batch`, so the lookups this skips could only return
-  // the templates the plan already holds. Never the pinned plan: it is
-  // the live other half of a fused copy.
+  // the templates the plan already holds.
   for (ExecSlot& slot : exec_slots_) {
-    if (!slot.valid || &slot.plan == avoid) continue;
+    if (!slot.valid) continue;
     AccessBatch moved = slot.key;
     moved.start = batch.start;
     if (!(moved == batch)) continue;
@@ -194,8 +165,6 @@ ExecPlan* PolyMem::compiled_plan(const AccessBatch& batch,
       return &slot.plan;
     }
   }
-  if (avoid != nullptr && &exec_slots_[exec_victim_].plan == avoid)
-    exec_victim_ = (exec_victim_ + 1) % kExecSlots;
   ExecSlot& slot = exec_slots_[exec_victim_];
   if (!slot.plan.compile(batch, plan_cache_, tables_)) {
     slot.valid = false;
@@ -207,29 +176,27 @@ ExecPlan* PolyMem::compiled_plan(const AccessBatch& batch,
   return &slot.plan;
 }
 
-void PolyMem::exec_read(const ExecPlan& plan, unsigned port, std::int64_t t0,
-                        std::int64_t count, Word* out) {
+void PolyMem::exec_read(const ExecPlan& plan, unsigned port, Word* out) {
   const std::uintptr_t* const* lane_bases = plan.lane_bases(port);
   if (plan.uniform()) {
-    simd::gather_run(lane_bases[0], plan.lanes(), plan.delta() + t0, count,
+    simd::gather_run(lane_bases[0], plan.lanes(), plan.delta(), plan.count(),
                      out);
     return;
   }
-  simd::gather_multi(lane_bases, plan.tmpl_of() + t0, plan.lanes(),
-                     plan.delta() + t0, count, out);
+  simd::gather_multi(lane_bases, plan.tmpl_of(), plan.lanes(), plan.delta(),
+                     plan.count(), out);
 }
 
-void PolyMem::exec_write(const ExecPlan& plan, std::int64_t t0,
-                         std::int64_t count, const Word* data) {
+void PolyMem::exec_write(const ExecPlan& plan, const Word* data) {
   if (plan.uniform()) {
     simd::scatter_run(plan.bank_bases()[0], plan.ports(),
-                      plan.lanes_for_bank()[0], plan.lanes(),
-                      plan.delta() + t0, count, data);
+                      plan.lanes_for_bank()[0], plan.lanes(), plan.delta(),
+                      plan.count(), data);
     return;
   }
   simd::scatter_multi(plan.bank_bases(), plan.lanes_for_bank(),
-                      plan.tmpl_of() + t0, plan.ports(), plan.lanes(),
-                      plan.delta() + t0, count, data);
+                      plan.tmpl_of(), plan.ports(), plan.lanes(),
+                      plan.delta(), plan.count(), data);
 }
 
 void PolyMem::read_batch(const AccessBatch& batch, unsigned port,
@@ -241,7 +208,7 @@ void PolyMem::read_batch(const AccessBatch& batch, unsigned port,
                   "batch read buffer must provide count * lanes words");
   if (batch.count() == 0) return;
   if (ExecPlan* plan = compiled_plan(batch)) {
-    exec_read(*plan, port, 0, plan->count(), out.data());
+    exec_read(*plan, port, out.data());
     parallel_reads_ += static_cast<std::uint64_t>(plan->count());
     return;
   }
@@ -263,7 +230,7 @@ void PolyMem::read_compiled(const ExecPlan& plan, unsigned port,
   POLYMEM_REQUIRE(
       out.size() == static_cast<std::size_t>(plan.count()) * plan.lanes(),
       "batch read buffer must provide count * lanes words");
-  exec_read(plan, port, 0, plan.count(), out.data());
+  exec_read(plan, port, out.data());
   parallel_reads_ += static_cast<std::uint64_t>(plan.count());
 }
 
@@ -272,7 +239,7 @@ void PolyMem::write_compiled(const ExecPlan& plan,
   POLYMEM_REQUIRE(
       data.size() == static_cast<std::size_t>(plan.count()) * plan.lanes(),
       "batch write buffer must provide count * lanes words");
-  exec_write(plan, 0, plan.count(), data.data());
+  exec_write(plan, data.data());
   parallel_writes_ += static_cast<std::uint64_t>(plan.count());
 }
 
@@ -285,42 +252,13 @@ void PolyMem::write_batch(const AccessBatch& batch,
       "batch write buffer must provide count * lanes words");
   if (batch.count() == 0) return;
   if (ExecPlan* plan = compiled_plan(batch)) {
-    exec_write(*plan, 0, plan->count(), data.data());
+    exec_write(*plan, data.data());
     parallel_writes_ += static_cast<std::uint64_t>(plan->count());
     return;
   }
   for (std::int64_t t = 0; t < batch.count(); ++t)
     write(batch.access(t),
           data.subspan(static_cast<std::size_t>(t) * lanes, lanes));
-}
-
-void PolyMem::stream_copy_batch(const AccessBatch& from,
-                                const AccessBatch& to, unsigned port) {
-  POLYMEM_REQUIRE(port < config_.read_ports, "read port out of range");
-  POLYMEM_REQUIRE(from.count() == to.count(),
-                  "copy batches must have equal access counts");
-  validate_batch(from);
-  validate_batch(to);
-  if (from.count() == 0) return;
-  // Fused compiled path: both halves compile, then each element is one
-  // gather into the lane buffer and one scatter out of it — preserving
-  // the read-before-write-per-cycle semantics for overlapping batches.
-  if (ExecPlan* rd = compiled_plan(from)) {
-    if (ExecPlan* wr = compiled_plan(to, /*avoid=*/rd)) {
-      const std::int64_t count = rd->count();
-      for (std::int64_t t = 0; t < count; ++t) {
-        exec_read(*rd, port, t, 1, copy_buf_.data());
-        exec_write(*wr, t, 1, copy_buf_.data());
-      }
-      parallel_reads_ += static_cast<std::uint64_t>(count);
-      parallel_writes_ += static_cast<std::uint64_t>(count);
-      return;
-    }
-  }
-  for (std::int64_t t = 0; t < from.count(); ++t) {
-    read_into(from.access(t), port, copy_buf_);
-    write(to.access(t), copy_buf_);
-  }
 }
 
 Word PolyMem::load(access::Coord c) const {

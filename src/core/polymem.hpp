@@ -89,16 +89,6 @@ class PolyMem {
   void read_into(const access::ParallelAccess& where, unsigned port,
                  std::span<Word> out);
 
-  /// One concurrent cycle: the read and the write share the cycle, using
-  /// the independent read/write bank ports (paper Sec. III-B: "Simultaneous
-  /// reads and writes are supported"). Read-before-write semantics when the
-  /// two accesses overlap. Both halves are resolved — and an invalid one
-  /// throws — before either touches a bank.
-  void read_write(const access::ParallelAccess& read_from, unsigned port,
-                  std::span<Word> read_out,
-                  const access::ParallelAccess& write_to,
-                  std::span<const Word> write_data);
-
   /// Batched access engine: validates the whole batch once (support,
   /// alignment, bounds), then compiles it to a flat ExecPlan and executes
   /// it with the gather/scatter kernels (core/simd/) — no
@@ -117,13 +107,16 @@ class PolyMem {
   /// Service-drain entry points (src/service): compile a batch into a
   /// *caller-owned* plan and execute it later. The service loop drains a
   /// coalesced run per iteration, and the runs differ call to call, so
-  /// the 4-slot replay memo behind read_batch would thrash; a drain that
-  /// owns one ExecPlan instead recompiles it in place — ExecPlan reuses
-  /// its capacity, so steady-state recompiles allocate nothing. Returns
-  /// false (plan unusable; serve the batch per access instead) when the
-  /// plan cache cannot supply a template for every access. The plan's
-  /// pointer tables stay valid for this PolyMem's lifetime but belong to
-  /// this PolyMem only.
+  /// the memo and period-shift probes of read_batch's compiled_plan miss
+  /// before every compile; a drain that owns one ExecPlan instead
+  /// recompiles it in place — ExecPlan reuses its capacity, so
+  /// steady-state recompiles allocate nothing. Routing the drain's runs
+  /// through read_batch/write_batch measured slower on the zipf_service
+  /// workload (6 alternating 25 s pairs: words/s median x0.962, ahead in
+  /// 1 of 6; p50 latency +3.3%, p99 +2.5%). Returns false (plan unusable;
+  /// serve the batch per access instead) when the plan cache cannot supply
+  /// a template for every access. The plan's pointer tables stay valid for
+  /// this PolyMem's lifetime but belong to this PolyMem only.
   bool compile_batch(const AccessBatch& batch, ExecPlan& plan);
 
   /// Executes a plan compiled by compile_batch on this PolyMem: the whole
@@ -131,12 +124,6 @@ class PolyMem {
   /// read_batch / write_batch.
   void read_compiled(const ExecPlan& plan, unsigned port, std::span<Word> out);
   void write_compiled(const ExecPlan& plan, std::span<const Word> data);
-
-  /// Fused copy: per element t, reads `from.access(t)` and writes the data
-  /// to `to.access(t)` in the same cycle (read-before-write, like
-  /// read_write) — the STREAM-Copy inner loop without the host round trip.
-  void stream_copy_batch(const AccessBatch& from, const AccessBatch& to,
-                         unsigned port = 0);
 
   /// Scalar host backdoor (no port accounting; used for Load/Offload and
   /// debugging, like the host filling the memory in the paper's DSE
@@ -167,9 +154,6 @@ class PolyMem {
   /// the AGU reference — the differential-test oracle and benchmark
   /// baseline.
   void set_plan_cache_enabled(bool enabled) { use_plan_cache_ = enabled; }
-  bool plan_cache_enabled() const {
-    return use_plan_cache_ && plan_cache_.enabled();
-  }
   const PlanCache& plan_cache() const { return plan_cache_; }
   PlanCache& plan_cache() { return plan_cache_; }
 
@@ -194,7 +178,6 @@ class PolyMem {
     ExecPlan plan;
   };
 
-  void init_scratch(Scratch& s);
   void validate_batch(const AccessBatch& batch) const;
 
   /// fill_rect/dump_rect's walk: validates the rectangle against a
@@ -206,32 +189,29 @@ class PolyMem {
                  std::size_t buffer, Visit&& visit) const;
 
   /// The compiled tables and per-anchor delta serving `where`, or null
-  /// when the access runs on the AGU reference — then `s.plan` holds the
-  /// expanded access. Throws the AGU's exact error for an unsupported,
-  /// unaligned or out-of-bounds access, before any bank is touched.
+  /// when the access runs on the AGU reference — then `scratch_.plan`
+  /// holds the expanded access. Throws the AGU's exact error for an
+  /// unsupported, unaligned or out-of-bounds access, before any bank is
+  /// touched.
   const ClassTables* resolve(const access::ParallelAccess& where,
-                             std::int64_t& delta, Scratch& s);
+                             std::int64_t& delta);
   /// Executes one resolved access: a count-1 kernel call through `t` or,
-  /// when `t` is null, the AGU reference on
-  /// `s.plan` — checked shuffles and ported bank accesses within the
-  /// current cycle (the caller begins it).
-  void execute_read(const ClassTables* t, std::int64_t delta, Scratch& s,
-                    unsigned port, std::span<Word> out);
-  void execute_write(const ClassTables* t, std::int64_t delta, Scratch& s,
+  /// when `t` is null, the AGU reference on `scratch_.plan` — checked
+  /// shuffles and ported bank accesses within the current cycle (the
+  /// caller begins it).
+  void execute_read(const ClassTables* t, std::int64_t delta, unsigned port,
+                    std::span<Word> out);
+  void execute_write(const ClassTables* t, std::int64_t delta,
                      std::span<const Word> data);
 
   /// The compiled plan serving `batch` (validated by the caller): a memo
   /// hit, a memoized plan of the same shape rebased by whole MAF periods,
   /// or a fresh compile into the next slot. Returns nullptr (the batch
   /// then runs access by access) when the plan cache cannot serve the
-  /// batch. `avoid` pins one plan (the other half of a fused copy)
-  /// against eviction and rebasing.
-  ExecPlan* compiled_plan(const AccessBatch& batch,
-                          const ExecPlan* avoid = nullptr);
-  void exec_read(const ExecPlan& plan, unsigned port, std::int64_t t0,
-                 std::int64_t count, Word* out);
-  void exec_write(const ExecPlan& plan, std::int64_t t0, std::int64_t count,
-                  const Word* data);
+  /// batch.
+  ExecPlan* compiled_plan(const AccessBatch& batch);
+  void exec_read(const ExecPlan& plan, unsigned port, Word* out);
+  void exec_write(const ExecPlan& plan, const Word* data);
 
   PolyMemConfig config_;
   maf::Maf maf_;
@@ -243,8 +223,6 @@ class PolyMem {
   PlanCache::Memo memo_;           // single-access lookups
   bool use_plan_cache_ = true;
   Scratch scratch_;
-  Scratch write_scratch_;          // read_write's concurrent write half
-  std::vector<Word> copy_buf_;     // stream_copy_batch lane staging
   std::array<ExecSlot, kExecSlots> exec_slots_;
   std::size_t exec_victim_ = 0;    // next slot a fresh compile lands in
   std::uint64_t parallel_reads_ = 0;

@@ -72,9 +72,9 @@ void DmaEngine::check_staged(std::span<const hw::Word> tile,
                   "tile exceeds the PolyMem address space");
 }
 
-void DmaEngine::write_staged_into(std::span<const hw::Word> tile,
-                                  std::int64_t rows, std::int64_t cols,
-                                  Coord origin, DmaStats& stats) {
+void DmaEngine::write_polymem(std::span<const hw::Word> tile,
+                              std::int64_t rows, std::int64_t cols,
+                              Coord origin, DmaStats& stats) {
   const auto& cfg = mem_->config();
   const auto lanes = static_cast<std::int64_t>(cfg.lanes());
   const Shape shape = pick_shape(rows, cols, origin);
@@ -117,9 +117,9 @@ void DmaEngine::write_staged_into(std::span<const hw::Word> tile,
   }
 }
 
-void DmaEngine::read_staged_into(std::span<hw::Word> tile, std::int64_t rows,
-                                 std::int64_t cols, Coord origin,
-                                 DmaStats& stats) {
+void DmaEngine::read_polymem(std::span<hw::Word> tile, std::int64_t rows,
+                             std::int64_t cols, Coord origin,
+                             DmaStats& stats) {
   const auto& cfg = mem_->config();
   const auto lanes = static_cast<std::int64_t>(cfg.lanes());
   const Shape shape = pick_shape(rows, cols, origin);
@@ -164,17 +164,7 @@ DmaStats DmaEngine::write_staged(std::span<const hw::Word> tile,
   check_staged(tile, rows, cols, origin);
   DmaStats stats;
   stats.words = static_cast<std::uint64_t>(rows * cols);
-  write_staged_into(tile, rows, cols, origin, stats);
-  stats.polymem_cycles = stats.polymem_accesses;
-  return stats;
-}
-
-DmaStats DmaEngine::read_staged(std::span<hw::Word> tile, std::int64_t rows,
-                                std::int64_t cols, Coord origin) {
-  check_staged(tile, rows, cols, origin);
-  DmaStats stats;
-  stats.words = static_cast<std::uint64_t>(rows * cols);
-  read_staged_into(tile, rows, cols, origin, stats);
+  write_polymem(tile, rows, cols, origin, stats);
   stats.polymem_cycles = stats.polymem_accesses;
   return stats;
 }
@@ -196,7 +186,7 @@ DmaStats DmaEngine::load_tile(const LMemMatrix& src, std::int64_t tile_i,
                     static_cast<std::size_t>(r * cols),
                     static_cast<std::size_t>(cols)));
 
-  write_staged_into(stage_, rows, cols, dst_origin, stats);
+  write_polymem(stage_, rows, cols, dst_origin, stats);
   stats.polymem_cycles = stats.polymem_accesses;
   return stats;
 }
@@ -211,7 +201,7 @@ DmaStats DmaEngine::store_tile(const LMemMatrix& dst, std::int64_t tile_i,
       lmem_->burst_seconds(static_cast<std::uint64_t>(rows) * cols * 8);
 
   stage_.resize(static_cast<std::size_t>(rows * cols));
-  read_staged_into(stage_, rows, cols, src_origin, stats);
+  read_polymem(stage_, rows, cols, src_origin, stats);
 
   for (std::int64_t r = 0; r < rows; ++r)
     lmem_->write(dst.word_addr(tile_i + r, tile_j),

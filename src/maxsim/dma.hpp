@@ -73,16 +73,13 @@ class DmaEngine {
                       std::int64_t tile_j, std::int64_t rows,
                       std::int64_t cols, access::Coord src_origin);
 
-  /// The PolyMem half of a transfer on its own: writes/reads a staged
-  /// row-major tile buffer (rows * cols words) into/out of the frame at
-  /// `origin`, LMem untouched (lmem_seconds stays 0). load_tile is
-  /// "LMem burst + write_staged"; the software cache uses these directly
-  /// to install tiles its prefetcher already staged off the critical
-  /// path.
+  /// The PolyMem half of a load on its own: writes a staged row-major
+  /// tile buffer (rows * cols words) into the frame at `origin`, LMem
+  /// untouched (lmem_seconds stays 0). load_tile is "LMem burst +
+  /// write_staged"; the software cache calls it directly to install a tile
+  /// its prefetcher already staged.
   DmaStats write_staged(std::span<const hw::Word> tile, std::int64_t rows,
                         std::int64_t cols, access::Coord origin);
-  DmaStats read_staged(std::span<hw::Word> tile, std::int64_t rows,
-                       std::int64_t cols, access::Coord origin);
 
   /// The transfer shape the engine would use for this tile.
   enum class Shape : std::uint8_t { kRowAccesses, kRectAccesses, kScalar };
@@ -95,12 +92,13 @@ class DmaEngine {
                   std::int64_t cols, access::Coord origin) const;
   void check_staged(std::span<const hw::Word> tile, std::int64_t rows,
                     std::int64_t cols, access::Coord origin) const;
-  void write_staged_into(std::span<const hw::Word> tile, std::int64_t rows,
-                         std::int64_t cols, access::Coord origin,
-                         DmaStats& stats);
-  void read_staged_into(std::span<hw::Word> tile, std::int64_t rows,
-                        std::int64_t cols, access::Coord origin,
-                        DmaStats& stats);
+  /// Moves a row-major rows x cols tile buffer into / out of PolyMem at
+  /// `origin` in the pick_shape() transfer shape, counting the accesses.
+  void write_polymem(std::span<const hw::Word> tile, std::int64_t rows,
+                     std::int64_t cols, access::Coord origin,
+                     DmaStats& stats);
+  void read_polymem(std::span<hw::Word> tile, std::int64_t rows,
+                    std::int64_t cols, access::Coord origin, DmaStats& stats);
 
   LMem* lmem_;
   core::PolyMem* mem_;

@@ -44,7 +44,6 @@
 #include "maf/addressing.hpp"
 #include "maf/conflict.hpp"
 #include "maf/maf.hpp"
-#include "maf/maf_table.hpp"
 #include "maf/scheme.hpp"
 #include "maxsim/dfe.hpp"
 #include "maxsim/dma.hpp"

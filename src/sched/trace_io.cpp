@@ -348,7 +348,6 @@ void TraceRecorder::flush_run() {
 }
 
 void TraceRecorder::add(TraceOp::Dir dir, const ParallelAccess& access) {
-  if (observer_ != nullptr) observer_->on_access(dir, access);
   if (run_.count > 0 && dir == run_.dir && access.kind == run_.kind) {
     if (!have_stride_) {
       run_.stride = {access.anchor.i - run_.anchor.i,

@@ -133,20 +133,6 @@ void annotate_checksums(RecordedTrace& trace);
 
 // ---- recording -----------------------------------------------------------
 
-/// Tap on a TraceRecorder's access stream: on_access fires once per
-/// recorded parallel access, before coalescing, carrying the same
-/// provenance an AccessTrace entry would (direction + pattern kind +
-/// anchor). The adaptive layout engine (src/adapt) hangs its online
-/// profiler here, so profiling rides the recording path for free instead
-/// of instrumenting every application. Observers must not call back into
-/// the recorder.
-class AccessObserver {
- public:
-  virtual ~AccessObserver() = default;
-  virtual void on_access(TraceOp::Dir dir,
-                         const access::ParallelAccess& access) = 0;
-};
-
 /// Collects the accesses an application actually issues and folds
 /// consecutive same-direction, same-pattern, constant-stride accesses
 /// into single TraceOp walks (the textual analogue of BatchCoalescer).
@@ -172,11 +158,6 @@ class TraceRecorder {
 
   std::int64_t ops_recorded() const;
 
-  /// Registers a tap on the access stream (nullptr detaches). Not owned;
-  /// the observer must outlive the recorder or be detached first.
-  void set_observer(AccessObserver* observer) { observer_ = observer; }
-  AccessObserver* observer() const { return observer_; }
-
   /// Seals the pending run, annotates checksums, returns the trace.
   /// The recorder is reusable afterwards (empty op stream, same header).
   RecordedTrace finish();
@@ -190,7 +171,6 @@ class TraceRecorder {
   TraceOp run_;             // pending coalescing run (run_.count == 0: none)
   access::Coord next_;      // anchor that would extend the run
   bool have_stride_ = false;
-  AccessObserver* observer_ = nullptr;
 };
 
 }  // namespace polymem::sched

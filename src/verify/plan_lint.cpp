@@ -278,8 +278,7 @@ class Linter {
            << ", overlapping elements op " << w << " writes ("
            << rect_str(*wr)
            << "); on pipelined hardware the read can issue before the "
-              "write retires — order the batches or fuse them with "
-              "stream_copy_batch";
+              "write retires — order the batches";
         add(LintKind::kReadAfterWrite, Severity::kWarning,
             static_cast<std::int64_t>(r), os.str());
       }

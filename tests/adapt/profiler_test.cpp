@@ -57,25 +57,6 @@ TEST(AccessProfiler, RunsCountEveryAccessAndClassifyAlignment) {
   EXPECT_EQ(w.of(PatternKind::kRow).aligned, 16);
 }
 
-TEST(AccessProfiler, SamplingScalesCountsUnbiased) {
-  ProfilerOptions opts;
-  opts.window = 16;
-  opts.sample_period = 4;
-  AccessProfiler prof(2, 4, opts);
-  // 16 runs of 4 accesses each = 64 accesses. Windows fill on the
-  // unscaled count (4 runs each); one in four runs is recorded, scaled
-  // by 4, so every sealed window still estimates its full 16 accesses.
-  for (int r = 0; r < 16; ++r) {
-    prof.observe_run(false, PatternKind::kMainDiag, {0, 0}, {1, 0}, 4);
-  }
-  EXPECT_EQ(prof.windows_sealed(), 4);
-  EXPECT_EQ(prof.accesses_observed(), 64);
-  ASSERT_TRUE(prof.window_ready());
-  const WindowProfile w = prof.take_window();
-  EXPECT_EQ(w.accesses, 16);
-  EXPECT_EQ(w.of(PatternKind::kMainDiag).reads, 16);
-}
-
 TEST(AccessProfiler, LatestSealedWindowWins) {
   ProfilerOptions opts;
   opts.window = 4;
@@ -104,21 +85,6 @@ TEST(AccessProfiler, ResetDropsPartialAndPendingWindows) {
   EXPECT_FALSE(prof.window_ready());
   prof.observe(false, {PatternKind::kRow, {3, 0}});
   EXPECT_TRUE(prof.window_ready());
-}
-
-TEST(ProfilingObserver, TeesRecorderAccessesIntoTheProfiler) {
-  ProfilerOptions opts;
-  opts.window = 2;
-  AccessProfiler prof(2, 4, opts);
-  ProfilingObserver observer(prof);
-  observer.on_access(sched::TraceOp::Dir::kRead,
-                     {PatternKind::kRect, {0, 0}});
-  observer.on_access(sched::TraceOp::Dir::kWrite,
-                     {PatternKind::kRect, {2, 4}});
-  ASSERT_TRUE(prof.window_ready());
-  const WindowProfile w = prof.take_window();
-  EXPECT_EQ(w.of(PatternKind::kRect).reads, 1);
-  EXPECT_EQ(w.of(PatternKind::kRect).writes, 1);
 }
 
 }  // namespace

@@ -57,17 +57,6 @@ TEST(RunningStats, MergeWithEmpty) {
   EXPECT_EQ(empty.mean(), 1.0);
 }
 
-TEST(ErrorMetrics, MeanAbsError) {
-  EXPECT_DOUBLE_EQ(mean_abs_error({1, 2, 3}, {1, 2, 3}), 0.0);
-  EXPECT_DOUBLE_EQ(mean_abs_error({1, 2, 3}, {2, 2, 5}), 1.0);
-}
-
-TEST(ErrorMetrics, MeanAbsRelError) {
-  EXPECT_DOUBLE_EQ(mean_abs_rel_error({110, 90}, {100, 100}), 0.1);
-  EXPECT_THROW(mean_abs_rel_error({1}, {0}), InvalidArgument);
-  EXPECT_THROW(mean_abs_rel_error({1, 2}, {1}), InvalidArgument);
-}
-
 TEST(CacheCounters, HitRate) {
   CacheCounters c;
   EXPECT_EQ(c.hit_rate(), 0.0);  // no accesses yet: neutral, not NaN

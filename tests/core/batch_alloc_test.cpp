@@ -1,9 +1,8 @@
 // Heap discipline of the access engine: after one warm-up pass
 // (templates built, class tables and ExecPlans compiled, scratch sized),
-// read_batch / write_batch / stream_copy_batch (replayed, recompiled or
-// rebased by whole MAF periods), the single accesses
-// read_into / write / read_write and the host rectangle transfers
-// fill_rect / dump_rect perform ZERO heap allocations per call.
+// read_batch / write_batch (replayed, recompiled or rebased by whole MAF
+// periods), the single accesses read_into / write and the host rectangle
+// transfers fill_rect / dump_rect perform ZERO heap allocations per call.
 // Verified by counting global operator new calls —
 // including the aligned forms the compiled engine's cache-line-aligned
 // SoA tables (core/simd/aligned.hpp) go through.
@@ -90,23 +89,14 @@ TEST(BatchAllocation, SteadyStateBatchesAllocateNothing) {
   const auto lanes = static_cast<std::int64_t>(cfg.lanes());
   const AccessBatch batch{PatternKind::kRow, {0, 0}, {0, lanes},
                           cfg.width / lanes,  {1, 0}, cfg.height / 2};
-  const AccessBatch dst{PatternKind::kRow,
-                        {cfg.height / 2, 0},
-                        {0, lanes},
-                        cfg.width / lanes,
-                        {1, 0},
-                        cfg.height / 2};
   std::vector<Word> buf(static_cast<std::size_t>(batch.count()) * lanes);
 
   // Warm-up: builds every template this walk touches and sizes scratch.
   mem.write_batch(batch, buf);
   mem.read_batch(batch, 0, buf);
-  mem.stream_copy_batch(batch, dst, 0);
 
   EXPECT_EQ(count_allocations([&] { mem.read_batch(batch, 0, buf); }), 0u);
   EXPECT_EQ(count_allocations([&] { mem.write_batch(batch, buf); }), 0u);
-  EXPECT_EQ(count_allocations([&] { mem.stream_copy_batch(batch, dst, 0); }),
-            0u);
 }
 
 std::uint64_t lookups(const PolyMem& mem) {
@@ -149,9 +139,9 @@ TEST(BatchAllocation, ExecPlanRecompileReusesCapacity) {
 }
 
 // One batch shape whose start walks by whole MAF periods (ReRo 2x4:
-// 2 rows x 8 columns), up and down, through read_batch, write_batch and
-// both halves of stream_copy_batch: the memo rebases a plan in place on
-// every call, so no call looks up a template or allocates.
+// 2 rows x 8 columns), up and down, through read_batch and write_batch:
+// the memo rebases a plan in place on every call, so no call looks up a
+// template or allocates.
 TEST(BatchAllocation, RebasedBatchesAllocateNothing) {
   const auto cfg =
       PolyMemConfig::with_capacity(64 * KiB, maf::Scheme::kReRo, 2, 4);
@@ -166,7 +156,6 @@ TEST(BatchAllocation, RebasedBatchesAllocateNothing) {
     for (std::int64_t n = 0; n < 15; ++n) {
       mem.read_batch(at(n), 0, buf);
       mem.write_batch(at(n + 1), buf);
-      mem.stream_copy_batch(at(n + 2), at(n + 7), 0);
     }
   };
   round();  // warm-up: templates, class tables and plans of this shape
@@ -201,7 +190,6 @@ TEST(BatchAllocation, SteadyStateSingleAccessesAllocateNothing) {
     for (std::int64_t n = 0; n < 24; ++n) {
       mem.read_into(access(n), static_cast<unsigned>(n % 2), out);
       mem.write(access(n + 1), data);
-      mem.read_write(access(n + 2), 1, out, access(n), data);
     }
   };
   for (bool use_cache : {true, false}) {

@@ -90,19 +90,30 @@ TEST(CyclePolyMem, FullyPipelinedOneAccessPerCycle) {
 }
 
 TEST(CyclePolyMem, ConcurrentReadAndWriteSameCycle) {
-  CyclePolyMem mem(cfg(3));
-  fill(mem);
-  std::vector<Word> data(8, 555);
-  ASSERT_TRUE(mem.issue_read(0, {PatternKind::kRow, {4, 0}}));
-  ASSERT_TRUE(mem.issue_write({PatternKind::kRow, {4, 0}}, data));
-  mem.tick();  // read sees pre-write data (read-first)
-  mem.tick();
-  mem.tick();
-  mem.tick();
-  const auto r = mem.retire_read(0);
-  ASSERT_TRUE(r.has_value());
-  EXPECT_EQ(r->data[0], 4000u);
-  EXPECT_EQ(mem.functional().load({4, 0}), 555u);
+  // The read and the write of one cycle hit the same row (read-first: the
+  // read sees the pre-write data), then disjoint rows (the STREAM-Copy
+  // inner loop).
+  const std::int64_t rows[][2] = {{4, 4}, {1, 9}};
+  for (const auto& [read_row, write_row] : rows) {
+    CyclePolyMem mem(cfg(3));
+    fill(mem);
+    std::vector<Word> data(8, 555);
+    ASSERT_TRUE(mem.issue_read(0, {PatternKind::kRow, {read_row, 0}}));
+    ASSERT_TRUE(mem.issue_write({PatternKind::kRow, {write_row, 0}}, data));
+    mem.tick();
+    mem.tick();
+    mem.tick();
+    mem.tick();
+    const auto r = mem.retire_read(0);
+    ASSERT_TRUE(r.has_value());
+    for (std::int64_t k = 0; k < 8; ++k) {
+      EXPECT_EQ(r->data[static_cast<std::size_t>(k)],
+                static_cast<Word>(read_row * 1000 + k))
+          << "read row " << read_row << " lane " << k;
+      EXPECT_EQ(mem.functional().load({write_row, k}), 555u)
+          << "write row " << write_row << " lane " << k;
+    }
+  }
 }
 
 TEST(CyclePolyMem, MultiplePortsRetireIndependently) {

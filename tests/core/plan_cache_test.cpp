@@ -295,27 +295,6 @@ TEST(BatchEngine, WriteBatchMatchesWriteLoop) {
             static_cast<std::uint64_t>(batch.count()));
 }
 
-TEST(BatchEngine, StreamCopyBatchMatchesManualCopy) {
-  const PolyMemConfig cfg = make_config(Scheme::kReRo, {2, 4});
-  PolyMem mem(cfg);
-  fill_deterministic(mem);
-  const std::int64_t half = cfg.height / 2;
-  const std::int64_t groups = cfg.width / cfg.lanes();
-  const AccessBatch src{PatternKind::kRow, {0, 0},
-                        {0, static_cast<std::int64_t>(cfg.lanes())},
-                        groups,            {1, 0},
-                        half};
-  AccessBatch dst = src;
-  dst.start = {half, 0};
-  mem.stream_copy_batch(src, dst, 0);
-  const auto elems =
-      static_cast<std::size_t>(half) * static_cast<std::size_t>(cfg.width);
-  std::vector<Word> a(elems), b(elems);
-  mem.dump_rect({0, 0}, half, cfg.width, a);
-  mem.dump_rect({half, 0}, half, cfg.width, b);
-  EXPECT_EQ(a, b);
-}
-
 TEST(BatchEngine, ValidatesOnceAndRejectsBadBatches) {
   const PolyMemConfig cfg = make_config(Scheme::kRoCo, {2, 4});
   PolyMem mem(cfg);

@@ -119,35 +119,6 @@ TEST(PolyMem, MultipleReadPortsSeeTheSameData) {
   EXPECT_THROW(mem.read(acc, 3), InvalidArgument);
 }
 
-TEST(PolyMem, ConcurrentReadWriteReadFirstSemantics) {
-  PolyMem mem(small(maf::Scheme::kReRo));
-  fill_unique(mem);
-  const ParallelAccess where{PatternKind::kRow, {0, 0}};
-  std::vector<Word> new_data(8, 12345);
-  std::vector<Word> read_out(8);
-  // Overlapping read+write in one cycle: the read returns the *old* data.
-  mem.read_write(where, 0, read_out, where, new_data);
-  for (unsigned k = 0; k < 8; ++k)
-    EXPECT_EQ(read_out[k], expected_at({0, static_cast<std::int64_t>(k)}));
-  // After the cycle the write has landed.
-  EXPECT_EQ(mem.read(where), new_data);
-}
-
-TEST(PolyMem, ConcurrentReadWriteDisjointRegions) {
-  // The STREAM-Copy inner loop: read from region A, write to region C,
-  // same cycle, distinct buffers.
-  PolyMem mem(small(maf::Scheme::kRoCo));
-  fill_unique(mem);
-  std::vector<Word> read_out(8);
-  std::vector<Word> write_data(8, 777);
-  mem.read_write({PatternKind::kRow, {1, 0}}, 0, read_out,
-                 {PatternKind::kRow, {9, 0}}, write_data);
-  for (unsigned k = 0; k < 8; ++k) {
-    EXPECT_EQ(read_out[k], expected_at({1, static_cast<std::int64_t>(k)}));
-    EXPECT_EQ(mem.load({9, static_cast<std::int64_t>(k)}), 777u);
-  }
-}
-
 TEST(PolyMem, WrongLaneCountRejected) {
   PolyMem mem(small(maf::Scheme::kReRo));
   std::vector<Word> five(5);

@@ -3,20 +3,17 @@
 // supported pattern, the compiled path — its gather/scatter kernels run
 // by the single-access and batch executors — must be bit-identical to
 // the AGU reference for read_batch and write_batch, and for the single
-// accesses read_into, write and read_write, on every read port. Batches
-// whose starts move by whole MAF periods, which the compiled-plan memo
-// serves by rebasing a plan instead of recompiling, are held to the same
-// reference, fused copies included. Unsupported, unaligned and
-// out-of-bounds single accesses must throw what the reference throws and
-// change nothing.
+// accesses read_into and write, on every read port. Batches whose starts
+// move by whole MAF periods, which the compiled-plan memo serves by
+// rebasing a plan instead of recompiling, are held to the same reference.
+// Unsupported, unaligned and out-of-bounds single accesses must throw
+// what the reference throws and change nothing.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <optional>
-#include <set>
 #include <sstream>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
@@ -203,10 +200,8 @@ TEST(SimdExec, SingleReadsBitIdenticalAcrossLevelsAndPorts) {
   }
 }
 
-// Single writes over every anchor, then read_write pairs whose read and
-// write walks run in opposite directions (so they overlap where they
-// cross), then a read-back of every anchor on every port. Returns every
-// word read along the way followed by the final image.
+// Single writes over every anchor, then a read-back of every anchor on
+// every port. Returns every word read followed by the final image.
 std::vector<Word> drive_single_writes(PolyMem& mem, const AccessBatch& batch) {
   const auto& cfg = mem.config();
   const unsigned lanes = cfg.lanes();
@@ -216,13 +211,6 @@ std::vector<Word> drive_single_writes(PolyMem& mem, const AccessBatch& batch) {
     for (unsigned k = 0; k < lanes; ++k)
       data[k] = 0x9E3779B97F4A7C15ull * static_cast<Word>(t * lanes + k + 7);
     mem.write(batch.access(t), data);
-  }
-  for (std::int64_t t = 0; t < n; ++t) {
-    for (unsigned k = 0; k < lanes; ++k)
-      data[k] = 0xC2B2AE3D27D4EB4Full ^ static_cast<Word>(t * lanes + k);
-    mem.read_write(batch.access(t), static_cast<unsigned>(t) % cfg.read_ports,
-                   out, batch.access(n - 1 - t), data);
-    log.insert(log.end(), out.begin(), out.end());
   }
   for (unsigned port = 0; port < cfg.read_ports; ++port) {
     for (std::int64_t t = 0; t < n; ++t) {
@@ -236,7 +224,7 @@ std::vector<Word> drive_single_writes(PolyMem& mem, const AccessBatch& batch) {
   return log;
 }
 
-TEST(SimdExec, SingleWritesAndReadWritesBitIdenticalAcrossLevels) {
+TEST(SimdExec, SingleWritesBitIdenticalAcrossLevels) {
   for (Scheme scheme : maf::kAllSchemes) {
     for (Geometry g : kGeometries) {
       const PolyMemConfig cfg = make_config(scheme, g, kPorts);
@@ -254,30 +242,6 @@ TEST(SimdExec, SingleWritesAndReadWritesBitIdenticalAcrossLevels) {
             << where(scheme, g, kind);
         EXPECT_GT(compiled.plan_cache().hits(), 0u);
       }
-    }
-  }
-}
-
-TEST(SimdExec, OverlappingReadWriteReturnsPreWriteData) {
-  const PolyMemConfig cfg = make_config(Scheme::kReRo, {2, 4}, kPorts);
-  const unsigned lanes = cfg.lanes();
-  // Same anchor, and a half-overlapping row (4 of 8 elements shared).
-  const access::ParallelAccess read_from{PatternKind::kRow, {3, 5}};
-  for (const access::ParallelAccess write_to :
-       {read_from, access::ParallelAccess{PatternKind::kRow, {3, 9}}}) {
-    for (bool use_cache : {true, false}) {
-      PolyMem mem(cfg);
-      mem.set_plan_cache_enabled(use_cache);
-      fill_deterministic(mem);
-      const std::vector<Word> before = mem.read(read_from, 0);
-      std::vector<Word> data(lanes), out(lanes, 0);
-      for (unsigned k = 0; k < lanes; ++k) data[k] = 0xABCD0000u + k;
-      mem.read_write(read_from, 2, out, write_to, data);
-      EXPECT_EQ(out, before) << "cache " << use_cache << " write at "
-                             << write_to.anchor;
-      EXPECT_EQ(mem.read(write_to, 1), data);
-      EXPECT_EQ(mem.parallel_reads(), 3u);
-      EXPECT_EQ(mem.parallel_writes(), 1u);
     }
   }
 }
@@ -359,10 +323,6 @@ TEST(SimdExec, SingleAccessErrorsMatchReferenceAndChangeNothing) {
       fill_deterministic(compiled);
       fill_deterministic(reference);
       const unsigned lanes = cfg.lanes();
-      // A valid access for the other half of read_write: every scheme
-      // serves rectangles at the origin.
-      const access::ParallelAccess ok{PatternKind::kRect, {0, 0}};
-      ASSERT_NE(compiled.supports(ok.kind), SupportLevel::kNone);
       std::vector<Word> out(lanes), data(lanes, 7);
       for (const BadAccess& b : bad_accesses(reference)) {
         std::ostringstream os;
@@ -376,14 +336,6 @@ TEST(SimdExec, SingleAccessErrorsMatchReferenceAndChangeNothing) {
                           what + " read_into");
           expect_rejected(*mem, b.expected, out,
                           [&] { mem->write(b.acc, data); }, what + " write");
-          // An invalid write half must stop the valid read too, and the
-          // other way round.
-          expect_rejected(*mem, b.expected, out,
-                          [&] { mem->read_write(ok, 1, out, b.acc, data); },
-                          what + " read_write (bad write)");
-          expect_rejected(*mem, b.expected, out,
-                          [&] { mem->read_write(b.acc, 1, out, ok, data); },
-                          what + " read_write (bad read)");
         }
       }
     }
@@ -502,80 +454,6 @@ TEST(SimdExec, PeriodShiftedBatchesMatchReference) {
   }
   EXPECT_GT(rebased, 0u);
   EXPECT_GT(fresh, 0u);
-}
-
-// True when the element footprints of `a` and `b` share a cell.
-bool footprints_overlap(const PolyMemConfig& cfg, const AccessBatch& a,
-                        const AccessBatch& b) {
-  std::set<std::pair<std::int64_t, std::int64_t>> cells;
-  std::vector<access::Coord> coords;
-  for (std::int64_t t = 0; t < a.count(); ++t) {
-    access::expand_into(a.access(t), cfg.p, cfg.q, coords);
-    for (const access::Coord c : coords) cells.insert({c.i, c.j});
-  }
-  for (std::int64_t t = 0; t < b.count(); ++t) {
-    access::expand_into(b.access(t), cfg.p, cfg.q, coords);
-    for (const access::Coord c : coords)
-      if (cells.count({c.i, c.j}) != 0) return true;
-  }
-  return false;
-}
-
-// Fused copies whose destination is the source moved by one MAF period,
-// overlapping or disjoint. The destination has the source's shape and a
-// whole-period move, yet it must never rebase the source's plan, which
-// the copy is still reading through. A second copy one period further
-// on, and a third back at the start, serve both halves from the memo.
-TEST(SimdExec, StreamCopyOnePeriodAwayMatchesReference) {
-  std::uint64_t overlapping = 0, disjoint = 0;
-  for (Scheme scheme : maf::kAllSchemes) {
-    for (Geometry g : kGeometries) {
-      const PolyMemConfig cfg =
-          PolyMemConfig::with_capacity(64 * KiB, scheme, g.p, g.q);
-      const std::size_t cells =
-          static_cast<std::size_t>(cfg.height) * cfg.width;
-      for (PatternKind kind : access::kAllPatterns) {
-        PolyMem probe(cfg);
-        const SupportLevel level = probe.supports(kind);
-        if (level == SupportLevel::kNone) continue;
-        const access::Coord periods[] = {{probe.plan_cache().period_i(), 0},
-                                         {0, probe.plan_cache().period_j()}};
-        for (const AccessBatch& from : shift_shapes(cfg, kind, level)) {
-          for (const access::Coord move : periods) {
-            const auto moved = [&](const AccessBatch& b, std::int64_t n) {
-              AccessBatch m = b;
-              m.start = {b.start.i + n * move.i, b.start.j + n * move.j};
-              return m;
-            };
-            const AccessBatch copies[][2] = {{from, moved(from, 1)},
-                                             {moved(from, 1), moved(from, 2)},
-                                             {from, moved(from, 1)}};
-            if (!batch_fits(cfg, moved(from, 2))) continue;
-            ++(footprints_overlap(cfg, from, moved(from, 1)) ? overlapping
-                                                             : disjoint);
-            PolyMem compiled(cfg);
-            PolyMem reference(cfg);
-            reference.set_plan_cache_enabled(false);
-            fill_deterministic(compiled);
-            fill_deterministic(reference);
-            std::vector<Word> want(cells), got(cells);
-            for (const auto& copy : copies) {
-              reference.stream_copy_batch(copy[0], copy[1], 0);
-              compiled.stream_copy_batch(copy[0], copy[1], 0);
-              reference.dump_rect({0, 0}, cfg.height, cfg.width, want);
-              compiled.dump_rect({0, 0}, cfg.height, cfg.width, got);
-              ASSERT_EQ(got, want)
-                  << where(scheme, g, kind) << " from "
-                  << copy[0].start << " to " << copy[1].start << " shape "
-                  << from.inner_count << 'x' << from.outer_count;
-            }
-          }
-        }
-      }
-    }
-  }
-  EXPECT_GT(overlapping, 0u);
-  EXPECT_GT(disjoint, 0u);
 }
 
 TEST(SimdExec, LevelNamesRoundTrip) {

@@ -5,9 +5,8 @@
 // in the repository. A roofline-style bytes/cycle figure per case shows
 // how close the gather loop runs to the load-port limit.
 //
-// Unlike bench/bench_micro.cpp (google-benchmark, interactive tuning) this
-// runner is deliberately dependency-free: plain chrono timing, median of
-// repeated trials, fixed workloads — stable enough to commit its output.
+// The runner is deliberately dependency-free: plain chrono timing, median
+// of repeated trials, fixed workloads — stable enough to commit its output.
 //
 // Usage: bench_core [output.json]   (default BENCH_core.json)
 #include <algorithm>

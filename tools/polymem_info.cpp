@@ -13,12 +13,16 @@
 //              read_ports (1), clock_mhz (optional override).
 #include <cstdio>
 #include <iostream>
+#include <limits>
+#include <string>
 
 #include "adapt/policy.hpp"
 #include "adapt/profiler.hpp"
 #include "common/config.hpp"
+#include "common/error.hpp"
 #include "core/frame_pool.hpp"
 #include "dse/explorer.hpp"
+#include "hw/clock.hpp"
 #include "maf/conflict.hpp"
 #include "service/engine.hpp"
 #include "synth/fmax_model.hpp"
@@ -42,6 +46,18 @@ constexpr const char* kExample =
     "# service_shards = 2     # multi-tenant shard count\n"
     "# service_max_coalesce = 64   # longest run one drain serves\n"
     "# adapt_window = 4096    # adaptive profiler window (accesses)\n";
+
+/// The service_* key `key` (default `fallback`), refused unless it is in
+/// [1, max]: ServiceEngine, PortQueue and ShardedService each throw on 0
+/// ports, queue slots, coalesce length or shards.
+std::int64_t service_count(const polymem::ConfigFile& file,
+                           const std::string& key, std::int64_t fallback,
+                           std::int64_t max) {
+  const std::int64_t value = file.get_int_or(key, fallback);
+  POLYMEM_REQUIRE(value >= 1 && value <= max,
+                  key + " must be in [1, " + std::to_string(max) + "]");
+  return value;
+}
 
 }  // namespace
 
@@ -75,11 +91,38 @@ int main(int argc, char** argv) {
         file.has("clock_mhz") ? file.get_double("clock_mhz")
                               : fmax_model.fmax_mhz(cfg);
     const auto est = resources.estimate(cfg);
-    // Built before any output: the profiler's own checks reject an
-    // adapt_window it would refuse.
+    // Everything a key can make invalid is built or checked before any
+    // output, so a refused value prints no half report: the clock domain,
+    // the profiler and the frame pool check their own values.
+    const hw::ClockDomain clock(mhz * 1e6);
     adapt::ProfilerOptions prof;
     prof.window = file.get_int_or("adapt_window", prof.window);
     const adapt::AccessProfiler profiler(cfg.p, cfg.q, prof);
+    // Out-of-core operation: how the space partitions into cache frames
+    // (src/cache). Geometry is overridable for tuning experiments.
+    const core::FramePool frames =
+        file.has("cache_tile_rows") || file.has("cache_tile_cols")
+            ? core::FramePool::whole_space(
+                  cfg,
+                  file.get_int_or("cache_tile_rows", cfg.height),
+                  file.get_int_or("cache_tile_cols", cfg.width))
+            : core::FramePool::default_tiling(cfg);
+    // Service layer (src/service): the request-engine geometry this
+    // configuration would be served through, defaults from
+    // EngineOptions unless the config overrides them.
+    const service::EngineOptions engine_defaults;
+    constexpr std::int64_t kMaxUnsigned = std::numeric_limits<unsigned>::max();
+    constexpr std::int64_t kMaxInt = std::numeric_limits<std::int64_t>::max();
+    const auto svc_ports = static_cast<unsigned>(service_count(
+        file, "service_ports", engine_defaults.ports, kMaxUnsigned));
+    const auto svc_bound = static_cast<std::uint64_t>(service_count(
+        file, "service_queue_bound",
+        static_cast<std::int64_t>(engine_defaults.queue_bound), kMaxInt));
+    const auto svc_shards = static_cast<unsigned>(
+        service_count(file, "service_shards", 2, kMaxUnsigned));
+    const auto svc_coalesce = static_cast<std::uint64_t>(service_count(
+        file, "service_max_coalesce",
+        static_cast<std::int64_t>(engine_defaults.max_coalesce), kMaxInt));
 
     std::printf("configuration : %s\n", cfg.describe().c_str());
     std::printf("address space : %lld x %lld elements (%u-bit)\n",
@@ -125,15 +168,6 @@ int main(int argc, char** argv) {
                 est.lut_pct);
     std::printf("  fits       : %s\n", est.fits() ? "yes" : "NO");
 
-    // Out-of-core operation: how the space partitions into cache frames
-    // (src/cache). Geometry is overridable for tuning experiments.
-    const core::FramePool frames =
-        file.has("cache_tile_rows") || file.has("cache_tile_cols")
-            ? core::FramePool::whole_space(
-                  cfg,
-                  file.get_int_or("cache_tile_rows", cfg.height),
-                  file.get_int_or("cache_tile_cols", cfg.width))
-            : core::FramePool::default_tiling(cfg);
     std::printf("\nsoftware cache (src/cache, default frame pool):\n");
     std::printf("  frames     : %d (%lld x %lld grid)\n", frames.frames(),
                 static_cast<long long>(frames.frames_i()),
@@ -146,20 +180,6 @@ int main(int argc, char** argv) {
                 "residency, LRU/FIFO eviction, async prefetch\n",
                 frames.frames());
 
-    // Service layer (src/service): the request-engine geometry this
-    // configuration would be served through, defaults from
-    // EngineOptions unless the config overrides them.
-    service::EngineOptions engine_defaults;
-    const auto svc_ports = static_cast<unsigned>(
-        file.get_int_or("service_ports", engine_defaults.ports));
-    const auto svc_bound = static_cast<std::uint64_t>(file.get_int_or(
-        "service_queue_bound",
-        static_cast<std::int64_t>(engine_defaults.queue_bound)));
-    const auto svc_shards =
-        static_cast<unsigned>(file.get_int_or("service_shards", 2));
-    const auto svc_coalesce = static_cast<std::uint64_t>(file.get_int_or(
-        "service_max_coalesce",
-        static_cast<std::int64_t>(engine_defaults.max_coalesce)));
     std::printf("\nservice layer (src/service, request engine):\n");
     std::printf("  submit ports   : %u bounded queues, %llu requests each\n",
                 svc_ports, static_cast<unsigned long long>(svc_bound));
@@ -209,7 +229,8 @@ int main(int argc, char** argv) {
       }
     }
 
-    const double port_bw = bandwidth_bytes_per_s(cfg.lanes(), 64, mhz * 1e6);
+    const double port_bw =
+        bandwidth_bytes_per_s(cfg.lanes(), 64, clock.frequency_hz());
     std::printf("\nbandwidth at %.0f MHz:\n", mhz);
     std::printf("  write (per port)   : %s\n",
                 format_bandwidth(port_bw, true).c_str());

@@ -34,6 +34,7 @@
 // errors.
 #include <cstdio>
 #include <iostream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -272,8 +273,8 @@ struct Options {
   std::string path;
   std::string affine_spec;  // --prove-affine
   std::string scheme_flag;  // --scheme (prove-affine without a file)
-  std::int64_t p_flag = 0;  // --p
-  std::int64_t q_flag = 0;  // --q
+  unsigned p_flag = 0;      // --p (0: not given)
+  unsigned q_flag = 0;      // --q
 };
 
 int run_lint(const Options& opt) {
@@ -371,8 +372,8 @@ int run_prove_affine(const Options& opt) {
   }
   if (!opt.scheme_flag.empty())
     scheme = polymem::maf::scheme_from_name(opt.scheme_flag);
-  if (opt.p_flag > 0) p = static_cast<unsigned>(opt.p_flag);
-  if (opt.q_flag > 0) q = static_cast<unsigned>(opt.q_flag);
+  if (opt.p_flag > 0) p = opt.p_flag;
+  if (opt.q_flag > 0) q = opt.q_flag;
 
   const auto pattern = polymem::verify::AffinePattern::parse(opt.affine_spec);
   const auto report =
@@ -416,6 +417,20 @@ int main(int argc, char** argv) {
       }
       return argv[a];
     };
+    // A geometry flag's whole value must be a decimal integer >= 1; the
+    // library rejects any geometry it cannot build.
+    auto geometry_flag = [&](const char* name) -> unsigned {
+      const std::string value = flag_value(name);
+      if (usage_error) return 0;
+      const auto n = polymem::parse_decimal(value);
+      if (!n || *n < 1 || *n > std::numeric_limits<unsigned>::max()) {
+        std::fprintf(stderr, "error: %s needs a positive integer, got '%s'\n",
+                     name, value.c_str());
+        usage_error = true;
+        return 0;
+      }
+      return static_cast<unsigned>(*n);
+    };
     if (arg == "--example") {
       std::fputs(kExample, stdout);
       return 0;
@@ -431,9 +446,9 @@ int main(int argc, char** argv) {
     } else if (arg == "--scheme") {
       opt.scheme_flag = flag_value("--scheme");
     } else if (arg == "--p") {
-      opt.p_flag = std::atoll(flag_value("--p").c_str());
+      opt.p_flag = geometry_flag("--p");
     } else if (arg == "--q") {
-      opt.q_flag = std::atoll(flag_value("--q").c_str());
+      opt.q_flag = geometry_flag("--q");
     } else if (!arg.empty() && arg[0] == '-') {
       usage_error = true;
       break;

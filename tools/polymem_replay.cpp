@@ -10,13 +10,13 @@
 // Options:
 //   --scheme <S|all>   scheme to replay under (ReO|ReRo|ReCo|RoCo|ReTr,
 //                      default ReRo; `all` replays every scheme)
-//   --ports <N>        read ports to round-robin batched reads over
+//   --ports <N>        read ports to round-robin batched reads over (1-16)
 //   --cache            route through the CachedMatrix/LMem software cache
 //   --adaptive         route through the adaptive layout engine: --scheme
 //                      is the initial scheme only; the engine migrates
 //                      live as the pattern mix shifts, and the same host
 //                      oracle diffs the migrating run (not with --cache)
-//   --window <N>       adaptive profiler window (default: derived)
+//   --window <N>       adaptive profiler window (default 0: derived)
 //   --write-through    write-through instead of write-back (with --cache)
 //   --no-checksums     skip recorded-checksum comparison
 //   --lint             additionally re-lint the trace (support, bounds,
@@ -28,10 +28,12 @@
 // errors.
 #include <cstdio>
 #include <iostream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "common/config.hpp"
 #include "replay/replay.hpp"
 
 namespace {
@@ -139,18 +141,32 @@ int main(int argc, char** argv) {
       }
       return argv[++k];
     };
+    // A numeric flag's whole value must be a decimal integer in [lo, hi].
+    auto next_int = [&](std::int64_t lo, std::int64_t hi) {
+      const std::string value = next();
+      const auto n = polymem::parse_decimal(value);
+      if (!n || *n < lo || *n > hi) {
+        std::cerr << arg << " needs an integer in [" << lo << ", " << hi
+                  << "], got '" << value << "'\n";
+        usage(std::cerr);
+        std::exit(2);
+      }
+      return *n;
+    };
     if (arg == "--example") {
       example = true;
     } else if (arg == "--scheme") {
       scheme_arg = next();
     } else if (arg == "--ports") {
-      base.read_ports = static_cast<unsigned>(std::stoul(next()));
+      base.read_ports = static_cast<unsigned>(
+          next_int(1, polymem::core::PolyMemConfig::kMaxReadPorts));
     } else if (arg == "--cache") {
       base.through_cache = true;
     } else if (arg == "--adaptive") {
       base.adaptive = true;
     } else if (arg == "--window") {
-      base.adaptive_window = std::stol(next());
+      base.adaptive_window =
+          next_int(0, std::numeric_limits<std::int64_t>::max());
     } else if (arg == "--write-through") {
       base.write_policy = polymem::cache::WritePolicy::kWriteThrough;
     } else if (arg == "--no-checksums") {
