@@ -29,9 +29,9 @@
 // Usage: bench_adaptive [--tiny] [--trace file] [--passes N] [out.json]
 #include <chrono>
 #include <cstdint>
-#include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <iomanip>
 #include <iostream>
 #include <span>
 #include <string>
@@ -39,6 +39,7 @@
 #include <vector>
 
 #include "adapt/adaptive_matrix.hpp"
+#include "common/json.hpp"
 #include "replay/replay.hpp"
 #include "sched/trace_io.hpp"
 
@@ -125,12 +126,6 @@ RunResult run_engine(const sched::RecordedTrace& trace, maf::Scheme start,
   return r;
 }
 
-std::string fmt(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.4g", v);
-  return buf;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -199,45 +194,37 @@ int main(int argc, char** argv) {
       adaptive.migrations > 0;
 
   std::ofstream out(out_path);
-  out << "{\n"
-      << "  \"benchmark\": \"polymem_adaptive_layout\",\n"
-      << "  \"tiny\": " << (tiny ? "true" : "false") << ",\n"
-      << "  \"geometry\": {\"p\": " << trace.p << ", \"q\": " << trace.q
-      << ", \"height\": " << trace.height << ", \"width\": " << trace.width
-      << ", \"window\": " << kWindow << "},\n"
-      << "  \"trace\": {\"ops\": " << trace.ops.size()
-      << ", \"accesses\": " << trace.accesses()
-      << ", \"passes\": " << passes
-      << ", \"phases\": [\"row\", \"col\", \"mdiag\"]},\n"
-      << "  \"replay_verification\": {\"all_schemes_verified\": "
-      << (replay_ok ? "true" : "false")
-      << ", \"migrations\": " << replay_migrations << "},\n"
-      << "  \"runs\": [\n";
-  for (std::size_t k = 0; k < runs.size(); ++k) {
-    const RunResult& r = runs[k];
-    out << "    {\"config\": \"" << r.name << "\", \"wall_ms\": "
-        << fmt(r.wall_ms) << ", \"modeled_cycles\": " << r.modeled_cycles
-        << ", \"batched\": " << r.batched << ", \"fallback\": " << r.fallback
-        << ",\n     \"migrations\": " << r.migrations
-        << ", \"aborted\": " << r.aborted
-        << ", \"mismatched_words\": " << r.mismatched_words
-        << ", \"final_scheme\": \"" << maf::scheme_name(r.final_scheme)
-        << "\"}" << (k + 1 < runs.size() ? "," : "") << "\n";
+  json::Writer w(out);
+  w.begin_object().field("benchmark", "polymem_adaptive_layout");
+  w.field("tiny", tiny).begin_object("geometry").field("p", trace.p);
+  w.field("q", trace.q).field("height", trace.height);
+  w.field("width", trace.width).field("window", kWindow).end();
+  w.begin_object("trace").field("ops", trace.ops.size());
+  w.field("accesses", trace.accesses()).field("passes", passes);
+  w.begin_array("phases").value("row").value("col").value("mdiag").end();
+  w.end().begin_object("replay_verification");
+  w.field("all_schemes_verified", replay_ok);
+  w.field("migrations", replay_migrations).end();
+  w.begin_array("runs");
+  for (const RunResult& r : runs) {
+    w.begin_object().field("config", r.name).field("wall_ms", r.wall_ms);
+    w.field("modeled_cycles", r.modeled_cycles).field("batched", r.batched);
+    w.field("fallback", r.fallback).field("migrations", r.migrations);
+    w.field("aborted", r.aborted);
+    w.field("mismatched_words", r.mismatched_words);
+    w.field("final_scheme", maf::scheme_name(r.final_scheme)).end();
   }
-  out << "  ],\n"
-      << "  \"gates\": {\"adaptive_beats_all_static_cycles\": "
-      << (beats_cycles ? "true" : "false")
-      << ", \"adaptive_beats_all_static_wall\": "
-      << (beats_wall ? "true" : "false")
-      << ", \"migrations_verified_clean\": "
-      << (migrations_clean ? "true" : "false") << "}\n"
-      << "}\n";
+  w.end().begin_object("gates");
+  w.field("adaptive_beats_all_static_cycles", beats_cycles);
+  w.field("adaptive_beats_all_static_wall", beats_wall);
+  w.field("migrations_verified_clean", migrations_clean);
+  w.end().end();
   out.close();
 
   for (const RunResult& r : runs) {
-    std::cout << r.name << ": " << fmt(r.wall_ms) << " ms, "
-              << r.modeled_cycles << " cycles (" << r.batched << " batched, "
-              << r.fallback << " fallback), " << r.migrations
+    std::cout << r.name << ": " << std::setprecision(4) << r.wall_ms
+              << " ms, " << r.modeled_cycles << " cycles (" << r.batched
+              << " batched, " << r.fallback << " fallback), " << r.migrations
               << " migrations -> " << maf::scheme_name(r.final_scheme)
               << "\n";
   }

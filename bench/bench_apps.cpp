@@ -19,7 +19,6 @@
 //
 // Usage: bench_apps [--tiny] [output.json]   (default BENCH_apps.json)
 #include <cstdint>
-#include <cstdio>
 #include <fstream>
 #include <iostream>
 #include <numeric>
@@ -32,6 +31,7 @@
 #include "apps/stencil_app.hpp"
 #include "apps/tiled_gemm_app.hpp"
 #include "apps/transpose_app.hpp"
+#include "common/json.hpp"
 #include "common/table.hpp"
 #include "replay/replay.hpp"
 
@@ -61,12 +61,6 @@ replay::ReplayReport replay_native(sched::TraceRecorder& recorder,
   replay::ReplayOptions options;
   options.scheme = scheme;
   return replay::replay(recorder.finish(), options);
-}
-
-std::string fmt(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.3f", v);
-  return buf;
 }
 
 }  // namespace
@@ -201,37 +195,33 @@ int main(int argc, char** argv) {
   }
 
   std::ofstream out(out_path);
-  out << "{\n  \"benchmark\": \"polymem_app_suite\",\n  \"tiny\": "
-      << (tiny ? "true" : "false") << ",\n  \"rows\": [\n";
-  for (std::size_t k = 0; k < rows.size(); ++k) {
-    const Row& row = rows[k];
-    out << "    {\"kernel\": \"" << row.kernel << "\", \"problem\": \""
-        << row.problem << "\", \"scheme\": \"" << row.scheme << "\",\n"
-        << "     \"cycles\": " << row.app.cycles
-        << ", \"parallel_reads\": " << row.app.parallel_reads
-        << ", \"parallel_writes\": " << row.app.parallel_writes
-        << ", \"elements_touched\": " << row.app.elements_touched
-        << ",\n     \"elements_per_cycle\": "
-        << fmt(row.app.elements_per_cycle())
-        << ", \"verified\": " << (row.app.verified ? "true" : "false")
-        << ",\n     \"replays\": [";
-    for (std::size_t r = 0; r < row.replays.size(); ++r) {
-      const auto& rep = row.replays[r];
-      out << (r ? ", " : "") << "{\"scheme\": \""
-          << maf::scheme_name(rep.scheme) << "\", \"ops\": " << rep.ops
-          << ", \"batched\": " << rep.batched_accesses
-          << ", \"fallback\": " << rep.fallback_accesses
-          << ", \"checksums\": " << rep.checksums_checked
-          << ", \"verified\": " << (rep.verified() ? "true" : "false")
-          << "}";
+  json::Writer w(out);
+  w.begin_object().field("benchmark", "polymem_app_suite");
+  w.field("tiny", tiny).begin_array("rows");
+  for (const Row& row : rows) {
+    const apps::AppReport& app = row.app;
+    w.begin_object().field("kernel", row.kernel);
+    w.field("problem", row.problem).field("scheme", row.scheme);
+    w.field("cycles", app.cycles).field("parallel_reads", app.parallel_reads);
+    w.field("parallel_writes", app.parallel_writes);
+    w.field("elements_touched", app.elements_touched);
+    w.field("elements_per_cycle", json::Fixed{app.elements_per_cycle(), 3});
+    w.field("verified", app.verified).begin_array("replays");
+    for (const auto& rep : row.replays) {
+      w.begin_object().field("scheme", maf::scheme_name(rep.scheme));
+      w.field("ops", rep.ops).field("batched", rep.batched_accesses);
+      w.field("fallback", rep.fallback_accesses);
+      w.field("checksums", rep.checksums_checked);
+      w.field("verified", rep.verified()).end();
     }
-    out << "]";
-    if (row.lint_errors >= 0)
-      out << ",\n     \"provoked_lint\": {\"errors\": " << row.lint_errors
-          << ", \"warnings\": " << row.lint_warnings << "}";
-    out << "}" << (k + 1 < rows.size() ? "," : "") << "\n";
+    w.end();
+    if (row.lint_errors >= 0) {
+      w.begin_object("provoked_lint").field("errors", row.lint_errors);
+      w.field("warnings", row.lint_warnings).end();
+    }
+    w.end();
   }
-  out << "  ]\n}\n";
+  w.end().end();
   out.close();
 
   std::cout << table << "  replay column: record -> replay accesses served "

@@ -21,14 +21,15 @@
 //
 // Usage: bench_cache [--tiny] [output.json]   (default BENCH_cache.json)
 #include <cstdint>
-#include <cstdio>
 #include <fstream>
+#include <iomanip>
 #include <iostream>
 #include <string>
 #include <vector>
 
 #include "apps/matvec_ooc.hpp"
 #include "cache/cached_matrix.hpp"
+#include "common/json.hpp"
 #include "common/rng.hpp"
 #include "stream/out_of_core.hpp"
 
@@ -131,12 +132,6 @@ SweepResult run_row_sweep(std::int64_t rows, std::int64_t cols, int sweeps) {
   return r;
 }
 
-std::string fmt(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.4g", v);
-  return buf;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -168,65 +163,54 @@ int main(int argc, char** argv) {
   const bool async_not_slower = async.modelled_s <= sync.modelled_s + 1e-12;
   const double sweep_hit_rate = sweep.stats.counters().hit_rate();
 
+  const double cached_gb_per_s = sweep.bytes / sweep.cached_s / 1e9;
+  const double dma_gb_per_s = sweep.bytes / sweep.dma_per_access_s / 1e9;
+  const double in_core_gb_per_s = sweep.bytes / sweep.in_core_s / 1e9;
+  const double overlapped_ms = async.report.src.lmem_seconds_overlapped * 1e3;
   std::ofstream out(out_path);
-  out << "{\n"
-      << "  \"benchmark\": \"polymem_software_cache\",\n"
-      << "  \"tiny\": " << (tiny ? "true" : "false") << ",\n"
-      << "  \"geometry\": {\"scheme\": \"ReRo\", \"p\": 2, \"q\": 4, "
-         "\"height\": " << cfg.height << ", \"width\": " << cfg.width
-      << ", \"capacity_words\": " << capacity
-      << ",\n    \"matrix_rows\": " << copy_rows << ", \"matrix_cols\": "
-      << cols << ", \"working_set_x_capacity\": "
-      << fmt(static_cast<double>(copy_rows * cols) / capacity) << "},\n"
-      << "  \"stream_copy\": {\n"
-      << "    \"elements\": " << sync.report.elements << ",\n"
-      << "    \"sync\": {\"verified\": "
-      << (sync.report.verified ? "true" : "false")
-      << ", \"hit_rate\": " << fmt(sc.hit_rate())
-      << ", \"evictions\": " << sc.evictions
-      << ", \"modelled_ms\": " << fmt(sync.modelled_s * 1e3)
-      << ", \"gb_per_s\": " << fmt(sync.gb_per_s) << "},\n"
-      << "    \"async\": {\"verified\": "
-      << (async.report.verified ? "true" : "false")
-      << ", \"hit_rate\": " << fmt(ac.hit_rate())
-      << ", \"evictions\": " << ac.evictions
-      << ", \"modelled_ms\": " << fmt(async.modelled_s * 1e3)
-      << ", \"gb_per_s\": " << fmt(async.gb_per_s)
-      << ",\n      \"prefetch_issued\": " << ac.prefetch_issued
-      << ", \"prefetch_useful\": " << ac.prefetch_useful
-      << ", \"overlapped_ms\": "
-      << fmt(async.report.src.lmem_seconds_overlapped * 1e3) << "},\n"
-      << "    \"async_not_slower\": " << (async_not_slower ? "true" : "false")
-      << "\n  },\n"
-      << "  \"row_sweep\": {\n"
-      << "    \"sweeps\": " << sweeps << ", \"verified\": "
-      << (sweep.verified ? "true" : "false")
-      << ", \"hit_rate\": " << fmt(sweep_hit_rate)
-      << ", \"evictions\": " << sweep.stats.counters().evictions << ",\n"
-      << "    \"cached_ms\": " << fmt(sweep.cached_s * 1e3)
-      << ", \"cached_gb_per_s\": " << fmt(sweep.bytes / sweep.cached_s / 1e9)
-      << ",\n    \"dma_per_access_ms\": " << fmt(sweep.dma_per_access_s * 1e3)
-      << ", \"dma_per_access_gb_per_s\": "
-      << fmt(sweep.bytes / sweep.dma_per_access_s / 1e9)
-      << ",\n    \"in_core_ms\": " << fmt(sweep.in_core_s * 1e3)
-      << ", \"in_core_gb_per_s\": "
-      << fmt(sweep.bytes / sweep.in_core_s / 1e9)
-      << ",\n    \"speedup_vs_dma_per_access\": "
-      << fmt(sweep.dma_per_access_s / sweep.cached_s) << "\n  }\n"
-      << "}\n";
+  json::Writer w(out);
+  w.begin_object().field("benchmark", "polymem_software_cache");
+  w.field("tiny", tiny).begin_object("geometry").field("scheme", "ReRo");
+  w.field("p", 2).field("q", 4).field("height", cfg.height);
+  w.field("width", cfg.width).field("capacity_words", capacity);
+  w.field("matrix_rows", copy_rows).field("matrix_cols", cols);
+  w.field("working_set_x_capacity",
+          static_cast<double>(copy_rows * cols) / capacity)
+      .end();
+  w.begin_object("stream_copy").field("elements", sync.report.elements);
+  w.begin_object("sync").field("verified", sync.report.verified);
+  w.field("hit_rate", sc.hit_rate()).field("evictions", sc.evictions);
+  w.field("modelled_ms", sync.modelled_s * 1e3);
+  w.field("gb_per_s", sync.gb_per_s).end();
+  w.begin_object("async").field("verified", async.report.verified);
+  w.field("hit_rate", ac.hit_rate()).field("evictions", ac.evictions);
+  w.field("modelled_ms", async.modelled_s * 1e3);
+  w.field("gb_per_s", async.gb_per_s);
+  w.field("prefetch_issued", ac.prefetch_issued);
+  w.field("prefetch_useful", ac.prefetch_useful);
+  w.field("overlapped_ms", overlapped_ms).end();
+  w.field("async_not_slower", async_not_slower).end();
+  w.begin_object("row_sweep").field("sweeps", sweeps);
+  w.field("verified", sweep.verified).field("hit_rate", sweep_hit_rate);
+  w.field("evictions", sweep.stats.counters().evictions);
+  w.field("cached_ms", sweep.cached_s * 1e3);
+  w.field("cached_gb_per_s", cached_gb_per_s);
+  w.field("dma_per_access_ms", sweep.dma_per_access_s * 1e3);
+  w.field("dma_per_access_gb_per_s", dma_gb_per_s);
+  w.field("in_core_ms", sweep.in_core_s * 1e3);
+  w.field("in_core_gb_per_s", in_core_gb_per_s);
+  w.field("speedup_vs_dma_per_access", sweep.dma_per_access_s / sweep.cached_s);
+  w.end().end();
   out.close();
 
-  std::cout << "stream_copy: sync " << fmt(sync.modelled_s * 1e3)
-            << " ms, async " << fmt(async.modelled_s * 1e3)
-            << " ms (overlap "
-            << fmt(async.report.src.lmem_seconds_overlapped * 1e3)
-            << " ms), hit rate " << fmt(sc.hit_rate()) << "\n"
-            << "row_sweep: cached " << fmt(sweep.bytes / sweep.cached_s / 1e9)
-            << " GB/s vs dma-per-access "
-            << fmt(sweep.bytes / sweep.dma_per_access_s / 1e9)
-            << " GB/s vs in-core "
-            << fmt(sweep.bytes / sweep.in_core_s / 1e9)
-            << " GB/s, hit rate " << fmt(sweep_hit_rate) << "\n"
+  std::cout << std::setprecision(4) << "stream_copy: sync "
+            << sync.modelled_s * 1e3 << " ms, async "
+            << async.modelled_s * 1e3 << " ms (overlap " << overlapped_ms
+            << " ms), hit rate " << sc.hit_rate() << "\n"
+            << "row_sweep: cached " << cached_gb_per_s
+            << " GB/s vs dma-per-access " << dma_gb_per_s
+            << " GB/s vs in-core " << in_core_gb_per_s << " GB/s, hit rate "
+            << sweep_hit_rate << "\n"
             << "wrote " << out_path << "\n";
 
   if (!sync.report.verified || !async.report.verified || !sweep.verified) {

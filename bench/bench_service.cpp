@@ -58,8 +58,8 @@
 #include <chrono>
 #include <cmath>
 #include <cstdint>
-#include <cstdio>
 #include <fstream>
+#include <iomanip>
 #include <iostream>
 #include <span>
 #include <string>
@@ -67,6 +67,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/json.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "maxsim/lmem.hpp"
@@ -657,49 +658,39 @@ LoadResult run_sharded(const maxsim::LMemMatrix& shape, unsigned shards,
   return r;
 }
 
-std::string fmt(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.4g", v);
-  return buf;
-}
-
-void emit_config(std::ostream& out, const std::string& name,
+void emit_config(json::Writer& w, const std::string& name,
                  std::size_t requests, unsigned ports, unsigned shards,
-                 const LoadResult& r, bool last) {
+                 const LoadResult& r) {
   const double n = static_cast<double>(requests);
-  out << "    {\"name\": \"" << name << "\", \"verified\": "
-      << (r.verified ? "true" : "false") << ", \"ports\": " << ports
-      << ", \"shard_count\": " << shards << ",\n"
-      << "     \"requests\": " << requests
-      << ", \"wall_ms\": " << fmt(r.wall_s * 1e3)
-      << ", \"accesses_per_sec\": " << fmt(n / r.wall_s)
-      << ", \"ns_per_access\": " << fmt(r.wall_s * 1e9 / n) << ",\n"
-      << "     \"latency_cycles\": {\"p50\": " << fmt(r.latency.p50)
-      << ", \"p95\": " << fmt(r.latency.p95)
-      << ", \"p99\": " << fmt(r.latency.p99)
-      << ", \"max\": " << fmt(r.latency.max) << "},\n"
-      << "     \"mean_run_length\": " << fmt(r.stats.mean_run_length())
-      << ", \"compiled_share\": "
-      << fmt(r.stats.drained_requests == 0
-                 ? 0.0
-                 : static_cast<double>(r.stats.compiled_requests) /
-                       static_cast<double>(r.stats.drained_requests))
-      << ", \"shed\": " << r.stats.shed << ", \"retries\": " << r.retries
-      << ",\n     \"max_queue_depth\": " << r.stats.max_queue_depth
-      << ", \"max_in_flight\": " << r.stats.max_in_flight
-      << ", \"tile_misses\": " << r.stats.tile_misses
-      << ", \"modeled_cycles\": " << r.stats.cycles << ",\n";
+  const auto& st = r.stats;
+  w.begin_object().field("name", name).field("verified", r.verified);
+  w.field("ports", ports).field("shard_count", shards);
+  w.field("requests", requests).field("wall_ms", r.wall_s * 1e3);
+  w.field("accesses_per_sec", n / r.wall_s);
+  w.field("ns_per_access", r.wall_s * 1e9 / n);
+  w.begin_object("latency_cycles").field("p50", r.latency.p50);
+  w.field("p95", r.latency.p95).field("p99", r.latency.p99);
+  w.field("max", r.latency.max).end();
+  w.field("mean_run_length", st.mean_run_length());
+  w.field("compiled_share",
+          st.drained_requests == 0
+              ? 0.0
+              : static_cast<double>(st.compiled_requests) /
+                    static_cast<double>(st.drained_requests));
+  w.field("shed", st.shed).field("retries", r.retries);
+  w.field("max_queue_depth", st.max_queue_depth);
+  w.field("max_in_flight", st.max_in_flight);
+  w.field("tile_misses", st.tile_misses).field("modeled_cycles", st.cycles);
   if (r.trace_reads + r.trace_writes > 0) {
-    out << "     \"trace_reads\": " << r.trace_reads
-        << ", \"trace_writes\": " << r.trace_writes << ",\n";
+    w.field("trace_reads", r.trace_reads);
+    w.field("trace_writes", r.trace_writes);
   }
-  out << "     \"saturated_drain\": {\"verified\": "
-      << (r.sat.verified ? "true" : "false")
-      << ", \"drain_ms\": " << fmt(r.sat.drain_s * 1e3)
-      << ", \"accesses_per_sec\": " << fmt(n / r.sat.drain_s)
-      << ", \"ns_per_access\": " << fmt(r.sat.drain_s * 1e9 / n)
-      << ", \"mean_run_length\": " << fmt(r.sat.stats.mean_run_length())
-      << "}}" << (last ? "\n" : ",\n");
+  w.begin_object("saturated_drain").field("verified", r.sat.verified);
+  w.field("drain_ms", r.sat.drain_s * 1e3);
+  w.field("accesses_per_sec", n / r.sat.drain_s);
+  w.field("ns_per_access", r.sat.drain_s * 1e9 / n);
+  w.field("mean_run_length", r.sat.stats.mean_run_length());
+  w.end().end();
 }
 
 }  // namespace
@@ -750,50 +741,47 @@ int main(int argc, char** argv) {
       static_cast<double>(n) / multi_port.sat.drain_s;
 
   std::ofstream out(out_path);
-  out << "{\n"
-      << "  \"benchmark\": \"polymem_service\",\n"
-      << "  \"tiny\": " << (tiny ? "true" : "false") << ",\n"
-      << "  \"geometry\": {\"scheme\": \"ReRo\", \"p\": " << cfg.p
-      << ", \"q\": " << cfg.q << ", \"height\": " << cfg.height
-      << ", \"width\": " << cfg.width << ", \"lanes\": " << cfg.lanes()
-      << ", \"read_ports\": " << cfg.read_ports << "},\n"
-      << "  \"trace\": {\"requests\": " << n << ", \"clients\": " << kClients
-      << ", \"reads\": " << trace.reads() << ", \"writes\": " << trace.writes()
-      << ", \"write_burst_fraction\": " << fmt(kWriteFraction)
-      << ", \"burst_rows\": \"" << kBurstMin << ".." << kBurstMax
-      << "\", \"zipf_skew\": " << fmt(kZipfSkew) << "},\n"
-      << "  \"serial_baseline\": {\"requests\": " << n
-      << ", \"wall_ms\": " << fmt(serial.wall_s * 1e3)
-      << ", \"accesses_per_sec\": " << fmt(serial_rate)
-      << ", \"ns_per_access\": " << fmt(serial.wall_s * 1e9 /
-                                        static_cast<double>(n))
-      << "},\n"
-      << "  \"configs\": [\n";
-  emit_config(out, "engine_1port", n, 1, 1, one_port, false);
-  emit_config(out, "engine_multiport", n, kClients, 1, multi_port, false);
-  emit_config(out, "sharded_multitenant", sharded_n, 2, 4, sharded, true);
-  out << "  ],\n"
-      << "  \"multiport_closed_loop_speedup_vs_serial\": "
-      << fmt(multi_rate / serial_rate) << ",\n"
-      << "  \"multiport_saturated_drain_speedup_vs_serial\": "
-      << fmt(sat_multi_rate / serial_rate) << "\n}\n";
+  json::Writer w(out);
+  w.begin_object().field("benchmark", "polymem_service").field("tiny", tiny);
+  w.begin_object("geometry").field("scheme", "ReRo").field("p", cfg.p);
+  w.field("q", cfg.q).field("height", cfg.height).field("width", cfg.width);
+  w.field("lanes", cfg.lanes()).field("read_ports", cfg.read_ports).end();
+  w.begin_object("trace").field("requests", n).field("clients", kClients);
+  w.field("reads", trace.reads()).field("writes", trace.writes());
+  w.field("write_burst_fraction", kWriteFraction);
+  w.field("burst_rows",
+          std::to_string(kBurstMin) + ".." + std::to_string(kBurstMax));
+  w.field("zipf_skew", kZipfSkew).end();
+  w.begin_object("serial_baseline").field("requests", n);
+  w.field("wall_ms", serial.wall_s * 1e3);
+  w.field("accesses_per_sec", serial_rate);
+  w.field("ns_per_access", serial.wall_s * 1e9 / static_cast<double>(n));
+  w.end().begin_array("configs");
+  emit_config(w, "engine_1port", n, 1, 1, one_port);
+  emit_config(w, "engine_multiport", n, kClients, 1, multi_port);
+  emit_config(w, "sharded_multitenant", sharded_n, 2, 4, sharded);
+  w.end();
+  w.field("multiport_closed_loop_speedup_vs_serial", multi_rate / serial_rate);
+  w.field("multiport_saturated_drain_speedup_vs_serial",
+          sat_multi_rate / serial_rate);
+  w.end();
   out.close();
 
-  std::cout << "serial:    " << fmt(serial_rate / 1e6) << " M acc/s\n"
+  std::cout << std::setprecision(4) << "serial:    " << serial_rate / 1e6
+            << " M acc/s\n"
             << "1 port:    "
-            << fmt(static_cast<double>(n) / one_port.wall_s / 1e6)
-            << " M acc/s, run length " << fmt(one_port.stats.mean_run_length())
-            << ", p99 " << fmt(one_port.latency.p99) << " cy\n"
-            << "multiport: " << fmt(multi_rate / 1e6) << " M acc/s, run length "
-            << fmt(multi_port.stats.mean_run_length()) << ", p99 "
-            << fmt(multi_port.latency.p99) << " cy\n"
-            << "multiport saturated drain: " << fmt(sat_multi_rate / 1e6)
-            << " M acc/s (" << fmt(sat_multi_rate / serial_rate)
-            << "x serial)\n"
+            << static_cast<double>(n) / one_port.wall_s / 1e6
+            << " M acc/s, run length " << one_port.stats.mean_run_length()
+            << ", p99 " << one_port.latency.p99 << " cy\n"
+            << "multiport: " << multi_rate / 1e6 << " M acc/s, run length "
+            << multi_port.stats.mean_run_length() << ", p99 "
+            << multi_port.latency.p99 << " cy\n"
+            << "multiport saturated drain: " << sat_multi_rate / 1e6
+            << " M acc/s (" << sat_multi_rate / serial_rate << "x serial)\n"
             << "sharded:   "
-            << fmt(static_cast<double>(sharded_n) / sharded.wall_s / 1e6)
+            << static_cast<double>(sharded_n) / sharded.wall_s / 1e6
             << " M acc/s over 4 shards, " << sharded.stats.tile_misses
-            << " tile misses, p99 " << fmt(sharded.latency.p99) << " cy\n"
+            << " tile misses, p99 " << sharded.latency.p99 << " cy\n"
             << "wrote " << out_path << "\n";
 
   if (!one_port.verified || !multi_port.verified || !sharded.verified ||
@@ -807,10 +795,11 @@ int main(int argc, char** argv) {
     return 1;
   }
   if (!tiny && sat_multi_rate <= serial_rate) {
-    std::cerr << "FAIL: saturated coalesced multi-port drain ("
-              << fmt(sat_multi_rate / 1e6)
+    std::cerr << std::setprecision(4)
+              << "FAIL: saturated coalesced multi-port drain ("
+              << sat_multi_rate / 1e6
               << " M acc/s) did not beat serial one-call-per-request ("
-              << fmt(serial_rate / 1e6) << " M acc/s)\n";
+              << serial_rate / 1e6 << " M acc/s)\n";
     return 1;
   }
   return 0;

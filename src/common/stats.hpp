@@ -72,7 +72,7 @@ class RunningStats {
 /// storing millions of latency points. The replacement RNG is a seeded
 /// splitmix64 walk — deterministic run to run, like every generator in
 /// this library. Used by the service load generator (bench/bench_service)
-/// and the parallel-runtime bench for latency distributions.
+/// for latency distributions.
 class Reservoir {
  public:
   explicit Reservoir(std::size_t capacity = 4096, std::uint64_t seed = 1);

@@ -6,8 +6,8 @@
 // O(n log n) area, able to realise ANY permutation — at the price of a
 // route-computation step (the "looping algorithm") that is hard to do
 // combinationally in one cycle. This module implements the network and
-// its routing exactly, so the ablation in bench_ablation rests on a real
-// implementation, not just a cost formula.
+// its routing exactly, so bench_paper's shuffle-network ablation rests on
+// a real implementation, not just a cost formula.
 #pragma once
 
 #include <cstdint>

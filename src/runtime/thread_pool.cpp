@@ -64,91 +64,6 @@ void ThreadPool::worker_loop() {
 
 namespace detail {
 
-ParallelForJob::ParallelForJob(std::int64_t begin, std::int64_t end,
-                               unsigned participants, std::int64_t grain)
-    : grain_(std::max<std::int64_t>(1, grain)) {
-  // One contiguous sub-range per participant, remainder spread over the
-  // leading ranges — participant w starts near w/participants of the way
-  // through, like a static schedule, and stealing repairs any imbalance.
-  ranges_.reserve(participants);
-  const std::int64_t total = end - begin;
-  const std::int64_t base = total / participants;
-  const std::int64_t extra = total % participants;
-  std::int64_t at = begin;
-  for (unsigned w = 0; w < participants; ++w) {
-    auto range = std::make_unique<WorkRange>();
-    range->next = at;
-    at += base + (w < static_cast<unsigned>(extra) ? 1 : 0);
-    range->end = at;
-    ranges_.push_back(std::move(range));
-  }
-  POLYMEM_ASSERT(at == end);
-}
-
-bool ParallelForJob::claim(unsigned worker, std::int64_t& lo,
-                          std::int64_t& hi) {
-  // Own range first (front, cache-friendly order).
-  WorkRange& own = *ranges_[worker];
-  {
-    std::lock_guard<std::mutex> lock(own.lock);
-    if (own.next < own.end) {
-      lo = own.next;
-      hi = std::min(own.end, own.next + grain_);
-      own.next = hi;
-      return true;
-    }
-  }
-  // Steal: take the upper half of the fullest remaining range. Re-scan
-  // until every range is empty — another participant may split a range
-  // between our scan and our lock. Ranges are locked one at a time (never
-  // nested), so thieves stealing from each other's ranges cannot deadlock.
-  for (;;) {
-    WorkRange* victim = nullptr;
-    std::int64_t best_left = 0;
-    for (const auto& range : ranges_) {
-      std::lock_guard<std::mutex> lock(range->lock);
-      const std::int64_t left = range->end - range->next;
-      if (left > best_left) {
-        best_left = left;
-        victim = range.get();
-      }
-    }
-    if (victim == nullptr) return false;
-    std::int64_t steal_lo = 0, steal_hi = 0;
-    {
-      std::lock_guard<std::mutex> lock(victim->lock);
-      const std::int64_t left = victim->end - victim->next;
-      if (left <= 0) continue;  // drained between scan and lock; rescan
-      if (left <= grain_) {
-        // Too small to split: take it whole.
-        steal_lo = victim->next;
-        steal_hi = victim->end;
-        victim->next = victim->end;
-      } else {
-        const std::int64_t mid = victim->next + left / 2;
-        steal_lo = mid;
-        steal_hi = victim->end;
-        victim->end = mid;
-      }
-    }
-    if (steal_hi - steal_lo <= grain_) {
-      lo = steal_lo;
-      hi = steal_hi;
-      return true;
-    }
-    // Deposit the loot beyond the first chunk into our own (drained)
-    // range, after releasing the victim's lock, so future claims chunk it
-    // by `grain` and other thieves can re-steal from it.
-    lo = steal_lo;
-    hi = steal_lo + grain_;
-    WorkRange& mine = *ranges_[worker];
-    std::lock_guard<std::mutex> lock(mine.lock);
-    mine.next = hi;
-    mine.end = steal_hi;
-    return true;
-  }
-}
-
 void ParallelForJob::record_exception(std::exception_ptr error) {
   cancelled_.store(true, std::memory_order_relaxed);
   std::lock_guard<std::mutex> lock(done_mutex_);

@@ -3,21 +3,20 @@
 // The paper's design is parallel twice over — p*q independent BRAM banks
 // per access and up to four replicated read ports (Fig. 3) — and the DSE
 // grid of Sec. IV is a set of fully independent design points. This module
-// is the host-side mirror of that parallelism: a small work-stealing
-// thread pool plus a deterministic `parallel_for` that the DSE sweep
-// (dse/explorer.hpp) runs on; service drains and adaptive migrations run
-// as pool tasks. A PolyMem's engine stays on one thread (core/polymem.hpp).
+// is the host-side mirror of that parallelism: a small thread pool plus a
+// deterministic `parallel_for` that the DSE sweep (dse/explorer.hpp) runs
+// on; the service drain runs as a pool task. A PolyMem's engine stays on
+// one thread (core/polymem.hpp).
 //
 // Design rules, in priority order:
 //  1. *Determinism.* Work is identified by its index, never by the worker
 //     that ran it: results land in slot `i`, and randomized workloads
 //     derive their RNG stream from `derive_seed(seed, i)` — so any thread
 //     count (including 1) produces bit-identical output.
-//  2. *Work stealing at chunk granularity.* parallel_for splits the index
-//     range into one contiguous sub-range per participant; a participant
-//     that drains its own range steals the upper half of the fullest
-//     remaining range. Regular grids stay cache-local, irregular ones
-//     (DSE points whose PolyMem capacity varies 8x) still balance.
+//  2. *One shared counter.* parallel_for's participants claim the next
+//     index from one atomic counter, so a participant that finishes early
+//     simply claims more: irregular items (DSE points whose PolyMem
+//     capacity varies 8x) balance with no per-participant ranges.
 //  3. *The caller works too.* parallel_for enlists the calling thread as
 //     participant 0, so a pool of size 0 degrades to plain serial
 //     execution with zero synchronisation surprises — that is the
@@ -28,7 +27,6 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <memory>
 #include <exception>
 #include <functional>
 #include <mutex>
@@ -79,27 +77,23 @@ class ThreadPool {
 
 namespace detail {
 
-/// One participant's contiguous slice of the iteration space. `next` and
-/// `end` move under `lock` only: owners take `grain` indices from the
-/// front, thieves take the upper half from the back, and neither can
-/// observe a torn range.
-struct WorkRange {
-  std::mutex lock;
-  std::int64_t next = 0;
-  std::int64_t end = 0;
-};
-
+/// The shared state of one parallel_for: the index counter, the first
+/// exception (which cancels the remaining claims) and the count of
+/// participants that have stopped.
 class ParallelForJob {
  public:
-  ParallelForJob(std::int64_t begin, std::int64_t end, unsigned participants,
-                 std::int64_t grain);
+  ParallelForJob(std::int64_t begin, std::int64_t end)
+      : next_(begin), end_(end) {}
 
-  /// Claims up to `grain` indices for `worker`, preferring its own range,
-  /// then stealing. Returns false when the whole iteration space is done.
-  bool claim(unsigned worker, std::int64_t& lo, std::int64_t& hi);
+  /// Claims the next unclaimed index; false once the range is exhausted
+  /// or an iteration has thrown.
+  bool claim(std::int64_t& i) {
+    if (cancelled_) return false;
+    i = next_++;
+    return i < end_;
+  }
 
   void record_exception(std::exception_ptr error);
-  bool cancelled() const { return cancelled_.load(std::memory_order_relaxed); }
 
   /// Called by each participant when it can claim no more work; the last
   /// one wakes the caller. Rethrows the first recorded exception in the
@@ -108,8 +102,8 @@ class ParallelForJob {
   void wait_and_rethrow(unsigned participants);
 
  private:
-  std::vector<std::unique_ptr<WorkRange>> ranges_;
-  std::int64_t grain_;
+  std::atomic<std::int64_t> next_;
+  const std::int64_t end_;
   std::atomic<bool> cancelled_{false};
   std::mutex done_mutex_;
   std::condition_variable done_cv_;
@@ -124,22 +118,22 @@ class ParallelForJob {
 /// in [0, pool.size()] — 0 is the caller — usable to index per-participant
 /// scratch state. Blocks until the whole range completed; the first
 /// exception thrown by `fn` is rethrown here (remaining iterations may be
-/// skipped). `grain` is the number of consecutive indices claimed at once.
+/// skipped).
 template <typename Fn>
 void parallel_for(ThreadPool& pool, std::int64_t begin, std::int64_t end,
-                  Fn&& fn, std::int64_t grain = 1) {
+                  Fn&& fn) {
   if (begin >= end) return;
   const unsigned participants = pool.size() + 1;
   if (participants == 1 || end - begin == 1) {
     for (std::int64_t i = begin; i < end; ++i) fn(i, 0u);
     return;
   }
-  detail::ParallelForJob job(begin, end, participants, grain);
+  detail::ParallelForJob job(begin, end);
   auto run = [&job, &fn](unsigned worker) {
-    std::int64_t lo, hi;
-    while (!job.cancelled() && job.claim(worker, lo, hi)) {
+    std::int64_t i = 0;
+    while (job.claim(i)) {
       try {
-        for (std::int64_t i = lo; i < hi; ++i) fn(i, worker);
+        fn(i, worker);
       } catch (...) {
         job.record_exception(std::current_exception());
       }

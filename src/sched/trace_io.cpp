@@ -28,6 +28,13 @@ std::uint64_t splitmix(std::uint64_t x) {
 // Tag separating the write-payload stream from the initial-cell stream.
 constexpr std::uint64_t kWriteTag = 0xA5A5A5A5DEADBEEFull;
 
+// Parser bounds (docs/trace_format.md): replay allocates the whole address
+// space and each op's words, so the text must not decide how much memory
+// that is. kMaxLanes is the bound maf::Maf enforces.
+constexpr std::int64_t kMaxLanes = std::int64_t{1} << 20;
+constexpr std::int64_t kMaxCells = std::int64_t{1} << 24;
+constexpr std::int64_t kMaxOpWords = std::int64_t{1} << 24;
+
 }  // namespace
 
 const char* trace_dir_name(TraceOp::Dir dir) {
@@ -114,7 +121,8 @@ std::uint64_t parse_sum(const std::string& tok, int line) {
   return value;
 }
 
-TraceOp parse_op(const std::vector<std::string>& tok, int line) {
+TraceOp parse_op(const std::vector<std::string>& tok, int line,
+                 std::int64_t lanes) {
   TraceOp op;
   if (tok[0] == "R")
     op.dir = TraceOp::Dir::kRead;
@@ -137,6 +145,9 @@ TraceOp parse_op(const std::vector<std::string>& tok, int line) {
   if (i < tok.size() && tok[i].size() > 1 && tok[i][0] == 'x') {
     op.count = parse_int(tok[i].substr(1), line, "count");
     if (op.count < 1) throw TraceParseError(line, "count must be >= 1");
+    if (op.count > kMaxOpWords / lanes)
+      throw TraceParseError(line, "count x lanes exceeds " +
+                                      std::to_string(kMaxOpWords) + " words");
     ++i;
   }
   if (i < tok.size() && tok[i] == "step") {
@@ -183,6 +194,13 @@ RecordedTrace parse_trace(std::istream& in) {
             lineno, "expected 'geometry PxQ space HxW seed N'");
       const auto [p, q] = parse_pair_x(tok[1], lineno, "geometry");
       const auto [h, w] = parse_pair_x(tok[3], lineno, "space");
+      // Both factors are >= 1, so a > max / b is a * b > max, unoverflowed.
+      if (p > kMaxLanes / q)
+        throw TraceParseError(lineno, "geometry exceeds " +
+                                          std::to_string(kMaxLanes) + " lanes");
+      if (h > kMaxCells / w)
+        throw TraceParseError(lineno, "space exceeds " +
+                                          std::to_string(kMaxCells) + " cells");
       trace.p = static_cast<unsigned>(p);
       trace.q = static_cast<unsigned>(q);
       trace.height = h;
@@ -192,7 +210,8 @@ RecordedTrace parse_trace(std::istream& in) {
       saw_geometry = true;
       continue;
     }
-    trace.ops.push_back(parse_op(tok, lineno));
+    trace.ops.push_back(
+        parse_op(tok, lineno, static_cast<std::int64_t>(trace.p) * trace.q));
   }
   if (!saw_magic)
     throw TraceParseError(lineno + 1, "missing 'polymem-trace v1' header");
@@ -331,47 +350,25 @@ TraceRecorder::TraceRecorder(unsigned p, unsigned q, std::int64_t height,
   trace_.height = height;
   trace_.width = width;
   trace_.seed = seed;
-  run_.count = 0;
 }
 
 std::int64_t TraceRecorder::ops_recorded() const {
-  return static_cast<std::int64_t>(trace_.ops.size()) +
-         (run_.count > 0 ? 1 : 0);
+  return static_cast<std::int64_t>(trace_.ops.size()) + (run_.empty() ? 0 : 1);
 }
 
 void TraceRecorder::flush_run() {
-  if (run_.count == 0) return;
-  if (run_.count == 1) run_.stride = {0, 0};
-  trace_.ops.push_back(run_);
-  run_.count = 0;
-  have_stride_ = false;
+  if (run_.empty()) return;
+  const core::AccessBatch batch = run_.take();
+  trace_.ops.push_back({run_dir_, batch.kind, batch.start, batch.inner_stride,
+                        batch.inner_count, std::nullopt});
 }
 
 void TraceRecorder::add(TraceOp::Dir dir, const ParallelAccess& access) {
-  if (run_.count > 0 && dir == run_.dir && access.kind == run_.kind) {
-    if (!have_stride_) {
-      run_.stride = {access.anchor.i - run_.anchor.i,
-                     access.anchor.j - run_.anchor.j};
-      have_stride_ = true;
-      next_ = {access.anchor.i + run_.stride.i,
-               access.anchor.j + run_.stride.j};
-      ++run_.count;
-      return;
-    }
-    if (access.anchor == next_) {
-      next_ = {next_.i + run_.stride.i, next_.j + run_.stride.j};
-      ++run_.count;
-      return;
-    }
-  }
+  // A run holds one direction; BatchCoalescer folds the pattern and stride.
+  if (!run_.empty() && dir == run_dir_ && run_.try_add(access)) return;
   flush_run();
-  run_.dir = dir;
-  run_.kind = access.kind;
-  run_.anchor = access.anchor;
-  run_.stride = {0, 0};
-  run_.count = 1;
-  run_.checksum.reset();
-  have_stride_ = false;
+  run_dir_ = dir;
+  run_.try_add(access);
 }
 
 void TraceRecorder::add_batch(TraceOp::Dir dir,

@@ -135,7 +135,7 @@ void annotate_checksums(RecordedTrace& trace);
 
 /// Collects the accesses an application actually issues and folds
 /// consecutive same-direction, same-pattern, constant-stride accesses
-/// into single TraceOp walks (the textual analogue of BatchCoalescer).
+/// into single TraceOp walks: a core::BatchCoalescer detects each run.
 /// finish() seals the trace and annotates canonical checksums.
 class TraceRecorder {
  public:
@@ -168,9 +168,8 @@ class TraceRecorder {
   void flush_run();
 
   RecordedTrace trace_;
-  TraceOp run_;             // pending coalescing run (run_.count == 0: none)
-  access::Coord next_;      // anchor that would extend the run
-  bool have_stride_ = false;
+  core::BatchCoalescer run_;  // pending run's pattern, anchors and stride
+  TraceOp::Dir run_dir_ = TraceOp::Dir::kRead;
 };
 
 }  // namespace polymem::sched

@@ -1,6 +1,6 @@
 // Parallel runtime contract tests: every index runs exactly once under
-// any pool size / grain combination, the caller participates, exceptions
-// propagate, and derive_seed gives thread-count-independent randomness.
+// any pool size, the caller participates, exceptions propagate, and
+// derive_seed gives thread-count-independent randomness.
 #include "runtime/thread_pool.hpp"
 
 #include <gtest/gtest.h>
@@ -19,21 +19,15 @@ namespace {
 TEST(ThreadPool, ParallelForCoversEveryIndexExactlyOnce) {
   for (unsigned workers : {0u, 1u, 3u, 7u}) {
     ThreadPool pool(workers);
-    for (std::int64_t grain : {1, 5, 64}) {
-      constexpr std::int64_t kN = 1000;
-      std::vector<std::atomic<int>> hits(kN);
-      for (auto& h : hits) h.store(0);
-      parallel_for(
-          pool, 0, kN,
-          [&](std::int64_t i, unsigned worker) {
-            ASSERT_LE(worker, workers);
-            hits[i].fetch_add(1);
-          },
-          grain);
-      for (std::int64_t i = 0; i < kN; ++i)
-        EXPECT_EQ(hits[i].load(), 1) << "index " << i << " workers "
-                                     << workers << " grain " << grain;
-    }
+    constexpr std::int64_t kN = 1000;
+    std::vector<std::atomic<int>> hits(kN);
+    for (auto& h : hits) h.store(0);
+    parallel_for(pool, 0, kN, [&](std::int64_t i, unsigned worker) {
+      ASSERT_LE(worker, workers);
+      hits[i].fetch_add(1);
+    });
+    for (std::int64_t i = 0; i < kN; ++i)
+      EXPECT_EQ(hits[i].load(), 1) << "index " << i << " workers " << workers;
   }
 }
 
@@ -74,18 +68,15 @@ TEST(ThreadPool, ExceptionPropagatesToCaller) {
 }
 
 TEST(ThreadPool, UnevenWorkStillCompletes) {
-  // Front-loaded work: stealing (or chunked claiming) must finish the
-  // tail even though participant 0's static range is the heaviest.
+  // Front-loaded work: the shared counter must finish the tail while
+  // the heavy leading indices are still running.
   ThreadPool pool(3);
   std::atomic<std::int64_t> done{0};
-  parallel_for(
-      pool, 0, 256,
-      [&](std::int64_t i, unsigned) {
-        volatile std::int64_t spin = (i < 32) ? 20000 : 10;
-        while (spin > 0) spin = spin - 1;
-        done.fetch_add(1);
-      },
-      4);
+  parallel_for(pool, 0, 256, [&](std::int64_t i, unsigned) {
+    volatile std::int64_t spin = (i < 32) ? 20000 : 10;
+    while (spin > 0) spin = spin - 1;
+    done.fetch_add(1);
+  });
   EXPECT_EQ(done.load(), 256);
 }
 

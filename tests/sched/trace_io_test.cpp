@@ -288,7 +288,17 @@ INSTANTIATE_TEST_SUITE_P(
         BadCase{"second op bad",
                 "polymem-trace v1\ngeometry 2x4 space 8x8 seed 1\n"
                 "R rect @ 0,0\nW row @\n",
-                4}),
+                4},
+        BadCase{"oversized space",
+                "polymem-trace v1\ngeometry 2x4 space 65536x65536 seed 1\n",
+                2},
+        BadCase{"oversized count",
+                "polymem-trace v1\ngeometry 2x4 space 16x16 seed 1\n"
+                "R row @ 0,0 x4000000000 step 0,0\n",
+                3},
+        BadCase{"oversized geometry",
+                "polymem-trace v1\ngeometry 4294967298x4 space 8x8 seed 1\n",
+                2}),
     [](const ::testing::TestParamInfo<BadCase>& info) {
       std::string name = info.param.label;
       for (char& ch : name)

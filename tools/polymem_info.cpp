@@ -47,13 +47,24 @@ constexpr const char* kExample =
     "# service_max_coalesce = 64   # longest run one drain serves\n"
     "# adapt_window = 4096    # adaptive profiler window (accesses)\n";
 
-/// The service_* key `key` (default `fallback`), refused unless it is in
-/// [1, max]: ServiceEngine, PortQueue and ShardedService each throw on 0
-/// ports, queue slots, coalesce length or shards.
-std::int64_t service_count(const polymem::ConfigFile& file,
-                           const std::string& key, std::int64_t fallback,
-                           std::int64_t max) {
-  const std::int64_t value = file.get_int_or(key, fallback);
+/// The integer key `key` (default `fallback`) as a whole decimal integer:
+/// ConfigFile::get_int would read 010 as octal eight and take 0x400 as hex.
+std::int64_t decimal_key(const polymem::ConfigFile& file,
+                         const std::string& key, std::int64_t fallback) {
+  if (!file.has(key)) return fallback;
+  const std::string text = file.get_string(key);
+  const auto value = polymem::parse_decimal(text);
+  POLYMEM_REQUIRE(value.has_value(),
+                  key + " must be a decimal integer, got '" + text + "'");
+  return *value;
+}
+
+/// decimal_key, refused unless it is in [1, max], checked before any
+/// narrowing so p = 4294967298 is not read as 2. ServiceEngine, PortQueue
+/// and ShardedService each throw on a 0 service_* count.
+std::int64_t count_key(const polymem::ConfigFile& file, const std::string& key,
+                       std::int64_t fallback, std::int64_t max) {
+  const std::int64_t value = decimal_key(file, key, fallback);
   POLYMEM_REQUIRE(value >= 1 && value <= max,
                   key + " must be in [1, " + std::to_string(max) + "]");
   return value;
@@ -73,15 +84,19 @@ int main(int argc, char** argv) {
   }
 
   try {
+    constexpr std::int64_t kMaxUnsigned = std::numeric_limits<unsigned>::max();
+    constexpr std::int64_t kMaxInt = std::numeric_limits<std::int64_t>::max();
+    // capacity_kb * KiB must fit in 64 bits.
+    constexpr std::int64_t kMaxCapacityKb = std::int64_t{1} << 53;
     const auto file = ConfigFile::load(argv[1]);
-    const auto capacity_kb =
-        static_cast<std::uint64_t>(file.get_int_or("capacity_kb", 512));
+    const auto capacity_kb = static_cast<std::uint64_t>(
+        count_key(file, "capacity_kb", 512, kMaxCapacityKb));
     const auto scheme =
         maf::scheme_from_name(file.get_string_or("scheme", "ReRo"));
-    const auto p = static_cast<unsigned>(file.get_int_or("p", 2));
-    const auto q = static_cast<unsigned>(file.get_int_or("q", 4));
+    const auto p = static_cast<unsigned>(count_key(file, "p", 2, kMaxUnsigned));
+    const auto q = static_cast<unsigned>(count_key(file, "q", 4, kMaxUnsigned));
     const auto ports =
-        static_cast<unsigned>(file.get_int_or("read_ports", 1));
+        static_cast<unsigned>(count_key(file, "read_ports", 1, kMaxUnsigned));
 
     const auto cfg = core::PolyMemConfig::with_capacity(
         capacity_kb * KiB, scheme, p, q, ports);
@@ -96,7 +111,7 @@ int main(int argc, char** argv) {
     // the profiler and the frame pool check their own values.
     const hw::ClockDomain clock(mhz * 1e6);
     adapt::ProfilerOptions prof;
-    prof.window = file.get_int_or("adapt_window", prof.window);
+    prof.window = decimal_key(file, "adapt_window", prof.window);
     const adapt::AccessProfiler profiler(cfg.p, cfg.q, prof);
     // Out-of-core operation: how the space partitions into cache frames
     // (src/cache). Geometry is overridable for tuning experiments.
@@ -104,23 +119,21 @@ int main(int argc, char** argv) {
         file.has("cache_tile_rows") || file.has("cache_tile_cols")
             ? core::FramePool::whole_space(
                   cfg,
-                  file.get_int_or("cache_tile_rows", cfg.height),
-                  file.get_int_or("cache_tile_cols", cfg.width))
+                  decimal_key(file, "cache_tile_rows", cfg.height),
+                  decimal_key(file, "cache_tile_cols", cfg.width))
             : core::FramePool::default_tiling(cfg);
     // Service layer (src/service): the request-engine geometry this
     // configuration would be served through, defaults from
     // EngineOptions unless the config overrides them.
     const service::EngineOptions engine_defaults;
-    constexpr std::int64_t kMaxUnsigned = std::numeric_limits<unsigned>::max();
-    constexpr std::int64_t kMaxInt = std::numeric_limits<std::int64_t>::max();
-    const auto svc_ports = static_cast<unsigned>(service_count(
+    const auto svc_ports = static_cast<unsigned>(count_key(
         file, "service_ports", engine_defaults.ports, kMaxUnsigned));
-    const auto svc_bound = static_cast<std::uint64_t>(service_count(
+    const auto svc_bound = static_cast<std::uint64_t>(count_key(
         file, "service_queue_bound",
         static_cast<std::int64_t>(engine_defaults.queue_bound), kMaxInt));
     const auto svc_shards = static_cast<unsigned>(
-        service_count(file, "service_shards", 2, kMaxUnsigned));
-    const auto svc_coalesce = static_cast<std::uint64_t>(service_count(
+        count_key(file, "service_shards", 2, kMaxUnsigned));
+    const auto svc_coalesce = static_cast<std::uint64_t>(count_key(
         file, "service_max_coalesce",
         static_cast<std::int64_t>(engine_defaults.max_coalesce), kMaxInt));
 

@@ -41,6 +41,7 @@
 #include <vector>
 
 #include "common/config.hpp"
+#include "common/json.hpp"
 #include "common/units.hpp"
 #include "verify/maf_prover.hpp"
 #include "verify/plan_lint.hpp"
@@ -50,10 +51,12 @@ namespace {
 using polymem::ConfigFile;
 using polymem::core::AccessBatch;
 using polymem::core::PolyMemConfig;
+using polymem::json::Writer;
 using polymem::verify::AffineCounterexample;
 using polymem::verify::BatchOp;
 using polymem::verify::Diagnostic;
 using polymem::verify::LintReport;
+using polymem::verify::Violation;
 
 constexpr const char* kExample =
     "# polymem_lint configuration: geometry + a batch program to check\n"
@@ -182,87 +185,80 @@ polymem::sched::AccessTrace parse_trace(const std::string& key,
   return polymem::sched::AccessTrace::dense_block(origin, rows, cols);
 }
 
+// The integer `key` as a whole decimal integer: ConfigFile::get_int would
+// read 010 as octal eight and take 0x400 as hex.
+std::int64_t decimal(const ConfigFile& file, const std::string& key) {
+  const std::string text = file.get_string(key);
+  const auto value = polymem::parse_decimal(text);
+  if (!value) parse_fail(key, text, "expected a decimal integer");
+  return *value;
+}
+
+// The integer `key` (default `fallback`), refused with a usage error
+// (status 2) unless it is in [0, max]. The check runs on the 64-bit value,
+// before any narrowing, so p = 4294967298 is not read as 2; a value in
+// range that gives no valid geometry is the linter's PML001.
+std::int64_t config_int(const ConfigFile& file, const std::string& key,
+                        std::int64_t fallback, std::int64_t max) {
+  const std::int64_t value = file.has(key) ? decimal(file, key) : fallback;
+  if (value < 0 || value > max)
+    parse_fail(key, std::to_string(value), "out of range");
+  return value;
+}
+
 PolyMemConfig parse_config(const ConfigFile& file) {
+  constexpr std::int64_t kMaxUnsigned = std::numeric_limits<unsigned>::max();
+  // capacity_kb * KiB must fit in 64 bits.
+  constexpr std::int64_t kMaxCapacityKb = std::int64_t{1} << 53;
   const auto scheme =
       polymem::maf::scheme_from_name(file.get_string_or("scheme", "ReRo"));
-  const auto p = static_cast<unsigned>(file.get_int_or("p", 2));
-  const auto q = static_cast<unsigned>(file.get_int_or("q", 4));
+  const auto p = static_cast<unsigned>(config_int(file, "p", 2, kMaxUnsigned));
+  const auto q = static_cast<unsigned>(config_int(file, "q", 4, kMaxUnsigned));
   if (file.has("height") || file.has("width")) {
     PolyMemConfig cfg;
     cfg.scheme = scheme;
     cfg.p = p;
     cfg.q = q;
-    cfg.height = file.get_int("height");
-    cfg.width = file.get_int("width");
+    cfg.height = decimal(file, "height");
+    cfg.width = decimal(file, "width");
     return cfg;  // validated by the linter/prover, which report PML001
   }
-  const auto capacity_kb =
-      static_cast<std::uint64_t>(file.get_int_or("capacity_kb", 512));
-  return PolyMemConfig::with_capacity(capacity_kb * polymem::KiB, scheme, p,
-                                      q);
+  const std::int64_t capacity_kb =
+      config_int(file, "capacity_kb", 512, kMaxCapacityKb);
+  return PolyMemConfig::with_capacity(
+      static_cast<std::uint64_t>(capacity_kb) * polymem::KiB, scheme, p, q);
 }
 
 // --- JSON rendering ---------------------------------------------------
 
-std::string json_escape(const std::string& s) {
-  std::ostringstream os;
-  for (const char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          os << buf;
-        } else {
-          os << c;
-        }
-    }
+void write_counterexample(Writer& w, const AffineCounterexample& cx) {
+  w.begin_object("counterexample");
+  w.begin_array("anchor").value(cx.anchor.i).value(cx.anchor.j).end();
+  w.field("lane_a", cx.lane_a).field("lane_b", cx.lane_b);
+  w.begin_array("elem_a").value(cx.elem_a.i).value(cx.elem_a.j).end();
+  w.begin_array("elem_b").value(cx.elem_b.i).value(cx.elem_b.j).end();
+  w.field("bank", cx.bank).end();
+}
+
+void write_diagnostic(Writer& w, const std::string& source,
+                      const Diagnostic& d) {
+  w.begin_object().field("source", source);
+  w.field("code", polymem::verify::lint_code(d.kind));
+  w.field("name", polymem::verify::lint_name(d.kind));
+  w.field("severity", polymem::verify::severity_name(d.severity));
+  w.field("op", d.op).field("message", d.message);
+  if (d.counterexample.has_value()) write_counterexample(w, *d.counterexample);
+  w.end();
+}
+
+void write_violations(Writer& w, const std::vector<Violation>& violations) {
+  w.begin_array("violations");
+  for (const Violation& v : violations) {
+    w.begin_object().field("code", polymem::verify::check_code(v.check));
+    w.field("name", polymem::verify::check_name(v.check));
+    w.field("severity", "error").field("message", v.message).end();
   }
-  return os.str();
-}
-
-std::string json_counterexample(const AffineCounterexample& cx) {
-  std::ostringstream os;
-  os << "{\"anchor\": [" << cx.anchor.i << ", " << cx.anchor.j
-     << "], \"lane_a\": " << cx.lane_a << ", \"lane_b\": " << cx.lane_b
-     << ", \"elem_a\": [" << cx.elem_a.i << ", " << cx.elem_a.j
-     << "], \"elem_b\": [" << cx.elem_b.i << ", " << cx.elem_b.j
-     << "], \"bank\": " << cx.bank << '}';
-  return os.str();
-}
-
-std::string json_diagnostic(const char* source, const Diagnostic& d) {
-  std::ostringstream os;
-  os << "    {\"source\": \"" << json_escape(source) << "\", \"code\": \""
-     << polymem::verify::lint_code(d.kind) << "\", \"name\": \""
-     << polymem::verify::lint_name(d.kind) << "\", \"severity\": \""
-     << polymem::verify::severity_name(d.severity) << "\", \"op\": " << d.op
-     << ", \"message\": \"" << json_escape(d.message) << '"';
-  if (d.counterexample.has_value())
-    os << ", \"counterexample\": " << json_counterexample(*d.counterexample);
-  os << '}';
-  return os.str();
-}
-
-std::string json_violation(const polymem::verify::Violation& v) {
-  std::ostringstream os;
-  os << "    {\"code\": \"" << polymem::verify::check_code(v.check)
-     << "\", \"name\": \"" << polymem::verify::check_name(v.check)
-     << "\", \"severity\": \"error\", \"message\": \""
-     << json_escape(v.message) << "\"}";
-  return os.str();
-}
-
-void json_array(std::ostringstream& os, const char* key,
-                const std::vector<std::string>& items) {
-  os << "  \"" << key << "\": [";
-  for (std::size_t k = 0; k < items.size(); ++k)
-    os << (k == 0 ? "\n" : ",\n") << items[k];
-  os << (items.empty() ? "]" : "\n  ]");
+  w.end();
 }
 
 // --- run modes --------------------------------------------------------
@@ -313,38 +309,31 @@ int run_lint(const Options& opt) {
   }
 
   if (opt.json) {
-    std::vector<std::string> diags;
-    for (const Diagnostic& d : program.diagnostics)
-      diags.push_back(json_diagnostic("program", d));
-    for (const TraceResult& t : trace_reports)
-      for (const Diagnostic& d : t.report.diagnostics)
-        diags.push_back(json_diagnostic(t.name.c_str(), d));
     std::size_t errors = program.errors();
     std::size_t warnings = program.warnings();
     for (const TraceResult& t : trace_reports) {
       errors += t.report.errors();
       warnings += t.report.warnings();
     }
-    std::ostringstream os;
-    os << "{\n  \"config\": {\"scheme\": \""
-       << polymem::maf::scheme_name(cfg.scheme) << "\", \"p\": " << cfg.p
-       << ", \"q\": " << cfg.q << ", \"height\": " << cfg.height
-       << ", \"width\": " << cfg.width << "},\n";
-    json_array(os, "diagnostics", diags);
-    os << ",\n";
+    Writer w(std::cout);
+    w.begin_object().begin_object("config");
+    w.field("scheme", polymem::maf::scheme_name(cfg.scheme));
+    w.field("p", cfg.p).field("q", cfg.q);
+    w.field("height", cfg.height).field("width", cfg.width).end();
+    w.begin_array("diagnostics");
+    for (const Diagnostic& d : program.diagnostics)
+      write_diagnostic(w, "program", d);
+    for (const TraceResult& t : trace_reports)
+      for (const Diagnostic& d : t.report.diagnostics)
+        write_diagnostic(w, t.name, d);
+    w.end();
     if (opt.prove) {
-      std::vector<std::string> violations;
-      for (const auto& v : prover.violations)
-        violations.push_back(json_violation(v));
-      os << "  \"prove\": {\"ok\": " << (prover.ok ? "true" : "false")
-         << ", \"violations\": [";
-      for (std::size_t k = 0; k < violations.size(); ++k)
-        os << (k == 0 ? "\n" : ",\n") << "  " << violations[k];
-      os << (violations.empty() ? "]" : "\n  ]") << "},\n";
+      w.begin_object("prove").field("ok", prover.ok);
+      write_violations(w, prover.violations);
+      w.end();
     }
-    os << "  \"errors\": " << errors << ",\n  \"warnings\": " << warnings
-       << ",\n  \"ok\": " << (clean ? "true" : "false") << "\n}";
-    std::printf("%s\n", os.str().c_str());
+    w.field("errors", errors).field("warnings", warnings);
+    w.field("ok", clean).end();
   } else {
     std::printf("lint: %s scheme %s, %ux%u banks, %lld x %lld elements\n",
                 opt.path.c_str(), polymem::maf::scheme_name(cfg.scheme),
@@ -380,22 +369,16 @@ int run_prove_affine(const Options& opt) {
       polymem::verify::prove_affine_pattern(scheme, p, q, pattern);
 
   if (opt.json) {
-    std::vector<std::string> violations;
-    for (const auto& v : report.violations)
-      violations.push_back(json_violation(v));
-    std::ostringstream os;
-    os << "{\n  \"mode\": \"prove-affine\",\n  \"config\": {\"scheme\": \""
-       << polymem::maf::scheme_name(report.scheme)
-       << "\", \"p\": " << report.p << ", \"q\": " << report.q << "},\n"
-       << "  \"pattern\": \"" << json_escape(report.pattern.spec())
-       << "\",\n  \"proven\": \""
-       << polymem::maf::support_level_name(report.proven) << "\",\n";
+    Writer w(std::cout);
+    w.begin_object().field("mode", "prove-affine").begin_object("config");
+    w.field("scheme", polymem::maf::scheme_name(report.scheme));
+    w.field("p", report.p).field("q", report.q).end();
+    w.field("pattern", report.pattern.spec());
+    w.field("proven", polymem::maf::support_level_name(report.proven));
     if (report.counterexample.has_value())
-      os << "  \"counterexample\": "
-         << json_counterexample(*report.counterexample) << ",\n";
-    json_array(os, "violations", violations);
-    os << ",\n  \"ok\": " << (report.ok ? "true" : "false") << "\n}";
-    std::printf("%s\n", os.str().c_str());
+      write_counterexample(w, *report.counterexample);
+    write_violations(w, report.violations);
+    w.field("ok", report.ok).end();
   } else {
     std::printf("%s\n", report.summary().c_str());
   }

@@ -26,14 +26,14 @@
 //
 // Exit status: 0 verified, 1 divergence or lint errors, 2 usage/parse
 // errors.
-#include <cstdio>
+#include <cstdlib>
 #include <iostream>
 #include <limits>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "common/config.hpp"
+#include "common/json.hpp"
 #include "replay/replay.hpp"
 
 namespace {
@@ -62,64 +62,38 @@ void usage(std::ostream& out) {
          "       polymem_replay --example\n";
 }
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (c == '\n') {
-      out += "\\n";
-    } else {
-      out += c;
-    }
-  }
-  return out;
-}
-
 void print_json(std::ostream& out, const std::vector<ReplayReport>& reports,
                 const std::vector<polymem::verify::LintReport>& lints,
                 bool ok) {
-  out << "{\n  \"ok\": " << (ok ? "true" : "false") << ",\n  \"runs\": [\n";
+  polymem::json::Writer w(out);
+  w.begin_object().field("ok", ok).begin_array("runs");
   for (std::size_t k = 0; k < reports.size(); ++k) {
     const ReplayReport& r = reports[k];
-    out << "    {\n"
-        << "      \"scheme\": \"" << polymem::maf::scheme_name(r.scheme)
-        << "\",\n"
-        << "      \"through_cache\": " << (r.through_cache ? "true" : "false")
-        << ",\n"
-        << "      \"adaptive\": " << (r.adaptive ? "true" : "false") << ",\n"
-        << "      \"ops\": " << r.ops << ",\n"
-        << "      \"reads\": " << r.reads << ",\n"
-        << "      \"writes\": " << r.writes << ",\n"
-        << "      \"batched_accesses\": " << r.batched_accesses << ",\n"
-        << "      \"fallback_accesses\": " << r.fallback_accesses << ",\n"
-        << "      \"checksums_checked\": " << r.checksums_checked << ",\n"
-        << "      \"checksum_mismatches\": " << r.checksum_mismatches << ",\n"
-        << "      \"data_mismatches\": " << r.data_mismatches << ",\n"
-        << "      \"final_image_ok\": " << (r.final_image_ok ? "true" : "false")
-        << ",\n"
-        << "      \"verified\": " << (r.verified() ? "true" : "false");
+    w.begin_object().field("scheme", polymem::maf::scheme_name(r.scheme));
+    w.field("through_cache", r.through_cache).field("adaptive", r.adaptive);
+    w.field("ops", r.ops).field("reads", r.reads).field("writes", r.writes);
+    w.field("batched_accesses", r.batched_accesses);
+    w.field("fallback_accesses", r.fallback_accesses);
+    w.field("checksums_checked", r.checksums_checked);
+    w.field("checksum_mismatches", r.checksum_mismatches);
+    w.field("data_mismatches", r.data_mismatches);
+    w.field("final_image_ok", r.final_image_ok);
+    w.field("verified", r.verified());
     if (r.adaptive) {
-      out << ",\n      \"final_scheme\": \""
-          << polymem::maf::scheme_name(r.final_scheme) << "\",\n"
-          << "      \"migrations\": " << r.migrations << ",\n"
-          << "      \"migrations_aborted\": " << r.migrations_aborted << ",\n"
-          << "      \"migration_mismatches\": " << r.migration_mismatches;
+      w.field("final_scheme", polymem::maf::scheme_name(r.final_scheme));
+      w.field("migrations", r.migrations);
+      w.field("migrations_aborted", r.migrations_aborted);
+      w.field("migration_mismatches", r.migration_mismatches);
     }
     if (k < lints.size()) {
-      out << ",\n      \"lint\": {\"errors\": " << lints[k].errors()
-          << ", \"warnings\": " << lints[k].warnings()
-          << ", \"diagnostics\": [";
-      for (std::size_t d = 0; d < lints[k].diagnostics.size(); ++d) {
-        if (d) out << ", ";
-        out << "\"" << json_escape(lints[k].diagnostics[d].message) << "\"";
-      }
-      out << "]}";
+      w.begin_object("lint").field("errors", lints[k].errors());
+      w.field("warnings", lints[k].warnings()).begin_array("diagnostics");
+      for (const auto& d : lints[k].diagnostics) w.value(d.message);
+      w.end().end();
     }
-    out << "\n    }" << (k + 1 < reports.size() ? "," : "") << "\n";
+    w.end();
   }
-  out << "  ]\n}\n";
+  w.end().end();
 }
 
 }  // namespace
