@@ -15,14 +15,14 @@
 // trace:
 //
 //  1. serial_baseline — no service at all: one synchronous read_into
-//     per request on a plain PolyMem (the ~95 ns/access plan-template
-//     path of BENCH_core.json). This is the throughput to beat.
+//     per request on a plain PolyMem (the compiled single-access path,
+//     BENCH_core.json's single column). This is the throughput to beat.
 //  2. engine_1port    — every client funnels into one bounded queue;
 //     bursts from different clients interleave, so runs stay short.
 //  3. engine_multiport — one queue per client (ports = clients,
 //     read_ports = ports): each port's FIFO prefix is one client's
-//     burst, so the drain coalesces near-full runs and serves them on
-//     the ~5 ns/access compiled SIMD path.
+//     burst, so the drain coalesces near-full runs and serves each with
+//     one compiled gather/scatter (BENCH_core.json's batched column).
 //  4. sharded_multitenant — a 256x256 LMem-resident matrix served by 4
 //     PolyMem shards (each a write-back TileCache over the shared
 //     LMem), 6 tenants routed by anchor-tile hash; Zipf tile

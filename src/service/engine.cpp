@@ -1,11 +1,21 @@
 #include "service/engine.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <utility>
 
 #include "common/error.hpp"
 
 namespace polymem::service {
+
+namespace {
+
+/// How long an idle drain polls the queues before it parks: longer than
+/// a closed-loop client takes from its last completion to its next
+/// submit, far shorter than the futex sleep and wake-up it saves.
+constexpr std::chrono::microseconds kIdlePoll{50};
+
+}  // namespace
 
 const char* status_name(Status status) {
   switch (status) {
@@ -129,27 +139,27 @@ Status ServiceEngine::submit(unsigned port, Request&& request,
                              RequestId* id_out) {
   POLYMEM_REQUIRE(port < queues_.size(), "service port out of range");
   if (!accepting_.load(std::memory_order_acquire)) return Status::kShutdown;
+  PortQueue& queue = *queues_[port];
   const Status verdict = validate(request);
   if (verdict != Status::kAccepted) {
-    rejected_.fetch_add(1, std::memory_order_relaxed);
+    queue.note_rejected();
     return verdict;
   }
-  const RequestId id = next_id_.fetch_add(1, std::memory_order_relaxed);
-  PendingRequest pending{std::move(request), id,
+  PendingRequest pending{std::move(request), 0,
                          cycle_.load(std::memory_order_relaxed)};
-  const Status pushed = queues_[port]->try_push(std::move(pending));
+  std::uint64_t position = 0;
+  const Status pushed = queue.try_push(std::move(pending), &position);
   if (pushed != Status::kAccepted) {
     // Typed shedding: hand the request (payload included) back intact so
     // the caller can retry. The queue counted the shed.
     request = std::move(pending.request);
     return pushed;
   }
-  accepted_.fetch_add(1, std::memory_order_relaxed);
-  if (id_out != nullptr) *id_out = id;
+  if (id_out != nullptr) *id_out = request_id(port, position);
   // Wake the drain only when it published itself idle: the seq_cst pair
-  // (push -> load idle here, store idle -> recheck queues there) makes a
-  // missed wakeup impossible without serializing every submit on the
-  // wake mutex.
+  // (claim CAS in try_push -> load idle here, store idle -> recheck the
+  // queues' tails there) makes a missed wakeup impossible without
+  // serializing every submit on the wake mutex.
   if (drain_idle_.load(std::memory_order_seq_cst)) {
     {
       const std::lock_guard<std::mutex> lock(wake_mutex_);
@@ -299,7 +309,8 @@ void ServiceEngine::execute_run(unsigned queue_port,
   pending.complete_cycle = issued + mem_->config().read_latency;
   pending.requests.reserve(n);
   for (const PendingRequest& pr : run_) {
-    pending.requests.push_back({pr.id, pr.request.tag, pr.request.tenant, op,
+    pending.requests.push_back({request_id(queue_port, pr.position),
+                                pr.request.tag, pr.request.tenant, op,
                                 pr.request.listener, pr.submit_cycle,
                                 sequence_++});
   }
@@ -357,11 +368,11 @@ void ServiceEngine::retire_all() {
 
 void ServiceEngine::shutdown_sweep() {
   std::vector<PendingRequest> swept;
-  for (const auto& queue : queues_) {
-    queue->pop_all(swept);
+  for (unsigned port = 0; port < queues_.size(); ++port) {
+    queues_[port]->pop_all(swept);
     for (PendingRequest& pr : swept) {
       Completion completion;
-      completion.id = pr.id;
+      completion.id = request_id(port, pr.position);
       completion.tag = pr.request.tag;
       completion.tenant = pr.request.tenant;
       completion.op = pr.request.op;
@@ -382,10 +393,19 @@ bool ServiceEngine::any_queued() const {
   return false;
 }
 
+bool ServiceEngine::poll_queues() const {
+  const auto deadline = std::chrono::steady_clock::now() + kIdlePoll;
+  do {
+    if (any_queued()) return true;
+  } while (std::chrono::steady_clock::now() < deadline);
+  return false;
+}
+
 void ServiceEngine::drain_loop() {
   for (;;) {
     while (service_once()) {
     }
+    if (poll_queues()) continue;
     std::unique_lock<std::mutex> lock(wake_mutex_);
     if (stop_requested_) break;
     if (work_signal_) {
@@ -433,8 +453,6 @@ ServiceEngine::PendingBatch& ServiceEngine::free_slot() {
 
 EngineStats ServiceEngine::stats() const {
   EngineStats s;
-  s.accepted = accepted_.load(std::memory_order_relaxed);
-  s.rejected = rejected_.load(std::memory_order_relaxed);
   s.completed_reads = completed_reads_.load(std::memory_order_relaxed);
   s.completed_writes = completed_writes_.load(std::memory_order_relaxed);
   s.shutdown_completions =
@@ -449,7 +467,9 @@ EngineStats ServiceEngine::stats() const {
   s.cycles = cycle_.load(std::memory_order_relaxed);
   for (const auto& queue : queues_) {
     const PortQueueStats qs = queue->stats();
+    s.accepted += qs.pushed;
     s.shed += qs.shed;
+    s.rejected += qs.rejected;
     s.max_queue_depth = std::max(s.max_queue_depth, qs.max_depth);
   }
   return s;

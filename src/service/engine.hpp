@@ -9,11 +9,11 @@
 //  - *Coalesce.* Each drain pops the longest constant-stride FIFO prefix
 //    of one port (round-robin across ports = cycle order) and compiles it
 //    into the engine's own ExecPlan (PolyMem::compile_batch), so one
-//    compiled gather/scatter serves the whole run — the 8.7-8.9 ns/access
-//    SIMD path (BENCH_core.json) amortized over many requests instead of
-//    idling between synchronous read_batch calls. Runs of one request,
-//    and runs the plan cache cannot serve, fall back to the per-access
-//    plan-template path (read_into); results are identical either way.
+//    compiled gather/scatter serves the whole run (the batched path of
+//    BENCH_core.json) instead of one call per request. Runs of one
+//    request, and runs the plan cache cannot serve, go through
+//    read_into / write one request at a time (the compiled single-access
+//    path); results are identical either way.
 //  - *In-flight tracking.* Executed runs wait in a FIFO of reused slots,
 //    each carrying its modeled completion cycle (issue cycle + config
 //    read_latency, + a miss penalty when a tile-cached engine faulted).
@@ -26,7 +26,14 @@
 //  - *Admission control.* Bounded queues shed with Status::kOverloaded
 //    instead of growing without bound; malformed requests are rejected
 //    synchronously with Status::kRejected; submits after stop() return
-//    Status::kShutdown.
+//    Status::kShutdown. A submit writes only its own port's queue: one
+//    compare-and-swap claims a ring position, which also names the
+//    request (RequestId = position x ports + port + 1), and the accepted
+//    count is the sum of the queues' claims.
+//  - *Idle.* When every queue is empty and nothing is in flight, the
+//    drain polls the queues for kIdlePoll before it parks on a
+//    condition variable, so a closed-loop client's next burst does not
+//    wait out a futex wake-up.
 //
 // Two backing modes share the engine:
 //  - *direct*: requests address PolyMem coordinates of a caller-owned
@@ -41,8 +48,9 @@
 // Threading: any number of submitters; exactly one drain thread, which
 // is the only thread to touch the PolyMem (and TileCache) — the same
 // single-consumer contract as TileCache itself. Listeners run on the
-// drain thread; they may submit (the drain holds no queue lock while
-// delivering) but must not call the manual pumps.
+// drain thread; they may submit (the queues take no lock, and a full
+// queue sheds instead of waiting for the drain) but must not call the
+// manual pumps.
 #pragma once
 
 #include <atomic>
@@ -176,6 +184,10 @@ class ServiceEngine {
 
   void init_queues();
   Status validate(const Request& request) const;
+  /// Unique per engine and increasing per port.
+  RequestId request_id(unsigned port, std::uint64_t position) const {
+    return position * queues_.size() + port + 1;
+  }
   bool service_once();
   void execute_run(unsigned queue_port, const core::AccessBatch& batch);
   bool retire_due();
@@ -183,19 +195,41 @@ class ServiceEngine {
   void shutdown_sweep();
   void drain_loop();
   bool any_queued() const;
+  /// Polls the queues for up to kIdlePoll; true once one holds a claim.
+  bool poll_queues() const;
   /// The slot behind the newest in-flight run; grows the ring only when
   /// every slot is in flight. ++in_flight_runs_ commits it.
   PendingBatch& free_slot();
 
+  // Read by every submit; written only at construction and when the
+  // drain parks, wakes or stops.
   core::PolyMem* mem_;
   cache::TileCache* cache_ = nullptr;
   std::int64_t tile_rows_ = 0;
   std::int64_t tile_cols_ = 0;
   EngineOptions options_;
   std::vector<std::unique_ptr<PortQueue>> queues_;
+  std::atomic<bool> accepting_{true};
+  std::atomic<bool> drain_idle_{false};
+  std::atomic<bool> started_{false};
 
-  // Drain-side state (single consumer).
-  core::ExecPlan plan_;
+  // Lifecycle handshake with the pool task; a submit takes the mutex
+  // only to wake a parked drain.
+  std::mutex wake_mutex_;
+  std::condition_variable wake_cv_;
+  std::condition_variable exit_cv_;
+  bool work_signal_ = false;
+  bool stop_requested_ = false;
+  bool exited_ = false;
+  bool stopped_ = false;
+
+  // The modeled clock: the drain advances it once per run and every
+  // submit reads it (submit_cycle), so it gets a cache line of its own.
+  alignas(64) std::atomic<std::uint64_t> cycle_{0};
+
+  // Drain-side state (single consumer) and statistics (relaxed atomics:
+  // drain-owned writers, any-thread reads), on lines no submit reads.
+  alignas(64) core::ExecPlan plan_;
   std::vector<PendingRequest> run_;
   std::vector<Word> write_staging_;
   // In-flight runs, oldest first: a ring of in_flight_runs_ slots
@@ -206,26 +240,6 @@ class ServiceEngine {
   unsigned round_robin_ = 0;
   std::uint64_t sequence_ = 0;
   std::uint64_t in_flight_requests_ = 0;
-
-  // Shared clock / identity / admission.
-  std::atomic<std::uint64_t> cycle_{0};
-  std::atomic<std::uint64_t> next_id_{1};
-  std::atomic<bool> accepting_{true};
-  std::atomic<bool> drain_idle_{false};
-
-  // Lifecycle handshake with the pool task.
-  std::mutex wake_mutex_;
-  std::condition_variable wake_cv_;
-  std::condition_variable exit_cv_;
-  bool work_signal_ = false;
-  bool stop_requested_ = false;
-  bool exited_ = false;
-  std::atomic<bool> started_{false};
-  bool stopped_ = false;
-
-  // Statistics (relaxed atomics: drain-owned writers, any-thread reads).
-  std::atomic<std::uint64_t> accepted_{0};
-  std::atomic<std::uint64_t> rejected_{0};
   std::atomic<std::uint64_t> completed_reads_{0};
   std::atomic<std::uint64_t> completed_writes_{0};
   std::atomic<std::uint64_t> shutdown_completions_{0};

@@ -1,5 +1,7 @@
 #include "service/port_queue.hpp"
 
+#include <bit>
+
 #include "common/error.hpp"
 
 namespace polymem::service {
@@ -7,22 +9,43 @@ namespace polymem::service {
 PortQueue::PortQueue(std::size_t bound, std::int64_t tile_rows,
                      std::int64_t tile_cols)
     : bound_(bound), tile_rows_(tile_rows), tile_cols_(tile_cols) {
-  POLYMEM_REQUIRE(bound > 0, "port queue bound must be positive");
+  // The upper limit keeps bit_ceil defined; no bound near it could be
+  // allocated anyway.
+  POLYMEM_REQUIRE(bound > 0 && bound <= (std::size_t{1} << 40),
+                  "port queue bound must be in [1, 2^40]");
   POLYMEM_REQUIRE((tile_rows == 0) == (tile_cols == 0),
                   "tile constraint needs both dimensions (or neither)");
-  ring_.resize(bound);
+  mask_ = std::bit_ceil(bound) - 1;
+  slots_ = std::make_unique<Slot[]>(mask_ + 1);
 }
 
-Status PortQueue::try_push(PendingRequest&& pending) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  if (size_ >= bound_) {
-    ++shed_;
-    return Status::kOverloaded;
+Status PortQueue::try_push(PendingRequest&& pending, std::uint64_t* position) {
+  std::uint64_t pos = tail_.load(std::memory_order_relaxed);
+  std::uint64_t head = 0;
+  do {
+    head = head_.load(std::memory_order_acquire);
+    // A stale `pos` can trail `head` (others claimed and the drain popped
+    // since); the signed distance is then negative and the CAS fails.
+    if (static_cast<std::int64_t>(pos - head) >=
+        static_cast<std::int64_t>(bound_)) {
+      shed_.fetch_add(1, std::memory_order_relaxed);
+      return Status::kOverloaded;
+    }
+  } while (!tail_.compare_exchange_weak(pos, pos + 1, std::memory_order_seq_cst,
+                                        std::memory_order_relaxed));
+  // pos - head < bound <= slots: the drain popped position pos - slots
+  // and released head past it, so this slot's old request is moved out.
+  Slot& s = slot(pos);
+  s.value = std::move(pending);
+  s.value.position = pos;
+  s.stamp.store(pos + 1, std::memory_order_release);
+
+  const std::uint64_t depth = pos + 1 - head;
+  std::uint64_t seen = max_depth_.load(std::memory_order_relaxed);
+  while (depth > seen && !max_depth_.compare_exchange_weak(
+                             seen, depth, std::memory_order_relaxed)) {
   }
-  ring_[slot(size_)] = std::move(pending);
-  ++size_;
-  ++pushed_;
-  depth_high_water_.record(size_);
+  if (position != nullptr) *position = pos;
   return Status::kAccepted;
 }
 
@@ -38,36 +61,49 @@ std::size_t PortQueue::pop_run(std::size_t max_run,
                                core::AccessBatch& batch) {
   run.clear();
   core::BatchCoalescer coalescer;
-  const std::lock_guard<std::mutex> lock(mutex_);
-  if (size_ == 0) return 0;
-  const Op op = ring_[head_].request.op;
-  const access::Coord first = ring_[head_].request.where.anchor;
-  while (run.size() < max_run && size_ > 0) {
-    const PendingRequest& next = ring_[head_];
-    if (next.request.op != op) break;
-    if (!same_tile(first, next.request.where.anchor)) break;
-    if (!coalescer.try_add(next.request.where)) break;
-    run.push_back(take_front());
+  std::uint64_t head = head_.load(std::memory_order_relaxed);
+  while (run.size() < max_run) {
+    Slot& s = slot(head);
+    if (s.stamp.load(std::memory_order_acquire) != head + 1) break;
+    const Request& next = s.value.request;
+    if (!run.empty() && (next.op != run.front().request.op ||
+                         !same_tile(run.front().request.where.anchor,
+                                    next.where.anchor))) {
+      break;
+    }
+    if (!coalescer.try_add(next.where)) break;
+    run.push_back(std::move(s.value));
+    ++head;
   }
+  if (run.empty()) return 0;
+  head_.store(head, std::memory_order_release);
   batch = coalescer.take();
   return run.size();
 }
 
 std::size_t PortQueue::pop_all(std::vector<PendingRequest>& run) {
   run.clear();
-  const std::lock_guard<std::mutex> lock(mutex_);
-  while (size_ > 0) run.push_back(take_front());
+  std::uint64_t head = head_.load(std::memory_order_relaxed);
+  for (;; ++head) {
+    Slot& s = slot(head);
+    if (s.stamp.load(std::memory_order_acquire) != head + 1) break;
+    run.push_back(std::move(s.value));
+  }
+  head_.store(head, std::memory_order_release);
   return run.size();
 }
 
 std::size_t PortQueue::depth() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return size_;
+  const std::uint64_t head = head_.load(std::memory_order_acquire);
+  return static_cast<std::size_t>(tail_.load(std::memory_order_seq_cst) -
+                                  head);
 }
 
 PortQueueStats PortQueue::stats() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return {pushed_, shed_, depth_high_water_.max()};
+  return {tail_.load(std::memory_order_relaxed),
+          shed_.load(std::memory_order_relaxed),
+          rejected_.load(std::memory_order_relaxed),
+          max_depth_.load(std::memory_order_relaxed)};
 }
 
 }  // namespace polymem::service

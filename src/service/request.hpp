@@ -25,7 +25,9 @@ namespace polymem::service {
 
 using hw::Word;
 
-/// Engine-assigned request identity, unique per engine, in submit order.
+/// Engine-assigned request identity: unique per engine and increasing
+/// in each port's FIFO order (the port's claimed queue position x ports
+/// + port + 1), not ordered across ports.
 using RequestId = std::uint64_t;
 
 /// Client identity: drives port placement (tenants hash to independent
@@ -90,7 +92,8 @@ struct Completion {
 /// idiom, but carried in the request so one engine can serve callers
 /// with different sinks). Callbacks run on the drain thread and must be
 /// cheap; re-submitting to the same engine from a callback is allowed
-/// (the drain does not hold queue locks while delivering).
+/// (the queues take no lock, and a full queue sheds with kOverloaded
+/// rather than waiting for the drain).
 class CompletionListener {
  public:
   virtual ~CompletionListener() = default;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <optional>
 #include <sstream>
+#include <utility>
 
 #include "common/error.hpp"
 #include "common/math.hpp"
@@ -264,24 +265,38 @@ class Linter {
     lint_affine_bounds(op, prefix, step);
   }
 
+  /// At most one PML008 per read: it names the nearest earlier write
+  /// that overlaps the read and counts the other overlapping writes, so
+  /// a long trace warns once per read, not once per (write, read) pair.
   void lint_hazards(const std::vector<BatchOp>& ops) {
-    for (std::size_t w = 0; w < ops.size(); ++w) {
-      if (ops[w].dir != BatchOp::Dir::kWrite) continue;
-      const auto wr = batch_rect(ops[w], config_.p, config_.q);
-      if (!wr.has_value()) continue;
-      for (std::size_t r = w + 1; r < ops.size(); ++r) {
-        if (ops[r].dir != BatchOp::Dir::kRead) continue;
-        const auto rr = batch_rect(ops[r], config_.p, config_.q);
-        if (!rr.has_value() || !wr->intersects(*rr)) continue;
-        std::ostringstream os;
-        os << "op " << r << " reads " << rect_str(*rr)
-           << ", overlapping elements op " << w << " writes ("
-           << rect_str(*wr)
-           << "); on pipelined hardware the read can issue before the "
-              "write retires — order the batches";
-        add(LintKind::kReadAfterWrite, Severity::kWarning,
-            static_cast<std::int64_t>(r), os.str());
+    std::vector<std::pair<std::size_t, Rect>> writes;
+    for (std::size_t r = 0; r < ops.size(); ++r) {
+      const auto rect = batch_rect(ops[r], config_.p, config_.q);
+      if (!rect.has_value()) continue;
+      if (ops[r].dir == BatchOp::Dir::kWrite) {
+        writes.emplace_back(r, *rect);
+        continue;
       }
+      const std::pair<std::size_t, Rect>* nearest = nullptr;
+      std::size_t others = 0;
+      for (auto w = writes.rbegin(); w != writes.rend(); ++w) {
+        if (!w->second.intersects(*rect)) continue;
+        if (nearest == nullptr) {
+          nearest = &*w;
+        } else {
+          ++others;
+        }
+      }
+      if (nearest == nullptr) continue;
+      std::ostringstream os;
+      os << "op " << r << " reads " << rect_str(*rect)
+         << ", overlapping elements op " << nearest->first << " writes ("
+         << rect_str(nearest->second) << ')';
+      if (others > 0) os << " and " << others << " earlier write(s)";
+      os << "; on pipelined hardware the read can issue before the "
+            "write retires — order the batches";
+      add(LintKind::kReadAfterWrite, Severity::kWarning,
+          static_cast<std::int64_t>(r), os.str());
     }
   }
 

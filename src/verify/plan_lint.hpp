@@ -109,8 +109,8 @@ struct LintReport {
 LintReport lint_batch(const core::PolyMemConfig& config,
                       const core::AccessBatch& batch);
 
-/// Lints a whole program: every op individually plus read-after-write
-/// hazards between each write and every later overlapping read.
+/// Lints a whole program: every op individually plus one read-after-write
+/// hazard per read that overlaps earlier writes (naming the nearest).
 LintReport lint_program(const core::PolyMemConfig& config,
                         const std::vector<BatchOp>& ops);
 

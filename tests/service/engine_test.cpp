@@ -220,29 +220,37 @@ TEST(ServiceEngine, RejectsMalformedRequestsSynchronously) {
 }
 
 TEST(ServiceEngine, CallbacksFireExactlyOnceWithUniqueIds) {
-  core::PolyMem mem(cfg());
-  fill(mem);
-  EngineOptions opt;
-  opt.max_coalesce = 4;
-  ServiceEngine engine(mem, opt);
-  Recorder rec;
-  std::set<RequestId> submitted;
-  for (std::int64_t i = 0; i < 16; ++i) {
-    RequestId id = 0;
-    ASSERT_EQ(engine.submit(0, read_req({PatternKind::kRow, {i % 16, 0}},
-                                        static_cast<std::uint64_t>(i), &rec),
-                            &id),
-              Status::kAccepted);
-    EXPECT_TRUE(submitted.insert(id).second) << "duplicate id " << id;
-    if (i % 5 == 4) engine.drain_once();  // interleave draining
-  }
-  engine.run_until_idle();
-  ASSERT_EQ(rec.entries.size(), submitted.size());
-  std::set<RequestId> completed;
-  for (const auto& e : rec.entries) {
-    EXPECT_TRUE(completed.insert(e.meta.id).second)
-        << "id " << e.meta.id << " completed twice";
-    EXPECT_EQ(submitted.count(e.meta.id), 1u);
+  // Ids derive from the port and its queue position: unique across
+  // ports too.
+  for (const unsigned ports : {1u, 3u}) {
+    SCOPED_TRACE(ports);
+    core::PolyMem mem(cfg());
+    fill(mem);
+    EngineOptions opt;
+    opt.ports = ports;
+    opt.max_coalesce = 4;
+    ServiceEngine engine(mem, opt);
+    Recorder rec;
+    std::set<RequestId> submitted;
+    for (std::int64_t i = 0; i < 16; ++i) {
+      RequestId id = 0;
+      ASSERT_EQ(
+          engine.submit(static_cast<unsigned>(i) % ports,
+                        read_req({PatternKind::kRow, {i % 16, 0}},
+                                 static_cast<std::uint64_t>(i), &rec),
+                        &id),
+          Status::kAccepted);
+      EXPECT_TRUE(submitted.insert(id).second) << "duplicate id " << id;
+      if (i % 5 == 4) engine.drain_once();  // interleave draining
+    }
+    engine.run_until_idle();
+    ASSERT_EQ(rec.entries.size(), submitted.size());
+    std::set<RequestId> completed;
+    for (const auto& e : rec.entries) {
+      EXPECT_TRUE(completed.insert(e.meta.id).second)
+          << "id " << e.meta.id << " completed twice";
+      EXPECT_EQ(submitted.count(e.meta.id), 1u);
+    }
   }
 }
 

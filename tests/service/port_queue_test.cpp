@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <thread>
 #include <vector>
 
@@ -18,7 +19,6 @@ PendingRequest row_read(std::int64_t i, std::int64_t j, std::uint64_t tag) {
   pr.request.op = Op::kRead;
   pr.request.where = {PatternKind::kRow, Coord{i, j}};
   pr.request.tag = tag;
-  pr.id = tag;
   return pr;
 }
 
@@ -29,21 +29,34 @@ PendingRequest row_write(std::int64_t i, std::int64_t j, std::uint64_t tag) {
 }
 
 TEST(PortQueue, OverflowShedsTypedNeverSilently) {
-  PortQueue queue(2);
-  EXPECT_EQ(queue.try_push(row_read(0, 0, 0)), Status::kAccepted);
-  EXPECT_EQ(queue.try_push(row_read(1, 0, 1)), Status::kAccepted);
-  EXPECT_EQ(queue.try_push(row_read(2, 0, 2)), Status::kOverloaded);
-  EXPECT_EQ(queue.depth(), 2u);
-  const auto stats = queue.stats();
-  EXPECT_EQ(stats.pushed, 2u);
-  EXPECT_EQ(stats.shed, 1u);
-  EXPECT_EQ(stats.max_depth, 2u);
+  // The slot array rounds the bound up to a power of two (a bound of 3
+  // has 4 slots, a bound of 1 has one): the bound, not the array, sheds.
+  for (const std::size_t bound : {1u, 2u, 3u, 5u}) {
+    SCOPED_TRACE(bound);
+    const auto n = static_cast<std::int64_t>(bound);
+    PortQueue queue(bound);
+    for (std::int64_t i = 0; i < n; ++i) {
+      EXPECT_EQ(queue.try_push(row_read(i, 0, static_cast<std::uint64_t>(i))),
+                Status::kAccepted);
+    }
+    EXPECT_EQ(queue.try_push(row_read(n, 0, bound)), Status::kOverloaded);
+    EXPECT_EQ(queue.depth(), bound);
+    const auto stats = queue.stats();
+    EXPECT_EQ(stats.pushed, bound);
+    EXPECT_EQ(stats.shed, 1u);
+    EXPECT_EQ(stats.max_depth, bound);
 
-  // Shedding is not sticky: popping frees capacity again.
-  std::vector<PendingRequest> run;
-  core::AccessBatch batch;
-  ASSERT_EQ(queue.pop_run(64, run, batch), 2u);
-  EXPECT_EQ(queue.try_push(row_read(2, 0, 2)), Status::kAccepted);
+    // Shedding is not sticky: popping frees capacity again, and the shed
+    // push overwrote nothing.
+    std::vector<PendingRequest> run;
+    core::AccessBatch batch;
+    ASSERT_EQ(queue.pop_run(64, run, batch), bound);
+    EXPECT_EQ(run.front().request.tag, 0u);
+    EXPECT_EQ(run.back().request.tag, bound - 1);
+    EXPECT_EQ(queue.try_push(row_read(n, 0, bound)), Status::kAccepted);
+    ASSERT_EQ(queue.pop_run(64, run, batch), 1u);
+    EXPECT_EQ(run.front().request.tag, bound);
+  }
 }
 
 TEST(PortQueue, BoundMustBePositive) {
@@ -187,6 +200,65 @@ TEST(PortQueue, ConcurrentSubmittersKeepFifoPerSubmitterAndShedExactly) {
     seen[pr.request.tag / 1000].push_back(pr.request.tag);
   }
   for (int w = 0; w < kThreads; ++w) {
+    EXPECT_EQ(seen[static_cast<std::size_t>(w)],
+              accepted[static_cast<std::size_t>(w)]);
+  }
+}
+
+TEST(PortQueue, LiveConsumerPopsEveryAcceptedTagOnceInSubmitOrder) {
+  // 3 producers push into a bound of 8 while a consumer pops runs at the
+  // same time, so claims, publications and slot reuse interleave.
+  constexpr int kProducers = 3;
+  constexpr std::uint64_t kPer = 2000;
+  constexpr std::size_t kBound = 8;
+  PortQueue queue(kBound);
+  std::atomic<bool> producing{true};
+  std::vector<PendingRequest> popped;
+  std::thread consumer([&queue, &producing, &popped] {
+    std::vector<PendingRequest> run;
+    core::AccessBatch batch;
+    for (;;) {
+      if (queue.pop_run(16, run, batch) > 0) {
+        for (PendingRequest& pr : run) popped.push_back(std::move(pr));
+      } else if (!producing.load(std::memory_order_acquire) &&
+                 queue.empty()) {
+        break;
+      } else {
+        std::this_thread::yield();
+      }
+    }
+  });
+  std::vector<std::vector<std::uint64_t>> accepted(kProducers);
+  std::vector<std::thread> producers;
+  producers.reserve(kProducers);
+  for (int w = 0; w < kProducers; ++w) {
+    producers.emplace_back([&queue, &accepted, w] {
+      for (std::uint64_t t = 0; t < kPer; ++t) {
+        // Rows advance by one, so a producer's consecutive requests
+        // coalesce until another producer's claim breaks the stride.
+        const std::uint64_t tag = static_cast<std::uint64_t>(w) * kPer + t;
+        const auto row = static_cast<std::int64_t>(t % 16);
+        if (queue.try_push(row_read(row, 0, tag)) == Status::kAccepted) {
+          accepted[static_cast<std::size_t>(w)].push_back(tag);
+        }
+      }
+    });
+  }
+  for (auto& th : producers) th.join();
+  producing.store(false, std::memory_order_release);
+  consumer.join();
+
+  const auto stats = queue.stats();
+  EXPECT_EQ(stats.pushed, popped.size());
+  EXPECT_EQ(stats.pushed + stats.shed, kProducers * kPer);
+  EXPECT_LE(stats.max_depth, kBound);
+  std::vector<std::vector<std::uint64_t>> seen(kProducers);
+  for (std::size_t k = 0; k < popped.size(); ++k) {
+    EXPECT_EQ(popped[k].position, k);  // FIFO in claim order
+    seen[popped[k].request.tag / kPer].push_back(popped[k].request.tag);
+  }
+  // Exactly once, and in each producer's submit order.
+  for (int w = 0; w < kProducers; ++w) {
     EXPECT_EQ(seen[static_cast<std::size_t>(w)],
               accepted[static_cast<std::size_t>(w)]);
   }

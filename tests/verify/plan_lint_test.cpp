@@ -185,6 +185,25 @@ TEST(PlanLint, ReadAfterWriteHazardAcrossOps) {
   ops[1].batch.start = {8, 0};
   EXPECT_FALSE(
       has_kind(lint_program(small_config(), ops), LintKind::kReadAfterWrite));
+
+  // One read after three overlapping writes: one warning, naming the
+  // nearest write and counting the other two.
+  const AccessBatch written =
+      AccessBatch::strided(PatternKind::kRect, {0, 0}, {2, 0}, 8);
+  std::vector<BatchOp> raw(3, {BatchOp::Dir::kWrite, written, std::nullopt});
+  raw.push_back({BatchOp::Dir::kRead,
+                 AccessBatch::strided(PatternKind::kRect, {8, 0}, {2, 0}, 4),
+                 std::nullopt});
+  const LintReport many = lint_program(small_config(), raw);
+  int hazards = 0;
+  for (const Diagnostic& x : many.diagnostics) {
+    hazards += x.kind == LintKind::kReadAfterWrite ? 1 : 0;
+  }
+  EXPECT_EQ(hazards, 1);
+  const Diagnostic& last = first_of(many, LintKind::kReadAfterWrite);
+  EXPECT_EQ(last.op, 3);
+  EXPECT_NE(last.message.find("op 2 writes"), std::string::npos);
+  EXPECT_NE(last.message.find("2 earlier write(s)"), std::string::npos);
 }
 
 TEST(PlanLint, TraceOutOfBoundsIsAnError) {
