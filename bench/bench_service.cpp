@@ -42,15 +42,19 @@
 //    sustained service rate — coalesce + compile + gather + retire —
 //    independent of the host's core count.
 //
+// The serial baseline and every saturated drain run kTrials passes, each
+// on a fresh memory (and a fresh engine), and report the median pass
+// time: a single pass swings too widely to settle the gate's ratio.
+//
 // Every completed read is copied into a slot addressed by its request
 // tag and differentially verified bit-for-bit against the serial
 // replay (direct configs) or the host mirror of the LMem matrix
-// (sharded config), in both phases. Latency is complete_cycle -
-// submit_cycle on the engine's modeled clock, summarized as p50/p95/p99
-// through the common/stats Reservoir. A data divergence — or, in the
-// full run, a saturated multi-port drain that fails to outrun the
-// serial baseline — exits nonzero so CI can gate on the smoke
-// invocation (--tiny).
+// (sharded config), in both phases and in every pass. Latency is
+// complete_cycle - submit_cycle on the engine's modeled clock,
+// summarized as p50/p95/p99 through the common/stats Reservoir. A data
+// divergence — or, in the full run, a saturated multi-port drain that
+// fails to outrun the serial baseline — exits nonzero so CI can gate on
+// the smoke invocation (--tiny).
 //
 // Usage: bench_service [--tiny] [output.json]  (default BENCH_service.json)
 #include <algorithm>
@@ -70,6 +74,7 @@
 #include "common/json.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
+#include "harness.hpp"
 #include "maxsim/lmem.hpp"
 #include "runtime/thread_pool.hpp"
 #include "service/sharded.hpp"
@@ -248,6 +253,8 @@ Trace make_tiled_trace(std::int64_t rows, std::int64_t cols,
 }
 
 constexpr std::size_t kQueueBound = 4096;
+/// Timed passes of the serial baseline and of each saturated drain.
+constexpr int kTrials = 5;
 
 double seconds_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
@@ -319,9 +326,12 @@ struct SerialRun {
 };
 
 /// The baseline the service must beat: one synchronous read/write per
-/// request, in trace order, on one thread. Read slots for write entries
+/// request, in trace order, on one thread, over a fresh memory filled
+/// from `fill_seed` (the fill is not timed). Read slots for write entries
 /// stay zero on both sides of the oracle.
-SerialRun run_serial(core::PolyMem& mem, const Trace& trace) {
+SerialRun run_serial(const Trace& trace, std::uint64_t fill_seed) {
+  core::PolyMem mem(pm_cfg());
+  fill_polymem(mem, fill_seed);
   const unsigned lanes = mem.lanes();
   SerialRun r;
   r.data.resize(trace.entries.size() * lanes);
@@ -381,7 +391,6 @@ bool image_matches(const core::PolyMem& mem,
 /// The saturated-drain phase: only the pump is timed, so drain_s is
 /// pure service time regardless of how many cores the host has.
 struct SatResult {
-  double submit_s = 0;
   double drain_s = 0;
   service::EngineStats stats;
   bool verified = true;
@@ -393,7 +402,7 @@ struct LoadResult {
   Reservoir::Summary latency;  ///< modeled cycles, submit -> complete
   std::uint64_t retries = 0;   ///< kOverloaded submissions retried
   bool verified = true;
-  SatResult sat;  ///< the same trace replayed through a saturated drain
+  SatResult sat;  ///< the same trace through kTrials saturated drains
   std::size_t trace_reads = 0;   ///< run_sharded only (private trace)
   std::size_t trace_writes = 0;
 };
@@ -459,7 +468,6 @@ void drive_saturated(const Trace& trace, SlotListener& listener,
   bool all_done = false;
   while (!all_done) {
     all_done = true;
-    auto t0 = std::chrono::steady_clock::now();
     for (std::size_t c = 0; c < cursor.size(); ++c) {
       const std::size_t end = trace.client_ranges[c].second;
       while (cursor[c] < end) {
@@ -474,11 +482,28 @@ void drive_saturated(const Trace& trace, SlotListener& listener,
       }
       if (cursor[c] < end) all_done = false;
     }
-    sat.submit_s += seconds_since(t0);
-    t0 = std::chrono::steady_clock::now();
+    const auto t0 = std::chrono::steady_clock::now();
     drain();
     sat.drain_s += seconds_since(t0);
   }
+}
+
+/// kTrials saturated-drain passes, each from fresh state (`pass` builds
+/// its own memory or service, drains the trace and verifies it): the
+/// median drain time, the last pass's stats, verified only if every pass
+/// was.
+template <typename PassFn>
+SatResult saturated_trials(PassFn pass) {
+  SatResult agg;
+  std::vector<double> drains;
+  for (int t = 0; t < kTrials; ++t) {
+    const SatResult one = pass();
+    drains.push_back(one.drain_s);
+    agg.stats = one.stats;
+    agg.verified = agg.verified && one.verified;
+  }
+  agg.drain_s = bench::median(std::move(drains));
+  return agg;
 }
 
 Reservoir::Summary summarize_latency(const std::vector<std::uint64_t>& lat) {
@@ -525,24 +550,28 @@ LoadResult run_engine(const Trace& trace, unsigned ports,
   r.verified = failures.load() == 0 && listener.not_ok() == 0 &&
                listener.data() == reference && image_matches(mem, final_image);
 
-  // Saturated-drain phase: a fresh engine (manual pumps, never started)
-  // over a fresh memory, fed the same trace.
-  core::PolyMem sat_mem(pm_cfg());
-  fill_polymem(sat_mem, fill_seed);
-  service::ServiceEngine sat_engine(sat_mem, opt);
-  SlotListener sat_listener(trace.entries.size(), sat_mem.lanes());
-  drive_saturated(
-      trace, sat_listener, r.sat,
-      [&](std::size_t client, service::Request&& req) {
-        const auto port = static_cast<unsigned>(client) % ports;
-        return sat_engine.submit(port, std::move(req));
-      },
-      [&] { sat_engine.run_until_idle(); });
-  r.sat.stats = sat_engine.stats();
-  r.sat.verified = r.sat.verified && sat_listener.not_ok() == 0 &&
+  // Saturated-drain passes: each a fresh engine (manual pumps, never
+  // started) over a fresh memory, fed the same trace.
+  r.sat = saturated_trials([&] {
+    core::PolyMem sat_mem(pm_cfg());
+    fill_polymem(sat_mem, fill_seed);
+    service::ServiceEngine sat_engine(sat_mem, opt);
+    SlotListener sat_listener(trace.entries.size(), sat_mem.lanes());
+    SatResult sat;
+    drive_saturated(
+        trace, sat_listener, sat,
+        [&](std::size_t client, service::Request&& req) {
+          const auto port = static_cast<unsigned>(client) % ports;
+          return sat_engine.submit(port, std::move(req));
+        },
+        [&] { sat_engine.run_until_idle(); });
+    sat.stats = sat_engine.stats();
+    sat.verified = sat.verified && sat_listener.not_ok() == 0 &&
                    sat_listener.completed() == trace.entries.size() &&
                    sat_listener.data() == reference &&
                    image_matches(sat_mem, final_image);
+    return sat;
+  });
   return r;
 }
 
@@ -631,30 +660,36 @@ LoadResult run_sharded(const maxsim::LMemMatrix& shape, unsigned shards,
                                      lanes) &&
                lmem_matches(lmem, shape, mirror);
 
-  // Saturated-drain phase: a second (never-started) service over the
-  // same LMem matrix, every shard pumped from the caller's thread.
-  service::ShardedService sat_svc(lmem, shape, sopt);
-  SlotListener sat_listener(trace.entries.size(),
-                            static_cast<unsigned>(lanes));
-  drive_saturated(
-      trace, sat_listener, r.sat,
-      [&](std::size_t, service::Request&& req) {
-        return sat_svc.submit(std::move(req));
-      },
-      [&] {
-        for (bool any = true; any;) {
-          any = false;
-          for (unsigned s = 0; s < sat_svc.shards(); ++s)
-            while (sat_svc.engine(s).drain_once()) any = true;
-        }
-      });
-  r.sat.stats = sat_svc.stats();
-  sat_svc.flush();
-  r.sat.verified = r.sat.verified && sat_listener.not_ok() == 0 &&
+  // Saturated-drain passes: each a fresh (never-started) service, with
+  // fresh shard memories, over the same LMem matrix, every shard pumped
+  // from the caller's thread. The trace's writes are tag-derived, so
+  // rewriting them keeps the LMem equal to the mirror.
+  r.sat = saturated_trials([&] {
+    service::ShardedService sat_svc(lmem, shape, sopt);
+    SlotListener sat_listener(trace.entries.size(),
+                              static_cast<unsigned>(lanes));
+    SatResult sat;
+    drive_saturated(
+        trace, sat_listener, sat,
+        [&](std::size_t, service::Request&& req) {
+          return sat_svc.submit(std::move(req));
+        },
+        [&] {
+          for (bool any = true; any;) {
+            any = false;
+            for (unsigned s = 0; s < sat_svc.shards(); ++s)
+              while (sat_svc.engine(s).drain_once()) any = true;
+          }
+        });
+    sat.stats = sat_svc.stats();
+    sat_svc.flush();
+    sat.verified = sat.verified && sat_listener.not_ok() == 0 &&
                    sat_listener.completed() == trace.entries.size() &&
                    verify_against_mirror(sat_listener, trace, mirror,
                                          shape.cols, lanes) &&
                    lmem_matches(lmem, shape, mirror);
+    return sat;
+  });
   return r;
 }
 
@@ -716,12 +751,19 @@ int main(int argc, char** argv) {
   const Trace trace = make_direct_trace(cfg, kClients, per_client, kSeed);
   const std::size_t n = trace.entries.size();
 
-  // Serial baseline doubles as the differential oracle's reference —
-  // for the completed reads and, via the host write image, for the
-  // end-state matrix.
-  core::PolyMem serial_mem(pm_cfg());
-  fill_polymem(serial_mem, kSeed);
-  const SerialRun serial = run_serial(serial_mem, trace);
+  // Serial baseline: its median pass time is the rate to beat, and its
+  // first pass doubles as the differential oracle's reference — for the
+  // completed reads and, via the host write image, for the end-state
+  // matrix. Every later pass must read the same data.
+  const SerialRun serial = run_serial(trace, kSeed);
+  std::vector<double> serial_passes{serial.wall_s};
+  bool serial_agrees = true;
+  for (int t = 1; t < kTrials; ++t) {
+    const SerialRun again = run_serial(trace, kSeed);
+    serial_passes.push_back(again.wall_s);
+    serial_agrees = serial_agrees && again.data == serial.data;
+  }
+  const double serial_s = bench::median(std::move(serial_passes));
   const std::vector<hw::Word> final_image =
       expected_image(cfg.height, cfg.width, trace, kSeed, nullptr);
 
@@ -735,7 +777,7 @@ int main(int argc, char** argv) {
       run_sharded(matrix, 4, 2, kTenants, per_tenant, kSeed);
   const std::size_t sharded_n = kTenants * per_tenant;
 
-  const double serial_rate = static_cast<double>(n) / serial.wall_s;
+  const double serial_rate = static_cast<double>(n) / serial_s;
   const double multi_rate = static_cast<double>(n) / multi_port.wall_s;
   const double sat_multi_rate =
       static_cast<double>(n) / multi_port.sat.drain_s;
@@ -743,6 +785,7 @@ int main(int argc, char** argv) {
   std::ofstream out(out_path);
   json::Writer w(out);
   w.begin_object().field("benchmark", "polymem_service").field("tiny", tiny);
+  w.field("trials", kTrials);
   w.begin_object("geometry").field("scheme", "ReRo").field("p", cfg.p);
   w.field("q", cfg.q).field("height", cfg.height).field("width", cfg.width);
   w.field("lanes", cfg.lanes()).field("read_ports", cfg.read_ports).end();
@@ -753,9 +796,9 @@ int main(int argc, char** argv) {
           std::to_string(kBurstMin) + ".." + std::to_string(kBurstMax));
   w.field("zipf_skew", kZipfSkew).end();
   w.begin_object("serial_baseline").field("requests", n);
-  w.field("wall_ms", serial.wall_s * 1e3);
+  w.field("wall_ms", serial_s * 1e3);
   w.field("accesses_per_sec", serial_rate);
-  w.field("ns_per_access", serial.wall_s * 1e9 / static_cast<double>(n));
+  w.field("ns_per_access", serial_s * 1e9 / static_cast<double>(n));
   w.end().begin_array("configs");
   emit_config(w, "engine_1port", n, 1, 1, one_port);
   emit_config(w, "engine_multiport", n, kClients, 1, multi_port);
@@ -784,9 +827,9 @@ int main(int argc, char** argv) {
             << " tile misses, p99 " << sharded.latency.p99 << " cy\n"
             << "wrote " << out_path << "\n";
 
-  if (!one_port.verified || !multi_port.verified || !sharded.verified ||
-      !one_port.sat.verified || !multi_port.sat.verified ||
-      !sharded.sat.verified) {
+  if (!serial_agrees || !one_port.verified || !multi_port.verified ||
+      !sharded.verified || !one_port.sat.verified ||
+      !multi_port.sat.verified || !sharded.sat.verified) {
     std::cerr << "FAIL: completed data diverges from the serial replay\n";
     return 1;
   }

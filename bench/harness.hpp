@@ -1,12 +1,20 @@
 // Trial timing shared by the bench runners: one warm-up run, then the
-// median of repeated timed runs.
+// median of repeated timed runs, or the median of passes a runner times
+// itself.
 #pragma once
 
 #include <algorithm>
 #include <chrono>
+#include <utility>
 #include <vector>
 
 namespace polymem::bench {
+
+/// The middle of `samples` (the upper middle for an even count).
+inline double median(std::vector<double> samples) {
+  std::sort(samples.begin(), samples.end());
+  return samples[samples.size() / 2];
+}
 
 /// Median wall time in nanoseconds of `trials` timed calls of `run`, after
 /// one untimed warm-up call that fills plan caches and faults in memory.
@@ -21,8 +29,7 @@ double median_ns(int trials, Fn&& run) {
     const auto stop = Clock::now();
     ns.push_back(std::chrono::duration<double, std::nano>(stop - start).count());
   }
-  std::sort(ns.begin(), ns.end());
-  return ns[ns.size() / 2];
+  return median(std::move(ns));
 }
 
 }  // namespace polymem::bench

@@ -69,18 +69,6 @@ std::string ConfigFile::get_string(const std::string& key) const {
   return it->second;
 }
 
-std::int64_t ConfigFile::get_int(const std::string& key) const {
-  const std::string v = get_string(key);
-  try {
-    std::size_t pos = 0;
-    std::int64_t r = std::stoll(v, &pos, 0);
-    POLYMEM_REQUIRE(pos == v.size(), "trailing characters in integer for key " + key);
-    return r;
-  } catch (const std::logic_error&) {
-    throw InvalidArgument("config key " + key + " is not an integer: " + v);
-  }
-}
-
 double ConfigFile::get_double(const std::string& key) const {
   const std::string v = get_string(key);
   try {
@@ -103,11 +91,6 @@ bool ConfigFile::get_bool(const std::string& key) const {
 std::string ConfigFile::get_string_or(const std::string& key,
                                       const std::string& fallback) const {
   return has(key) ? get_string(key) : fallback;
-}
-
-std::int64_t ConfigFile::get_int_or(const std::string& key,
-                                    std::int64_t fallback) const {
-  return has(key) ? get_int(key) : fallback;
 }
 
 double ConfigFile::get_double_or(const std::string& key,

@@ -25,15 +25,14 @@ class ConfigFile {
 
   /// Typed getters; throw InvalidArgument when the key is missing or the
   /// value does not parse. The `_or` variants return `fallback` when missing
-  /// (but still throw on unparsable values).
+  /// (but still throw on unparsable values). Integers are read as
+  /// get_string + parse_decimal.
   std::string get_string(const std::string& key) const;
-  std::int64_t get_int(const std::string& key) const;
   double get_double(const std::string& key) const;
   bool get_bool(const std::string& key) const;
 
   std::string get_string_or(const std::string& key,
                             const std::string& fallback) const;
-  std::int64_t get_int_or(const std::string& key, std::int64_t fallback) const;
   double get_double_or(const std::string& key, double fallback) const;
   bool get_bool_or(const std::string& key, bool fallback) const;
 

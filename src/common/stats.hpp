@@ -103,19 +103,6 @@ class Reservoir {
   std::vector<double> samples_;
 };
 
-/// High-water gauge: tracks the maximum value ever recorded (queue depth,
-/// in-flight population). Single-writer; readers take snapshots via max().
-class HighWater {
- public:
-  void record(std::uint64_t value) {
-    if (value > max_) max_ = value;
-  }
-  std::uint64_t max() const { return max_; }
-
- private:
-  std::uint64_t max_ = 0;
-};
-
 /// Pearson correlation coefficient; returns 0 for degenerate input.
 double pearson(const std::vector<double>& a, const std::vector<double>& b);
 

@@ -16,58 +16,24 @@ std::int64_t axis_period(std::int64_t period, std::int64_t stride) {
 
 }  // namespace
 
-const ClassTables& TableStore::build(const PlanTemplate& tmpl) {
-  if (tmpl.id >= by_id_.size()) by_id_.resize(tmpl.id + 1);
-  ClassTables& t = *(by_id_[tmpl.id] = std::make_unique<ClassTables>());
-  const unsigned lanes = lanes_;
-  const unsigned ports = this->ports();
-  t.lane_base.resize(static_cast<std::size_t>(ports) * lanes);
-  t.bank_base.resize(static_cast<std::size_t>(ports) * lanes);
-  t.lane_for_bank.resize(lanes);
-  for (unsigned k = 0; k < lanes; ++k)
-    t.lane_for_bank[k] = static_cast<std::uint32_t>(tmpl.lane_for_bank[k]);
-  // Base addresses of a residue class may sit below the bank's first word
-  // (the per-anchor delta shifts them back in range); fold them into the
-  // table as integers so no out-of-range pointer is ever formed.
-  for (unsigned r = 0; r < ports; ++r) {
-    const std::size_t row = static_cast<std::size_t>(r) * lanes;
-    for (unsigned k = 0; k < lanes; ++k) {
-      t.lane_base[row + k] =
-          reinterpret_cast<std::uintptr_t>(
-              banks_->bank_storage(r, tmpl.bank[k])) +
-          static_cast<std::uintptr_t>(
-              static_cast<std::int64_t>(sizeof(hw::Word)) * tmpl.addr0[k]);
-      t.bank_base[row + k] =
-          reinterpret_cast<std::uintptr_t>(banks_->bank_storage(r, k)) +
-          static_cast<std::uintptr_t>(static_cast<std::int64_t>(
-                                          sizeof(hw::Word)) *
-                                      tmpl.bank_addr0[k]);
-    }
-  }
-  return t;
-}
-
-std::int32_t ExecPlan::resolve_table(const PlanTemplate* tmpl,
-                                     TableStore& store) {
+std::int32_t ExecPlan::resolve_table(const PlanTemplate* tmpl) {
   for (std::size_t m = 0; m < used_; ++m) {
     if (tmpls_[m] == tmpl) return static_cast<std::int32_t>(m);
   }
   if (used_ == kMaxTables) return -1;
-  const ClassTables& t = store.get(*tmpl);
   tmpls_[used_] = tmpl;
   for (unsigned r = 0; r < ports_; ++r)
     lane_bases_[r * kMaxTables + used_] =
-        t.lane_base.data() + static_cast<std::size_t>(r) * lanes_;
-  bank_bases_[used_] = t.bank_base.data();
-  lanes_for_bank_[used_] = t.lane_for_bank.data();
+        tmpl->lane_base.data() + static_cast<std::size_t>(r) * lanes_;
+  bank_bases_[used_] = tmpl->bank_base.data();
+  lanes_for_bank_[used_] = tmpl->lane_for_bank.data();
   return static_cast<std::int32_t>(used_++);
 }
 
-bool ExecPlan::compile(const AccessBatch& batch, PlanCache& cache,
-                       TableStore& store) {
+bool ExecPlan::compile(const AccessBatch& batch, PlanCache& cache) {
   count_ = batch.count();
-  lanes_ = store.lanes();
-  ports_ = store.ports();
+  lanes_ = cache.lanes();
+  ports_ = cache.ports();
   used_ = 0;
   tmpl_of_.resize(static_cast<std::size_t>(count_));
   delta_.resize(static_cast<std::size_t>(count_));
@@ -77,15 +43,14 @@ bool ExecPlan::compile(const AccessBatch& batch, PlanCache& cache,
   bank_bases_.resize(kMaxTables);
   lanes_for_bank_.resize(kMaxTables);
 
-  PlanCache::Memo memo;
   std::int32_t last = -1;  // table index the previous access resolved to
   const auto resolve = [&](std::int64_t t,
                            const access::ParallelAccess& acc) -> bool {
     std::int64_t delta = 0;
-    const PlanTemplate* tmpl = cache.lookup(acc, delta, memo);
+    const PlanTemplate* tmpl = cache.lookup(acc, delta);
     if (tmpl == nullptr) return false;
     if (last < 0 || tmpls_[static_cast<std::size_t>(last)] != tmpl) {
-      last = resolve_table(tmpl, store);
+      last = resolve_table(tmpl);
       if (last < 0) return false;
     }
     tmpl_of_[static_cast<std::size_t>(t)] = last;

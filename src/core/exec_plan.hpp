@@ -5,17 +5,17 @@
 // permutation is static, so executing an access is a gather, not a
 // traversal of bank objects.
 //
-// Each residue class (one PlanTemplate) compiles once per PolyMem into
-// ClassTables — pointer tables that fold the bank select and base address
-// into a single uintptr per lane/bank, so executing an access of the
-// class with per-anchor offset `delta` is the gather
+// Each residue class's template carries its kernel tables — pointer
+// tables that fold the bank select and base address into a single
+// uintptr per lane/bank, built against the owning PolyMem's banks when
+// the class is first touched — so executing an access of the class with
+// per-anchor offset `delta` is the gather
 //
 //   out[k] = *(lane_base[port][k] + delta)
 //
-// and the mirrored scatter for writes. A PolyMem keeps one TableStore of
-// them, indexed by the template's dense id, built on first use and never
-// evicted: single accesses run one-access kernel calls straight off it,
-// and every ExecPlan points into it.
+// and the mirrored scatter for writes. Single accesses run one-access
+// kernel calls straight off a template, and every ExecPlan points into
+// the templates it uses.
 //
 // compile() turns a whole AccessBatch into structure-of-arrays form:
 //
@@ -25,14 +25,14 @@
 //                        addresses (the plan cache's per-anchor delta);
 //
 // plus the kernel argument tables: per class in first-use order, the
-// store's gather table for every port and its scatter tables.
+// template's gather table for every port and its scatter tables.
 //
 // All per-access arrays are cache-line aligned (simd/aligned.hpp) and
 // resized in place: recompiling a plan of the same shape allocates
 // nothing, which the batch heap-count test enforces. The pointer tables
 // stay valid for the owning PolyMem's lifetime — bank storage is fixed at
-// construction and store entries are never evicted — so a compiled plan
-// can be memoized and replayed for every later call with an equal
+// construction and templates are never evicted — so a compiled plan can
+// be memoized and replayed for every later call with an equal
 // AccessBatch.
 //
 // The permutation baked into each table is safe to replay blindly: the
@@ -43,51 +43,13 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "core/access_batch.hpp"
-#include "core/banks.hpp"
 #include "core/plan_cache.hpp"
 #include "core/simd/aligned.hpp"
 
 namespace polymem::core {
-
-/// One residue class compiled against one PolyMem's bank storage.
-struct ClassTables {
-  // Gather table, [port][lane] flattened: replica `port`'s storage of
-  // lane k's bank, pre-advanced by the lane's base address.
-  simd::AlignedVec<std::uintptr_t> lane_base;
-  // Scatter table, [replica][bank] flattened: every replica's storage of
-  // bank b, pre-advanced by the bank's base address.
-  simd::AlignedVec<std::uintptr_t> bank_base;
-  simd::AlignedVec<std::uint32_t> lane_for_bank;  // bank b -> lane
-};
-
-/// The ClassTables of every plan template a PolyMem has executed, indexed
-/// by PlanTemplate::id. Built on first use and never evicted, so the
-/// store is bounded by the plan cache's template cap; entries are
-/// heap-pinned, so references stay valid for the store's lifetime.
-class TableStore {
- public:
-  TableStore(BankArray& banks, unsigned lanes)
-      : banks_(&banks), lanes_(lanes) {}
-
-  unsigned lanes() const { return lanes_; }
-  unsigned ports() const { return banks_->read_ports(); }
-
-  const ClassTables& get(const PlanTemplate& tmpl) {
-    if (tmpl.id < by_id_.size() && by_id_[tmpl.id]) return *by_id_[tmpl.id];
-    return build(tmpl);
-  }
-
- private:
-  const ClassTables& build(const PlanTemplate& tmpl);
-
-  BankArray* banks_;
-  unsigned lanes_;
-  std::vector<std::unique_ptr<ClassTables>> by_id_;
-};
 
 class ExecPlan {
  public:
@@ -95,13 +57,12 @@ class ExecPlan {
   /// gives up (adversarial batches then run access by access).
   static constexpr std::size_t kMaxTables = 64;
 
-  /// Compiles `batch` against the plan cache and the owning PolyMem's
-  /// table store. Returns false — leaving the plan unusable — when any
-  /// access lacks a cached template (cache disabled/full, unsupported
-  /// anchors; the caller then serves the batch per access, where the AGU
-  /// reports exact errors) or the batch spans more than kMaxTables
-  /// residue classes.
-  bool compile(const AccessBatch& batch, PlanCache& cache, TableStore& store);
+  /// Compiles `batch` against the owning PolyMem's plan cache. Returns
+  /// false — leaving the plan unusable — when any access lacks a cached
+  /// template (cache disabled, unsupported anchors; the caller then serves
+  /// the batch per access, where the AGU reports exact errors) or the
+  /// batch spans more than kMaxTables residue classes.
+  bool compile(const AccessBatch& batch, PlanCache& cache);
 
   /// Re-targets a compiled plan at its batch moved by whole MAF periods:
   /// every access keeps its residue class, so the class tables stay and
@@ -131,12 +92,12 @@ class ExecPlan {
   }
 
  private:
-  std::int32_t resolve_table(const PlanTemplate* tmpl, TableStore& store);
+  std::int32_t resolve_table(const PlanTemplate* tmpl);
 
   simd::AlignedVec<std::int32_t> tmpl_of_;
   simd::AlignedVec<std::int64_t> delta_;
   // Per class, in first-use order ([0, used_) live): the template and the
-  // store tables of it the kernels take.
+  // tables of it the kernels take.
   std::vector<const PlanTemplate*> tmpls_;
   std::vector<const std::uintptr_t*> lane_bases_;  // [port][kMaxTables]
   std::vector<const std::uintptr_t*> bank_bases_;

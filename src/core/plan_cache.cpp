@@ -1,5 +1,7 @@
 #include "core/plan_cache.hpp"
 
+#include <algorithm>
+
 #include "common/error.hpp"
 #include "common/math.hpp"
 
@@ -10,29 +12,28 @@ using access::PatternKind;
 
 namespace {
 
-// Keying templates as (kind * Pi + ri) * Pj + rj must not overflow, and a
-// degenerate geometry with astronomically long periods would hash poorly
-// anyway; such configurations simply keep the naive path.
-constexpr std::int64_t kMaxPeriod = std::int64_t{1} << 20;
-
-// Templates are built lazily per residue class actually touched, so the
-// map stays tiny for regular walks; this cap bounds adversarial access
-// sequences that spray residues (overflow degrades to the naive path).
-constexpr std::size_t kMaxTemplates = std::size_t{1} << 16;
+// Residue classes one pattern kind may have before the cache disables
+// itself (a table of that many slots is 32 KB of pointers).
+constexpr std::int64_t kMaxClasses = 4096;
 
 }  // namespace
 
 PlanCache::PlanCache(const PolyMemConfig& config, const maf::Maf& maf,
-                     const maf::AddressingFunction& addressing)
-    : config_(&config), maf_(&maf), addressing_(&addressing) {
+                     BankArray& banks)
+    : config_(&config), maf_(&maf), banks_(&banks) {
   for (PatternKind kind : access::kAllPatterns)
     kinds_[static_cast<std::size_t>(kind)].support =
         maf::probe_support(maf, kind);
   period_i_ = maf.period_i();
   period_j_ = maf.period_j();
-  enabled_ = period_i_ < kMaxPeriod && period_j_ < kMaxPeriod;
+  // The second bound divides, so the class count cannot overflow.
+  enabled_ = is_pow2(static_cast<std::uint64_t>(period_i_)) &&
+             is_pow2(static_cast<std::uint64_t>(period_j_)) &&
+             period_i_ <= kMaxClasses && period_j_ <= kMaxClasses / period_i_;
   if (!enabled_) return;
   POLYMEM_ASSERT(period_i_ % config.p == 0 && period_j_ % config.q == 0);
+  shift_i_ = log2_floor(static_cast<std::uint64_t>(period_i_));
+  shift_j_ = log2_floor(static_cast<std::uint64_t>(period_j_));
   row_words_ = config.width / config.q;
   delta_i_ = (period_i_ / config.p) * row_words_;
   delta_j_ = period_j_ / config.q;
@@ -44,56 +45,55 @@ PlanCache::PlanCache(const PolyMemConfig& config, const maf::Maf& maf,
     ki.max_i = config.height - ext.rows;
     ki.min_j = -ext.col_offset;
     ki.max_j = config.width - ext.cols - ext.col_offset;
+    if (ki.support != maf::SupportLevel::kNone)
+      ki.slots.resize(static_cast<std::size_t>(period_i_ * period_j_));
   }
 }
 
 const PlanTemplate* PlanCache::lookup(const ParallelAccess& access,
-                                      std::int64_t& delta, Memo& memo) {
+                                      std::int64_t& delta) {
   if (!enabled_) return nullptr;
-  const KindInfo& ki = kinds_[static_cast<std::size_t>(access.kind)];
+  KindInfo& ki = kinds_[static_cast<std::size_t>(access.kind)];
+  const auto [ai, aj] = access.anchor;
   switch (ki.support) {
     case maf::SupportLevel::kNone:
       return nullptr;
     case maf::SupportLevel::kAligned:
       // Periods are multiples of p and q, so alignment is a residue-class
-      // property and each cached template is alignment-consistent.
-      if (access.anchor.i % config_->p != 0 ||
-          access.anchor.j % config_->q != 0)
+      // property and each cached template is alignment-consistent; p and
+      // q divide power-of-two periods, so they are powers of two too.
+      if ((ai & (static_cast<std::int64_t>(config_->p) - 1)) != 0 ||
+          (aj & (static_cast<std::int64_t>(config_->q) - 1)) != 0)
         return nullptr;
       break;
     case maf::SupportLevel::kAny:
       break;
   }
-  const auto [ai, aj] = access.anchor;
   if (ai < ki.min_i || ai > ki.max_i || aj < ki.min_j || aj > ki.max_j)
     return nullptr;
   // In-bounds anchors are non-negative (min_j >= 0 even for SecDiag), so
-  // plain division is the floored decomposition a = A*P + r, r in [0, P).
-  const std::int64_t ri = ai % period_i_;
-  const std::int64_t rj = aj % period_j_;
-  delta = (ai / period_i_) * delta_i_ + (aj / period_j_) * delta_j_;
-  const std::uint64_t key =
-      (static_cast<std::uint64_t>(access.kind) * period_i_ + ri) * period_j_ +
-      rj;
-  for (unsigned s = 0; s < Memo::kSlots; ++s) {
-    if (memo.key[s] == key) {
-      ++hits_;
-      return memo.tmpl[s];
-    }
-  }
-  const PlanTemplate* tmpl = nullptr;
-  if (auto it = templates_.find(key); it != templates_.end()) {
+  // masks and shifts give the floored decomposition a = A*P + r.
+  const std::int64_t ri = ai & (period_i_ - 1);
+  const std::int64_t rj = aj & (period_j_ - 1);
+  delta = (ai >> shift_i_) * delta_i_ + (aj >> shift_j_) * delta_j_;
+  std::unique_ptr<PlanTemplate>& slot =
+      ki.slots[static_cast<std::size_t>((ri << shift_j_) | rj)];
+  if (slot) {
     ++hits_;
-    tmpl = &it->second;
-  } else if (templates_.size() < kMaxTemplates) {
-    tmpl = &build(access.kind, ri, rj, key);
   } else {
-    return nullptr;  // cache full
+    slot = build(access.kind, ri, rj);
+    ++builds_;
   }
-  memo.key[memo.next] = key;
-  memo.tmpl[memo.next] = tmpl;
-  memo.next = (memo.next + 1) % Memo::kSlots;
-  return tmpl;
+  return slot.get();
+}
+
+std::size_t PlanCache::size() const {
+  std::size_t filled = 0;
+  for (const KindInfo& ki : kinds_)
+    filled += static_cast<std::size_t>(
+        std::count_if(ki.slots.begin(), ki.slots.end(),
+                      [](const auto& slot) { return slot != nullptr; }));
+  return filled;
 }
 
 std::optional<std::int64_t> PlanCache::period_shift(access::Coord from,
@@ -105,8 +105,9 @@ std::optional<std::int64_t> PlanCache::period_shift(access::Coord from,
   return (di / period_i_) * delta_i_ + (dj / period_j_) * delta_j_;
 }
 
-const PlanTemplate& PlanCache::build(PatternKind kind, std::int64_t ri,
-                                     std::int64_t rj, std::uint64_t key) {
+std::unique_ptr<PlanTemplate> PlanCache::build(PatternKind kind,
+                                               std::int64_t ri,
+                                               std::int64_t rj) {
   // The residue anchor (ri, rj) may place elements outside the address
   // space or below zero (SecDiag walks left); bank() and the floordiv
   // decomposition are defined there, and the per-anchor delta shifts the
@@ -114,28 +115,44 @@ const PlanTemplate& PlanCache::build(PatternKind kind, std::int64_t ri,
   access::expand_into({kind, {ri, rj}}, config_->p, config_->q,
                       coords_scratch_);
   const unsigned lanes = static_cast<unsigned>(coords_scratch_.size());
-  PlanTemplate t;
-  t.bank.resize(lanes);
-  t.lane_for_bank.resize(lanes);
-  t.addr0.resize(lanes);
-  t.bank_addr0.resize(lanes);
-  t.id = static_cast<std::uint32_t>(templates_.size());
+  auto t = std::make_unique<PlanTemplate>();
+  t->bank.resize(lanes);
+  t->lane_for_bank.resize(lanes);
+  t->addr0.resize(lanes);
+  t->bank_addr0.resize(lanes);
   const auto p = static_cast<std::int64_t>(config_->p);
   const auto q = static_cast<std::int64_t>(config_->q);
   for (unsigned k = 0; k < lanes; ++k) {
     const access::Coord c = coords_scratch_[k];
-    t.bank[k] = maf_->bank(c);
-    t.addr0[k] = floordiv(c.i, p) * row_words_ + floordiv(c.j, q);
+    t->bank[k] = maf_->bank(c);
+    t->addr0[k] = floordiv(c.i, p) * row_words_ + floordiv(c.j, q);
   }
   for (unsigned k = 0; k < lanes; ++k) {
     // Conflict-freeness (proven by the oracle before lookup hands out
     // templates) makes `bank` a permutation; a violation here is a bug.
-    POLYMEM_ASSERT(t.bank[k] < lanes);
-    t.lane_for_bank[t.bank[k]] = k;
-    t.bank_addr0[t.bank[k]] = t.addr0[k];
+    POLYMEM_ASSERT(t->bank[k] < lanes);
+    t->lane_for_bank[t->bank[k]] = k;
+    t->bank_addr0[t->bank[k]] = t->addr0[k];
   }
-  ++builds_;
-  return templates_.emplace(key, std::move(t)).first->second;
+  // Base addresses of a residue class may sit below the bank's first word
+  // (the per-anchor delta shifts them back in range); fold them into the
+  // tables as integers so no out-of-range pointer is ever formed.
+  const auto at = [this](unsigned port, unsigned bank, std::int64_t addr) {
+    return reinterpret_cast<std::uintptr_t>(banks_->bank_storage(port, bank)) +
+           static_cast<std::uintptr_t>(
+               static_cast<std::int64_t>(sizeof(hw::Word)) * addr);
+  };
+  const unsigned ports = banks_->read_ports();
+  t->lane_base.resize(static_cast<std::size_t>(ports) * lanes);
+  t->bank_base.resize(static_cast<std::size_t>(ports) * lanes);
+  for (unsigned r = 0; r < ports; ++r) {
+    const std::size_t row = static_cast<std::size_t>(r) * lanes;
+    for (unsigned k = 0; k < lanes; ++k) {
+      t->lane_base[row + k] = at(r, t->bank[k], t->addr0[k]);
+      t->bank_base[row + k] = at(r, k, t->bank_addr0[k]);
+    }
+  }
+  return t;
 }
 
 }  // namespace polymem::core

@@ -11,18 +11,27 @@
 //   addr(a + d)  = addr0(r + d) + Ai*(Pi/p)*(W/q) + Aj*(Pj/q)
 //
 // So one *plan template* per (pattern, anchor-residue) class — the bank
-// permutation, its inverse, and the per-lane/per-bank base addresses —
+// permutation, its inverse, the per-lane/per-bank base addresses and the
+// gather/scatter tables compiled from them against the owner's banks —
 // replaces the per-lane MAF + addressing + shuffle work of the naive AGU
-// path with one cache lookup and one add per bank. Templates are built
-// lazily on first use and reused for every later access in the same
-// residue class (strided walks cycle through a handful of classes).
+// path with one indexed load and one add per bank.
+//
+// The table is dense: each supported pattern kind owns Pi*Pj slots, and
+// an anchor (ai, aj) selects slot (ai mod Pi)*Pj + (aj mod Pj). With
+// power-of-two periods — every geometry whose p and q are powers of two —
+// the slot index and the per-anchor delta are masks and shifts. A slot
+// stays null until its class is first touched; then it holds the class's
+// template for the cache's lifetime. A geometry whose periods are not
+// powers of two, or that has more than 4096 classes per kind, disables
+// the cache, and every access runs on the AGU reference; every
+// power-of-two geometry up to 32 lanes fits (the largest is ReTr 4x8 or
+// 8x4, 32 x 128 classes).
 //
 // Threading: a PlanCache has one owner, the PolyMem whose blocks it points
 // into, and only the one thread that runs that PolyMem's engine calls it
-// (core/polymem.hpp). So the template map, the build scratch and the
-// hit/build counters are plain members. The recent-class memo lives with
-// the caller (PlanCache::Memo), and template pointers are stable for the
-// cache's lifetime.
+// (core/polymem.hpp). So the slots, the build scratch and the hit/build
+// counters are plain members. Template pointers are stable for the
+// cache's lifetime, so compiled plans may hold them.
 //
 // Correctness rests on two machine-checked facts: the axis periods
 // (tested against Maf::bank over multiple periods) and conflict-freeness
@@ -34,79 +43,65 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "access/pattern.hpp"
+#include "core/banks.hpp"
 #include "core/config.hpp"
-#include "maf/addressing.hpp"
+#include "core/simd/aligned.hpp"
 #include "maf/conflict.hpp"
 #include "maf/maf.hpp"
 
 namespace polymem::core {
 
 /// The reusable part of an AccessPlan for one (pattern, anchor-residue)
-/// class: the bank permutation in both directions and the base intra-bank
-/// addresses. Per-anchor plans are `bank_addr0[b] + delta` with the O(1)
-/// delta returned by PlanCache::lookup.
+/// class: the bank permutation in both directions, the base intra-bank
+/// addresses, and the kernel tables built from them. Per-anchor plans are
+/// `bank_addr0[b] + delta` with the O(1) delta returned by
+/// PlanCache::lookup.
 struct PlanTemplate {
-  std::vector<unsigned> bank;           ///< lane k -> bank (permutation)
-  std::vector<unsigned> lane_for_bank;  ///< bank b -> lane (inverse perm)
-  std::vector<std::int64_t> addr0;      ///< lane k -> base address
-  std::vector<std::int64_t> bank_addr0; ///< bank b -> base address
-  /// Dense build-order index (0, 1, ... < the template cap): the key of
-  /// per-class side tables such as the compiled TableStore.
-  std::uint32_t id = 0;
+  std::vector<unsigned> bank;                     ///< lane k -> bank
+  simd::AlignedVec<std::uint32_t> lane_for_bank;  ///< bank b -> lane
+  std::vector<std::int64_t> addr0;                ///< lane k -> base address
+  std::vector<std::int64_t> bank_addr0;           ///< bank b -> base address
+  /// Gather table, [port][lane] flattened: read replica `port`'s storage
+  /// of lane k's bank, pre-advanced by addr0[k] words.
+  simd::AlignedVec<std::uintptr_t> lane_base;
+  /// Scatter table, [replica][bank] flattened: every replica's storage of
+  /// bank b, pre-advanced by bank_addr0[b] words.
+  simd::AlignedVec<std::uintptr_t> bank_base;
 };
 
 class PlanCache {
  public:
+  /// Templates' kernel tables point into `banks`, which must outlive the
+  /// cache and never move.
   PlanCache(const PolyMemConfig& config, const maf::Maf& maf,
-            const maf::AddressingFunction& addressing);
+            BankArray& banks);
 
-  // Holds pointers into the owning PolyMem's blocks; pinned like them.
+  // Templates point into the owner's banks; pinned like them.
   PlanCache(const PlanCache&) = delete;
   PlanCache& operator=(const PlanCache&) = delete;
 
-  /// False when the MAF periods are too large to key templates (the owner
-  /// then always uses the naive AGU path).
+  /// False when the periods are not powers of two or give a kind more
+  /// than 4096 classes (the owner then always uses the naive AGU path).
   bool enabled() const { return enabled_; }
-
-  /// Caller-owned memo of the last kSlots residue classes looked up:
-  /// strided walks stay in one class for long runs, and row bursts on a
-  /// scheme whose i-period is 2 alternate between two, so both skip the
-  /// template map. PolyMem keeps one for its single accesses and each
-  /// ExecPlan compile brings its own, so a batch's walk does not evict
-  /// the single-access classes. Template pointers are stable (never
-  /// invalidated while the cache lives), which is what makes the
-  /// memoized pointers sound.
-  struct Memo {
-    static constexpr unsigned kSlots = 4;
-    std::uint64_t key[kSlots] = {~0ull, ~0ull, ~0ull, ~0ull};
-    const PlanTemplate* tmpl[kSlots] = {};
-    unsigned next = 0;  ///< slot the next miss overwrites (round robin)
-  };
 
   /// O(1) template lookup. Returns the template plus the per-anchor
   /// address offset `delta` (element addresses are `addr0[k] + delta`).
   /// Returns nullptr — caller falls back to the naive path, which either
   /// serves the access or reports the exact error — when the pattern is
   /// unsupported (including unaligned anchors of aligned-only patterns),
-  /// the access leaves the address space, or the cache is disabled/full.
-  /// `memo` carries the caller's recent-template fast path.
+  /// the access leaves the address space, or the cache is disabled.
   const PlanTemplate* lookup(const access::ParallelAccess& access,
-                             std::int64_t& delta, Memo& memo);
-
-  /// Memo-less convenience overload (tools, tests, single-shot callers).
-  const PlanTemplate* lookup(const access::ParallelAccess& access,
-                             std::int64_t& delta) {
-    Memo memo;
-    return lookup(access, delta, memo);
-  }
+                             std::int64_t& delta);
 
   std::int64_t period_i() const { return period_i_; }
   std::int64_t period_j() const { return period_j_; }
+  unsigned lanes() const { return config_->lanes(); }
+  unsigned ports() const { return banks_->read_ports(); }
 
   /// Moving an anchor from `from` to `to` by whole periods on both axes
   /// keeps its residue class, so its template, and moves its delta by the
@@ -123,24 +118,20 @@ class PlanCache {
     return kinds_[static_cast<std::size_t>(kind)].support;
   }
 
-  /// Served-from-cache and template-build counters (lookup misses that
-  /// return nullptr count as neither).
+  /// Served lookups, each exactly one of: a hit on a filled slot, or the
+  /// build that filled it (lookups that return nullptr count as neither).
   std::uint64_t hits() const { return hits_; }
   std::uint64_t builds() const { return builds_; }
-  std::size_t size() const { return templates_.size(); }
+  /// Filled slots, counted over the whole table: equal to builds(), since
+  /// a class is built once, when its slot is first touched.
+  std::size_t size() const;
 
-  /// Aggregate cache state, one call — for polymem_info and reports.
+  /// Both counters in one snapshot.
   struct Stats {
-    bool enabled = false;
-    std::int64_t period_i = 1;
-    std::int64_t period_j = 1;
     std::uint64_t hits = 0;
     std::uint64_t builds = 0;
-    std::size_t templates = 0;
   };
-  Stats stats() const {
-    return {enabled_, period_i_, period_j_, hits(), builds(), size()};
-  }
+  Stats stats() const { return {hits_, builds_}; }
 
  private:
   struct KindInfo {
@@ -148,25 +139,25 @@ class PlanCache {
     // Valid anchor rectangle (inclusive) for in-bounds accesses.
     std::int64_t min_i = 0, max_i = -1;
     std::int64_t min_j = 0, max_j = -1;
+    // Pi*Pj slots, (ri << shift_j_) | rj; empty for unsupported kinds.
+    std::vector<std::unique_ptr<PlanTemplate>> slots;
   };
 
-  const PlanTemplate& build(access::PatternKind kind, std::int64_t ri,
-                            std::int64_t rj, std::uint64_t key);
+  std::unique_ptr<PlanTemplate> build(access::PatternKind kind,
+                                      std::int64_t ri, std::int64_t rj);
 
   const PolyMemConfig* config_;
   const maf::Maf* maf_;
-  const maf::AddressingFunction* addressing_;
+  BankArray* banks_;
   bool enabled_ = false;
   std::int64_t period_i_ = 1;
   std::int64_t period_j_ = 1;
+  unsigned shift_i_ = 0;         // log2(Pi)
+  unsigned shift_j_ = 0;         // log2(Pj)
   std::int64_t row_words_ = 0;   // W/q: address stride of one block row
   std::int64_t delta_i_ = 0;     // (Pi/p) * (W/q): delta per i-period
   std::int64_t delta_j_ = 0;     // Pj/q: delta per j-period
   KindInfo kinds_[6];
-
-  // Template map. Node-based, so PlanTemplate addresses are stable across
-  // inserts — lookups hand out raw pointers and memos cache them.
-  std::unordered_map<std::uint64_t, PlanTemplate> templates_;
   std::vector<access::Coord> coords_scratch_;  // build()'s expansion
 
   std::uint64_t hits_ = 0;

@@ -16,8 +16,7 @@ PolyMem::PolyMem(PolyMemConfig config)
       addressing_(config.p, config.q, config.height, config.width),
       agu_(config_, maf_, addressing_),
       banks_(config.lanes(), config.read_ports, config.words_per_bank()),
-      plan_cache_(config_, maf_, addressing_),
-      tables_(banks_, config.lanes()) {
+      plan_cache_(config_, maf_, banks_) {
   // Sized once here; every later access reuses the buffers (the AGU's
   // resize calls become no-ops and expansion never reallocates).
   const unsigned lanes = config_.lanes();
@@ -30,17 +29,16 @@ maf::SupportLevel PolyMem::supports(access::PatternKind pattern) const {
   return plan_cache_.support(pattern);
 }
 
-const ClassTables* PolyMem::resolve(const access::ParallelAccess& where,
-                                    std::int64_t& delta) {
+const PlanTemplate* PolyMem::resolve(const access::ParallelAccess& where,
+                                     std::int64_t& delta) {
   if (use_plan_cache_) {
-    if (const PlanTemplate* t = plan_cache_.lookup(where, delta, memo_))
-      return &tables_.get(*t);
+    if (const PlanTemplate* t = plan_cache_.lookup(where, delta)) return t;
   }
   agu_.expand_into(where, scratch_.plan);
   return nullptr;
 }
 
-void PolyMem::execute_read(const ClassTables* t, std::int64_t delta,
+void PolyMem::execute_read(const PlanTemplate* t, std::int64_t delta,
                            unsigned port, std::span<Word> out) {
   if (t != nullptr) {
     const unsigned lanes = config_.lanes();
@@ -54,7 +52,7 @@ void PolyMem::execute_read(const ClassTables* t, std::int64_t delta,
   read_data_shuffle(scratch_.plan, scratch_.bank_data, out);
 }
 
-void PolyMem::execute_write(const ClassTables* t, std::int64_t delta,
+void PolyMem::execute_write(const PlanTemplate* t, std::int64_t delta,
                             std::span<const Word> data) {
   if (t != nullptr) {
     simd::scatter_run(t->bank_base.data(), config_.read_ports,
@@ -72,7 +70,7 @@ void PolyMem::write(const access::ParallelAccess& where,
   POLYMEM_REQUIRE(data.size() == config_.lanes(),
                   "write data must provide one word per lane");
   std::int64_t delta = 0;
-  const ClassTables* t = resolve(where, delta);
+  const PlanTemplate* t = resolve(where, delta);
   if (t == nullptr) banks_.begin_cycle();
   execute_write(t, delta, data);
   ++parallel_writes_;
@@ -84,7 +82,7 @@ void PolyMem::read_into(const access::ParallelAccess& where, unsigned port,
   POLYMEM_REQUIRE(out.size() == config_.lanes(),
                   "read buffer must provide one word per lane");
   std::int64_t delta = 0;
-  const ClassTables* t = resolve(where, delta);
+  const PlanTemplate* t = resolve(where, delta);
   if (t == nullptr) banks_.begin_cycle();
   execute_read(t, delta, port, out);
   ++parallel_reads_;
@@ -166,7 +164,7 @@ ExecPlan* PolyMem::compiled_plan(const AccessBatch& batch) {
     }
   }
   ExecSlot& slot = exec_slots_[exec_victim_];
-  if (!slot.plan.compile(batch, plan_cache_, tables_)) {
+  if (!slot.plan.compile(batch, plan_cache_)) {
     slot.valid = false;
     return nullptr;
   }
@@ -221,7 +219,7 @@ bool PolyMem::compile_batch(const AccessBatch& batch, ExecPlan& plan) {
   validate_batch(batch);
   if (batch.count() == 0 || !use_plan_cache_ || !plan_cache_.enabled())
     return false;
-  return plan.compile(batch, plan_cache_, tables_);
+  return plan.compile(batch, plan_cache_);
 }
 
 void PolyMem::read_compiled(const ExecPlan& plan, unsigned port,

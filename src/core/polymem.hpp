@@ -14,23 +14,24 @@
 // One execution engine serves accesses, with one reference beside it
 // (docs/ARCHITECTURE.md, "Performance model" and "SIMD execution engine"):
 //  - the *compiled* engine: the MAF is periodic per axis, so the bank
-//    permutation and base addresses of an anchor-residue class are
-//    computed once (core/plan_cache.hpp) and compiled to flat pointer
-//    tables (core/exec_plan.hpp). A single access is one template lookup
-//    plus a one-access gather/scatter; a batch is lowered whole to
-//    structure-of-arrays form. One family of portable gather/scatter
-//    kernels (core/simd/) executes both;
+//    permutation, base addresses and flat pointer tables of an
+//    anchor-residue class are computed once, on first touch, into a dense
+//    per-pattern table (core/plan_cache.hpp). A single access is one
+//    indexed template lookup plus a one-access gather/scatter; a batch is
+//    lowered whole to structure-of-arrays form (core/exec_plan.hpp). One
+//    family of portable gather/scatter kernels (core/simd/) executes both;
 //  - the *AGU reference* runs the data path literally per access (support
 //    probe, bounds check, per-lane MAF + addressing, three checked
 //    shuffles, per-cycle bank port accounting). It reports the exact
 //    error for unsupported and out-of-bounds accesses, serves accesses
-//    the plan cache cannot (cache disabled or full), and is the
-//    differential oracle (set_plan_cache_enabled(false)).
+//    the plan cache cannot (cache disabled, as on geometries whose MAF
+//    periods are not powers of two), and is the differential oracle
+//    (set_plan_cache_enabled(false)).
 // Both are observably identical (differentially tested).
 //
 // Threading: one thread at a time runs a PolyMem's engine — every access,
 // batch, compile_batch and read_compiled/write_compiled call, which share
-// the lookup memo, the compiled-plan slots, the scratch buffers and the
+// the plan cache, the compiled-plan slots, the scratch buffers and the
 // counters. An owner that serves several threads serializes them (the
 // service engine's single drain thread). Only the host rectangle
 // transfers and load/store may run beside that thread (see fill_rect).
@@ -167,7 +168,7 @@ class PolyMem {
 
   // Compiled-batch memo: a tiny LRU-ish set of recently executed batches
   // and their ExecPlans. Pointer tables inside a plan stay valid for the
-  // PolyMem's lifetime (banks and store entries are pinned), so replaying
+  // PolyMem's lifetime (banks and templates are pinned), so replaying
   // an equal batch is pure kernel execution, and a batch of the same
   // shape moved by whole MAF periods is one pass over the deltas
   // (ExecPlan::rebase).
@@ -188,20 +189,19 @@ class PolyMem {
   void walk_rect(access::Coord origin, std::int64_t rows, std::int64_t cols,
                  std::size_t buffer, Visit&& visit) const;
 
-  /// The compiled tables and per-anchor delta serving `where`, or null
-  /// when the access runs on the AGU reference — then `scratch_.plan`
-  /// holds the expanded access. Throws the AGU's exact error for an
-  /// unsupported, unaligned or out-of-bounds access, before any bank is
-  /// touched.
-  const ClassTables* resolve(const access::ParallelAccess& where,
-                             std::int64_t& delta);
-  /// Executes one resolved access: a count-1 kernel call through `t` or,
-  /// when `t` is null, the AGU reference on `scratch_.plan` — checked
-  /// shuffles and ported bank accesses within the current cycle (the
-  /// caller begins it).
-  void execute_read(const ClassTables* t, std::int64_t delta, unsigned port,
+  /// The template and per-anchor delta serving `where`, or null when the
+  /// access runs on the AGU reference — then `scratch_.plan` holds the
+  /// expanded access. Throws the AGU's exact error for an unsupported,
+  /// unaligned or out-of-bounds access, before any bank is touched.
+  const PlanTemplate* resolve(const access::ParallelAccess& where,
+                              std::int64_t& delta);
+  /// Executes one resolved access: a count-1 kernel call through `t`'s
+  /// tables or, when `t` is null, the AGU reference on `scratch_.plan` —
+  /// checked shuffles and ported bank accesses within the current cycle
+  /// (the caller begins it).
+  void execute_read(const PlanTemplate* t, std::int64_t delta, unsigned port,
                     std::span<Word> out);
-  void execute_write(const ClassTables* t, std::int64_t delta,
+  void execute_write(const PlanTemplate* t, std::int64_t delta,
                      std::span<const Word> data);
 
   /// The compiled plan serving `batch` (validated by the caller): a memo
@@ -219,8 +219,6 @@ class PolyMem {
   Agu agu_;
   BankArray banks_;
   PlanCache plan_cache_;
-  TableStore tables_;              // compiled residue classes, by template id
-  PlanCache::Memo memo_;           // single-access lookups
   bool use_plan_cache_ = true;
   Scratch scratch_;
   std::array<ExecSlot, kExecSlots> exec_slots_;

@@ -7,6 +7,7 @@
 #include "common/error.hpp"
 #include "common/math.hpp"
 #include "core/agu.hpp"
+#include "core/banks.hpp"
 #include "core/plan_cache.hpp"
 
 namespace polymem::verify {
@@ -231,7 +232,11 @@ std::optional<Violation> check_template_agreement(
   const maf::Maf maf(config.scheme, config.p, config.q);
   const maf::AddressingFunction addressing(config.p, config.q, config.height,
                                            config.width);
-  core::PlanCache cache(config, maf, addressing);
+  // The check reads templates, never data: one storage replica is enough
+  // to build their tables, and keeps this check's footprint at the
+  // injectivity check's.
+  core::BankArray banks(config.lanes(), 1, config.words_per_bank());
+  core::PlanCache cache(config, maf, banks);
   if (!cache.enabled()) return std::nullopt;  // nothing cached to verify
   const core::Agu agu(config, maf, addressing);
   const std::int64_t pi = cache.period_i();

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "common/error.hpp"
 
 namespace polymem {
@@ -16,9 +18,9 @@ TEST(ConfigFile, ParsesKeyValuesAndComments) {
       "\n"
       "clock_mhz = 196.5\n"
       "validate = true\n");
-  EXPECT_EQ(cfg.get_int("capacity_kb"), 512);
+  EXPECT_EQ(parse_decimal(cfg.get_string("capacity_kb")), 512);
   EXPECT_EQ(cfg.get_string("scheme"), "ReRo");
-  EXPECT_EQ(cfg.get_int("lanes"), 8);
+  EXPECT_EQ(parse_decimal(cfg.get_string("lanes")), 8);
   EXPECT_DOUBLE_EQ(cfg.get_double("clock_mhz"), 196.5);
   EXPECT_TRUE(cfg.get_bool("validate"));
 }
@@ -32,8 +34,8 @@ TEST(ConfigFile, MissingKeyThrows) {
 
 TEST(ConfigFile, FallbackGetters) {
   const auto cfg = ConfigFile::parse("x = 3\n");
-  EXPECT_EQ(cfg.get_int_or("x", 7), 3);
-  EXPECT_EQ(cfg.get_int_or("y", 7), 7);
+  EXPECT_EQ(parse_decimal(cfg.get_string_or("x", "7")), 3);
+  EXPECT_EQ(parse_decimal(cfg.get_string_or("y", "7")), 7);
   EXPECT_EQ(cfg.get_string_or("name", "dflt"), "dflt");
   EXPECT_DOUBLE_EQ(cfg.get_double_or("z", 1.5), 1.5);
   EXPECT_TRUE(cfg.get_bool_or("flag", true));
@@ -46,7 +48,7 @@ TEST(ConfigFile, MalformedLineThrows) {
 
 TEST(ConfigFile, TypeErrorsThrow) {
   const auto cfg = ConfigFile::parse("n = 12abc\nb = maybe\n");
-  EXPECT_THROW(cfg.get_int("n"), InvalidArgument);
+  EXPECT_EQ(parse_decimal(cfg.get_string("n")), std::nullopt);
   EXPECT_THROW(cfg.get_bool("b"), InvalidArgument);
 }
 
@@ -59,13 +61,20 @@ TEST(ConfigFile, BoolSpellings) {
   EXPECT_FALSE(cfg.get_bool("d"));
 }
 
-TEST(ConfigFile, HexIntegers) {
-  const auto cfg = ConfigFile::parse("addr = 0x10\n");
-  EXPECT_EQ(cfg.get_int("addr"), 16);
-}
-
 TEST(ConfigFile, LoadMissingFileThrows) {
   EXPECT_THROW(ConfigFile::load("/nonexistent/path/cfg.txt"), InvalidArgument);
+}
+
+TEST(ParseDecimal, ReadsWholeDecimals) {
+  EXPECT_EQ(parse_decimal("512"), 512);
+  EXPECT_EQ(parse_decimal("-3"), -3);
+  EXPECT_EQ(parse_decimal("010"), 10);  // decimal, not octal
+}
+
+TEST(ParseDecimal, RejectsAnythingElse) {
+  for (const char* text : {"0x10", "+1", " 1", "12abc", "",
+                           "9223372036854775808"})
+    EXPECT_EQ(parse_decimal(text), std::nullopt) << '"' << text << '"';
 }
 
 }  // namespace

@@ -143,15 +143,6 @@ TEST(Reservoir, DeterministicForSameSeed) {
   EXPECT_EQ(a.p99, b.p99);
 }
 
-TEST(HighWater, TracksTheMaximum) {
-  HighWater hw;
-  EXPECT_EQ(hw.max(), 0u);
-  hw.record(3);
-  hw.record(7);
-  hw.record(5);
-  EXPECT_EQ(hw.max(), 7u);
-}
-
 TEST(ErrorMetrics, Pearson) {
   // Perfect positive and negative correlation.
   EXPECT_NEAR(pearson({1, 2, 3, 4}, {2, 4, 6, 8}), 1.0, 1e-12);

@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
@@ -30,7 +31,8 @@ struct Geometry {
   unsigned q;
 };
 
-constexpr Geometry kGeometries[] = {{2, 4}, {4, 2}, {4, 4}, {1, 4}};
+// {4, 8} is the largest table: ReTr 4x8 has 32 x 128 = 4096 classes.
+constexpr Geometry kGeometries[] = {{2, 4}, {4, 2}, {4, 4}, {1, 4}, {4, 8}};
 
 // An address space wide enough to sweep anchors across two full MAF
 // periods plus the widest pattern extent.
@@ -197,26 +199,50 @@ TEST(PlanCache, ErrorsMatchNaivePath) {
   }
 }
 
+// Every valid anchor of the space (two full periods plus margin) per
+// supported pattern, on a fresh memory each: every residue class of the
+// pattern is built exactly once, and every later access in it is a hit.
 TEST(PlanCache, TemplateCountIsBoundedByResidueClasses) {
-  const PolyMemConfig cfg = make_config(Scheme::kReRo, {2, 4});
-  PolyMem mem(cfg);
-  fill_deterministic(mem);
-  std::vector<Word> out(cfg.lanes());
-  for (std::int64_t i = 0; i + 1 <= cfg.height; ++i)
-    for (std::int64_t j = 0; j + 8 <= cfg.width; ++j)
-      mem.read_into({PatternKind::kRow, {i, j}}, 0, out);
-  const auto& pc = mem.plan_cache();
-  EXPECT_LE(pc.builds(),
-            static_cast<std::uint64_t>(pc.period_i() * pc.period_j()));
-  EXPECT_EQ(pc.builds(), pc.size());
-  EXPECT_GT(pc.hits(), pc.builds());
+  for (Scheme scheme : maf::kAllSchemes) {
+    for (Geometry g : kGeometries) {
+      const PolyMemConfig cfg = make_config(scheme, g);
+      for (PatternKind kind : access::kAllPatterns) {
+        PolyMem mem(cfg);
+        const SupportLevel level = mem.supports(kind);
+        if (level == SupportLevel::kNone) continue;
+        fill_deterministic(mem);
+        const bool aligned = level == SupportLevel::kAligned;
+        const auto ext = access::pattern_extent(kind, cfg.p, cfg.q);
+        std::vector<Word> out(cfg.lanes());
+        for (std::int64_t i = 0; i <= cfg.height - ext.rows; ++i) {
+          if (aligned && i % cfg.p != 0) continue;
+          for (std::int64_t j = -ext.col_offset;
+               j <= cfg.width - ext.cols - ext.col_offset; ++j) {
+            if (aligned && j % cfg.q != 0) continue;
+            mem.read_into({kind, {i, j}}, 0, out);
+          }
+        }
+        const auto& pc = mem.plan_cache();
+        const std::int64_t classes =
+            aligned ? (pc.period_i() / cfg.p) * (pc.period_j() / cfg.q)
+                    : pc.period_i() * pc.period_j();
+        EXPECT_LE(pc.builds(),
+                  static_cast<std::uint64_t>(pc.period_i() * pc.period_j()));
+        EXPECT_EQ(pc.builds(), static_cast<std::uint64_t>(classes))
+            << maf::scheme_name(scheme) << " " << g.p << "x" << g.q << " "
+            << access::pattern_name(kind);
+        EXPECT_EQ(pc.builds(), pc.size());
+        EXPECT_GT(pc.hits(), pc.builds());
+      }
+    }
+  }
 }
 
 // Row bursts on ReRo 2x4 (period_i = 2) alternate between two residue
-// classes access by access; a walk over six classes then overflows the
-// memo's four slots. Every memoized lookup must answer exactly as a
-// memo-less one and count once, as a hit or a build.
-TEST(PlanCache, MemoServesAlternatingResidueClasses) {
+// classes access by access, and the walk below visits six. Every lookup
+// must count once, as a hit or a build, answer exactly as a repeated
+// lookup does, and agree with a lookup on a cold cache.
+TEST(PlanCache, LookupsServeAlternatingResidueClasses) {
   const PolyMemConfig cfg = make_config(Scheme::kReRo, {2, 4});
   PolyMem mem(cfg);
   PlanCache& cache = mem.plan_cache();
@@ -225,19 +251,85 @@ TEST(PlanCache, MemoServesAlternatingResidueClasses) {
     walk.push_back({PatternKind::kRow, {i, 8}});
   for (std::int64_t n = 0; n < 24; ++n)
     walk.push_back({PatternKind::kRow, {n % 2, 8 + n % 3}});
-  PlanCache::Memo memo;
   for (const ParallelAccess& acc : walk) {
     const std::uint64_t before = cache.hits() + cache.builds();
     std::int64_t delta = -1;
-    const PlanTemplate* got = cache.lookup(acc, delta, memo);
+    const PlanTemplate* got = cache.lookup(acc, delta);
     EXPECT_EQ(cache.hits() + cache.builds(), before + 1) << acc.anchor;
     std::int64_t want_delta = -2;
     const PlanTemplate* want = cache.lookup(acc, want_delta);
     ASSERT_NE(want, nullptr) << acc.anchor;
     EXPECT_EQ(got, want) << acc.anchor;
     EXPECT_EQ(delta, want_delta) << acc.anchor;
+    ASSERT_NE(got, nullptr) << acc.anchor;
+    PolyMem cold(cfg);
+    std::int64_t cold_delta = -3;
+    const PlanTemplate* fresh = cold.plan_cache().lookup(acc, cold_delta);
+    ASSERT_NE(fresh, nullptr) << acc.anchor;
+    EXPECT_EQ(got->bank, fresh->bank) << acc.anchor;
+    EXPECT_EQ(got->addr0, fresh->addr0) << acc.anchor;
+    EXPECT_EQ(delta, cold_delta) << acc.anchor;
   }
   EXPECT_EQ(cache.builds(), 6u);
+}
+
+// Periods that are not powers of two have no dense table: the cache
+// stays off and every entry point runs on the AGU reference, bit for bit
+// what a twin with the cache switched off computes.
+TEST(PlanCache, NonPowerOfTwoGeometriesRunOnTheReference) {
+  for (const auto& [scheme, g] :
+       {std::pair{Scheme::kReRo, Geometry{3, 2}},
+        std::pair{Scheme::kRoCo, Geometry{2, 3}}}) {
+    const PolyMemConfig cfg = make_config(scheme, g);
+    PolyMem mem(cfg);
+    PolyMem twin(cfg);
+    twin.set_plan_cache_enabled(false);
+    EXPECT_FALSE(mem.plan_cache().enabled());
+    fill_deterministic(mem);
+    fill_deterministic(twin);
+    const unsigned lanes = cfg.lanes();
+    std::vector<Word> a(lanes), b(lanes);
+    std::uint64_t seed = 1;
+    for (PatternKind kind : access::kAllPatterns) {
+      const SupportLevel level = mem.supports(kind);
+      if (level == SupportLevel::kNone) continue;
+      const std::vector<Coord> anchors =
+          sweep_anchors(cfg, mem.maf(), kind, level);
+      for (const Coord& anchor : anchors) {
+        mem.read_into({kind, anchor}, 0, a);
+        twin.read_into({kind, anchor}, 0, b);
+        ASSERT_EQ(a, b) << maf::scheme_name(scheme) << " "
+                        << access::pattern_name(kind) << " at " << anchor;
+        for (Word& w : a) w = seed += 0x9E3779B97F4A7C15ull;
+        mem.write({kind, anchor}, a);
+        twin.write({kind, anchor}, a);
+      }
+      // The sweep's first anchors as one strided batch, read then
+      // rewritten in both memories.
+      const std::int64_t step = level == SupportLevel::kAligned ? cfg.q : 1;
+      const AccessBatch batch =
+          AccessBatch::strided(kind, anchors.front(), {0, step}, 3);
+      std::vector<Word> bulk_a(static_cast<std::size_t>(3) * lanes);
+      std::vector<Word> bulk_b(bulk_a.size());
+      mem.read_batch(batch, 0, bulk_a);
+      twin.read_batch(batch, 0, bulk_b);
+      ASSERT_EQ(bulk_a, bulk_b)
+          << maf::scheme_name(scheme) << " " << access::pattern_name(kind);
+      for (Word& w : bulk_a) w = seed += 0x9E3779B97F4A7C15ull;
+      mem.write_batch(batch, bulk_a);
+      twin.write_batch(batch, bulk_a);
+    }
+    const auto elems = static_cast<std::size_t>(cfg.height) *
+                       static_cast<std::size_t>(cfg.width);
+    std::vector<Word> da(elems), db(elems);
+    mem.dump_rect({0, 0}, cfg.height, cfg.width, da);
+    twin.dump_rect({0, 0}, cfg.height, cfg.width, db);
+    EXPECT_EQ(da, db) << maf::scheme_name(scheme);
+    EXPECT_EQ(mem.plan_cache().hits() + mem.plan_cache().builds(), 0u);
+    EXPECT_GT(mem.parallel_reads(), 0u);
+    EXPECT_EQ(mem.parallel_reads(), twin.parallel_reads());
+    EXPECT_EQ(mem.parallel_writes(), twin.parallel_writes());
+  }
 }
 
 TEST(BatchEngine, ReadBatchMatchesReadLoop) {

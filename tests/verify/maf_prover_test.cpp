@@ -181,16 +181,31 @@ TEST(MafProverMutant, BankOutOfRangeIsCaught) {
 }
 
 TEST(MafProver, TemplateAgreementHoldsForAllSchemes) {
-  for (Scheme scheme : maf::kAllSchemes) {
-    core::PolyMemConfig config;
-    config.scheme = scheme;
-    config.p = 2;
-    config.q = 4;
-    config.height = 32;
-    config.width = 64;
-    const auto violation = check_template_agreement(config);
-    EXPECT_FALSE(violation.has_value())
-        << maf::scheme_name(scheme) << ": " << violation->message;
+  struct Space {
+    unsigned p, q;
+    std::int64_t height, width;
+  };
+  // Each space covers a full period of every scheme plus the widest
+  // pattern, so every residue class of every supported pattern has an
+  // anchor to check; 4x8 holds the largest class table (ReTr, 32 x 128).
+  const Space spaces[] = {{2, 4, 32, 64}, {4, 4, 48, 96}, {4, 8, 64, 192}};
+  for (const Space& s : spaces) {
+    for (Scheme scheme : maf::kAllSchemes) {
+      const maf::Maf maf(scheme, s.p, s.q);
+      const std::int64_t n = static_cast<std::int64_t>(s.p) * s.q;
+      ASSERT_GE(s.height, maf.period_i() + n);
+      ASSERT_GE(s.width, maf.period_j() + 2 * n);
+      core::PolyMemConfig config;
+      config.scheme = scheme;
+      config.p = s.p;
+      config.q = s.q;
+      config.height = s.height;
+      config.width = s.width;
+      const auto violation = check_template_agreement(config);
+      EXPECT_FALSE(violation.has_value())
+          << maf::scheme_name(scheme) << ' ' << s.p << 'x' << s.q << ": "
+          << violation->message;
+    }
   }
 }
 

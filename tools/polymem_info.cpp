@@ -47,8 +47,8 @@ constexpr const char* kExample =
     "# service_max_coalesce = 64   # longest run one drain serves\n"
     "# adapt_window = 4096    # adaptive profiler window (accesses)\n";
 
-/// The integer key `key` (default `fallback`) as a whole decimal integer:
-/// ConfigFile::get_int would read 010 as octal eight and take 0x400 as hex.
+/// The integer key `key` (default `fallback`) as a whole decimal integer,
+/// so 010 is ten and 0x400 is refused.
 std::int64_t decimal_key(const polymem::ConfigFile& file,
                          const std::string& key, std::int64_t fallback) {
   if (!file.has(key)) return fallback;

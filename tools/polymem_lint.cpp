@@ -185,8 +185,8 @@ polymem::sched::AccessTrace parse_trace(const std::string& key,
   return polymem::sched::AccessTrace::dense_block(origin, rows, cols);
 }
 
-// The integer `key` as a whole decimal integer: ConfigFile::get_int would
-// read 010 as octal eight and take 0x400 as hex.
+// The integer `key` as a whole decimal integer, so 010 is ten and 0x400 is
+// refused.
 std::int64_t decimal(const ConfigFile& file, const std::string& key) {
   const std::string text = file.get_string(key);
   const auto value = polymem::parse_decimal(text);
