@@ -17,7 +17,8 @@
 //    fallback = lanes cycles (p*q scalar bank reads), plus the policy's
 //    own migration charge (2 * cells / lanes cycles per migration).
 //  - *wall clock* (end-to-end, non-tiny only): the same op stream timed
-//    through each engine.
+//    through each engine, as the median of kTrials runs, each on a fresh
+//    engine.
 //
 // Correctness is not sampled, it is exhaustive: an untimed replay pass
 // (src/replay, adaptive mode) diffs the migrating engine word-for-word
@@ -40,6 +41,7 @@
 
 #include "adapt/adaptive_matrix.hpp"
 #include "common/json.hpp"
+#include "harness.hpp"
 #include "replay/replay.hpp"
 #include "sched/trace_io.hpp"
 
@@ -52,6 +54,7 @@ namespace {
 using namespace polymem;
 
 constexpr std::int64_t kWindow = 256;
+constexpr int kTrials = 5;
 
 core::PolyMemConfig base_config(const sched::RecordedTrace& trace,
                                 maf::Scheme scheme) {
@@ -76,8 +79,10 @@ struct RunResult {
   maf::Scheme final_scheme = maf::Scheme::kReO;
 };
 
-/// Streams the trace `passes` times through one engine and reads the
-/// meters. Data correctness is the replay pass's job; here writes carry a
+/// Streams the trace `passes` times through a fresh engine, kTrials
+/// times, and reads the meters: the median wall time, and the last run's
+/// counters (every run makes the same inline migrations, so they are
+/// equal). Data correctness is the replay pass's job; here writes carry a
 /// constant payload and reads land in scratch — pure serve-path timing.
 RunResult run_engine(const sched::RecordedTrace& trace, maf::Scheme start,
                      bool adaptive, int passes) {
@@ -86,33 +91,38 @@ RunResult run_engine(const sched::RecordedTrace& trace, maf::Scheme start,
   opts.verify_migrations = true;
   opts.profiler.window = kWindow;
 
-  adapt::AdaptiveMatrix mat(base_config(trace, start), opts);
-  const unsigned lanes = mat.lanes();
+  const unsigned lanes = static_cast<unsigned>(trace.p * trace.q);
   std::vector<core::Word> in(64 * static_cast<std::size_t>(lanes), 0x5eed);
   std::vector<core::Word> out;
-
-  const auto t0 = std::chrono::steady_clock::now();
-  for (int pass = 0; pass < passes; ++pass) {
-    for (const sched::TraceOp& op : trace.ops) {
-      const core::AccessBatch batch = op.batch();
-      const std::size_t words =
-          static_cast<std::size_t>(batch.count()) * lanes;
-      if (op.dir == sched::TraceOp::Dir::kRead) {
-        if (out.size() < words) out.resize(words);
-        mat.read_batch(batch, std::span(out).first(words));
-      } else {
-        if (in.size() < words) in.resize(words, 0x5eed);
-        mat.write_batch(batch, std::span(std::as_const(in)).first(words));
+  std::vector<double> walls;
+  adapt::AdaptiveStats stats;
+  for (int trial = 0; trial < kTrials; ++trial) {
+    adapt::AdaptiveMatrix mat(base_config(trace, start), opts);
+    const auto t0 = std::chrono::steady_clock::now();
+    for (int pass = 0; pass < passes; ++pass) {
+      for (const sched::TraceOp& op : trace.ops) {
+        const core::AccessBatch batch = op.batch();
+        const std::size_t words =
+            static_cast<std::size_t>(batch.count()) * lanes;
+        if (op.dir == sched::TraceOp::Dir::kRead) {
+          if (out.size() < words) out.resize(words);
+          mat.read_batch(batch, std::span(out).first(words));
+        } else {
+          if (in.size() < words) in.resize(words, 0x5eed);
+          mat.write_batch(batch, std::span(std::as_const(in)).first(words));
+        }
       }
     }
+    const auto t1 = std::chrono::steady_clock::now();
+    walls.push_back(
+        std::chrono::duration<double, std::milli>(t1 - t0).count());
+    stats = mat.stats();
   }
-  const auto t1 = std::chrono::steady_clock::now();
 
-  const adapt::AdaptiveStats stats = mat.stats();
   RunResult r;
   r.name = adaptive ? "adaptive"
                     : std::string("static-") + maf::scheme_name(start);
-  r.wall_ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
+  r.wall_ms = bench::median(std::move(walls));
   r.batched = stats.batched_accesses;
   r.fallback = stats.fallback_accesses;
   r.migrations = stats.migrations_completed;
@@ -196,7 +206,8 @@ int main(int argc, char** argv) {
   std::ofstream out(out_path);
   json::Writer w(out);
   w.begin_object().field("benchmark", "polymem_adaptive_layout");
-  w.field("tiny", tiny).begin_object("geometry").field("p", trace.p);
+  w.field("tiny", tiny).field("trials", kTrials);
+  w.begin_object("geometry").field("p", trace.p);
   w.field("q", trace.q).field("height", trace.height);
   w.field("width", trace.width).field("window", kWindow).end();
   w.begin_object("trace").field("ops", trace.ops.size());

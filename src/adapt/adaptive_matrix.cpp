@@ -6,14 +6,6 @@
 
 namespace polymem::adapt {
 
-namespace {
-
-bool stride_aligned(std::int64_t p, std::int64_t q, access::Coord stride) {
-  return stride.i % p == 0 && stride.j % q == 0;
-}
-
-}  // namespace
-
 AdaptiveMatrix::AdaptiveMatrix(core::PolyMemConfig config, AdaptiveOptions opts)
     : base_config_(config),
       opts_(opts),
@@ -26,18 +18,7 @@ AdaptiveMatrix::AdaptiveMatrix(core::PolyMemConfig config, AdaptiveOptions opts)
 }
 
 bool AdaptiveMatrix::run_supported(const core::AccessBatch& batch) const {
-  switch (active_->supports(batch.kind)) {
-    case maf::SupportLevel::kAny:
-      return true;
-    case maf::SupportLevel::kAligned:
-      return run_aligned(base_config_.p, base_config_.q, batch.start,
-                         batch.inner_stride) &&
-             stride_aligned(base_config_.p, base_config_.q,
-                            batch.outer_stride);
-    case maf::SupportLevel::kNone:
-      return false;
-  }
-  return false;
+  return active_->serves(batch);
 }
 
 void AdaptiveMatrix::read_batch(const core::AccessBatch& batch,
@@ -45,23 +26,15 @@ void AdaptiveMatrix::read_batch(const core::AccessBatch& batch,
   POLYMEM_REQUIRE(
       out.size() == static_cast<std::size_t>(batch.count()) * lanes(),
       "adaptive read_batch: out must hold count() * lanes() words");
-  const std::int64_t count = batch.count();
+  const auto count = static_cast<std::uint64_t>(batch.count());
   if (run_supported(batch)) {
     active_->read_batch(batch, 0, out);
-    stats_.batched_accesses += static_cast<std::uint64_t>(count);
+    stats_.batched_accesses += count;
   } else {
-    const unsigned lane_count = lanes();
-    for (std::int64_t t = 0; t < count; ++t) {
-      access::expand_into(batch.access(t), base_config_.p, base_config_.q,
-                          expand_scratch_);
-      for (unsigned l = 0; l < lane_count; ++l) {
-        out[static_cast<std::size_t>(t) * lane_count + l] =
-            active_->load(expand_scratch_[l]);
-      }
-    }
-    stats_.fallback_accesses += static_cast<std::uint64_t>(count);
+    active_->load_batch(batch, out);
+    stats_.fallback_accesses += count;
   }
-  stats_.reads += static_cast<std::uint64_t>(count);
+  stats_.reads += count;
   if (opts_.adapt) observe(false, batch);
 }
 
@@ -70,23 +43,15 @@ void AdaptiveMatrix::write_batch(const core::AccessBatch& batch,
   POLYMEM_REQUIRE(
       data.size() == static_cast<std::size_t>(batch.count()) * lanes(),
       "adaptive write_batch: data must hold count() * lanes() words");
-  const std::int64_t count = batch.count();
+  const auto count = static_cast<std::uint64_t>(batch.count());
   if (run_supported(batch)) {
     active_->write_batch(batch, data);
-    stats_.batched_accesses += static_cast<std::uint64_t>(count);
+    stats_.batched_accesses += count;
   } else {
-    const unsigned lane_count = lanes();
-    for (std::int64_t t = 0; t < count; ++t) {
-      access::expand_into(batch.access(t), base_config_.p, base_config_.q,
-                          expand_scratch_);
-      for (unsigned l = 0; l < lane_count; ++l) {
-        active_->store(expand_scratch_[l],
-                       data[static_cast<std::size_t>(t) * lane_count + l]);
-      }
-    }
-    stats_.fallback_accesses += static_cast<std::uint64_t>(count);
+    active_->store_batch(batch, data);
+    stats_.fallback_accesses += count;
   }
-  stats_.writes += static_cast<std::uint64_t>(count);
+  stats_.writes += count;
   if (opts_.adapt) observe(true, batch);
 }
 
@@ -124,6 +89,8 @@ bool AdaptiveMatrix::migrate_to(maf::Scheme target) {
   } else {
     ++stats_.migrations_aborted;  // rollback: epoch B is dropped unseen
   }
+  if (stats_.history.size() == AdaptiveStats::kMaxHistory)
+    stats_.history.erase(stats_.history.begin());
   stats_.history.push_back({from, target, stats_.epoch, !flip});
   return true;
 }

@@ -7,6 +7,16 @@
 // (adapt/policy.hpp) elects a better scheme when the pattern mix shifts,
 // and an *epoch migration* re-maps the data to it.
 //
+// Serving
+// -------
+// An op the active scheme serves conflict-free (PolyMem::serves) runs on
+// the compiled engine; any other op runs through PolyMem's batch host
+// backdoor (load_batch/store_batch), one residue-class table gather per
+// access. Both paths check the whole batch's bounds before any word
+// moves, so an op that throws changes nothing. The stats count backdoor
+// accesses as fallbacks, which the policy's cost model charges p*q
+// cycles each, as the hardware would spend.
+//
 // Epoch migration
 // ---------------
 // A migration runs inline, on the thread whose read_batch/write_batch
@@ -17,7 +27,8 @@
 // mismatch, or an injected fault (set_fault_band), discards B and leaves
 // A authoritative. Otherwise B becomes the active epoch and the epoch
 // counter increments. Either way the migration is over when the call
-// returns, so it is invisible until its flip.
+// returns, so it is invisible until its flip. The stats keep the last
+// AdaptiveStats::kMaxHistory migrations.
 //
 // Threading: one thread at a time calls an AdaptiveMatrix, the same
 // single-owner contract as PolyMem, PlanCache and TileCache. An owner
@@ -66,7 +77,9 @@ struct AdaptiveStats {
   std::uint64_t reads = 0;    ///< client parallel read accesses
   std::uint64_t writes = 0;   ///< client parallel write accesses
   std::uint64_t batched_accesses = 0;   ///< served by the compiled engine
-  std::uint64_t fallback_accesses = 0;  ///< served element-wise (p*q loads)
+  /// Served by the batch host backdoor: accesses the scheme does not
+  /// serve, modeled at p*q cycles each.
+  std::uint64_t fallback_accesses = 0;
   std::uint64_t migrations_started = 0;
   std::uint64_t migrations_completed = 0;
   std::uint64_t migrations_aborted = 0;
@@ -75,6 +88,8 @@ struct AdaptiveStats {
   std::uint64_t windows_profiled = 0;
   std::uint64_t epoch = 0;
   maf::Scheme scheme = maf::Scheme::kReO;
+  /// The kMaxHistory most recent migrations, oldest first.
+  static constexpr std::size_t kMaxHistory = 64;
   std::vector<MigrationRecord> history;
 };
 
@@ -99,11 +114,14 @@ class AdaptiveMatrix {
 
   /// Batched read/write through the active epoch: batches the current
   /// scheme serves conflict-free go through the compiled engine, the rest
-  /// fall back to p*q scalar bank accesses per element — the honest cost
-  /// of a mismatched layout, and exactly what the policy's cost model
-  /// charges. out/data hold count() * lanes() words in canonical order.
-  /// With adapt on, the op is profiled afterwards, and a migration the
-  /// policy elects runs before the call returns.
+  /// through PolyMem's batch host backdoor (load_batch/store_batch), which
+  /// gathers each access through its residue class's table. Both check
+  /// bounds before any word moves. A fallback access is counted, and
+  /// modeled at the p*q cycles the hardware would spend on it — what the
+  /// policy's cost model charges — though the host serves it nearly as
+  /// fast as a compiled one. out/data hold count() * lanes() words in
+  /// canonical order. With adapt on, the op is profiled afterwards, and a
+  /// migration the policy elects runs before the call returns.
   void read_batch(const core::AccessBatch& batch, std::span<core::Word> out);
   void write_batch(const core::AccessBatch& batch,
                    std::span<const core::Word> data);
@@ -123,7 +141,7 @@ class AdaptiveMatrix {
   }
 
   /// True when the active scheme serves this run conflict-free (the
-  /// batched path will be taken).
+  /// batched path will be taken): PolyMem::serves on the active epoch.
   bool run_supported(const core::AccessBatch& batch) const;
 
   // ---- migration control -----------------------------------------------
@@ -151,7 +169,6 @@ class AdaptiveMatrix {
   core::PolyMemConfig base_config_;
   AdaptiveOptions opts_;
   std::unique_ptr<core::PolyMem> active_;
-  std::vector<access::Coord> expand_scratch_;  // fallback path
   std::int64_t fault_band_ = -1;
   AccessProfiler profiler_;
   MigrationPolicy policy_;

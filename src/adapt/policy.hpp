@@ -4,11 +4,13 @@
 // Cost model. Every scheme serves a pattern kind at one of three levels
 // (maf/conflict.hpp's machine-checked oracle): kAny costs 1 parallel-access
 // slot, kAligned costs 1 for aligned runs and lanes() for unaligned ones,
-// kNone costs lanes() — because an unservable access falls back to p*q
-// scalar bank reads, which is exactly the fallback the replay harness and
-// AdaptiveMatrix execute. Summing that over a WindowProfile gives each
-// scheme's projected cost for the observed mix, in units where 1.0 == one
-// conflict-free parallel access.
+// kNone costs lanes() — the p*q scalar bank accesses an unservable access
+// takes on the hardware, and the modeled cost the replay harness and
+// AdaptiveMatrix count for their fallbacks (the host itself serves one
+// through PolyMem's batch backdoor at about a compiled access's cost).
+// Summing that over a WindowProfile gives each scheme's projected cost
+// for the observed mix, in units where 1.0 == one conflict-free parallel
+// access.
 //
 // Tiebreak. Equal-cost schemes are ranked by symbolic polymorphism
 // (DseExplorer::affine_coverage over the canonical affine suite), scaled

@@ -50,10 +50,32 @@ PlanCache::PlanCache(const PolyMemConfig& config, const maf::Maf& maf,
   }
 }
 
+const PlanTemplate* PlanCache::class_template(const ParallelAccess& access,
+                                              std::int64_t& delta) {
+  KindInfo& ki = kinds_[static_cast<std::size_t>(access.kind)];
+  if (ki.slots.empty())
+    ki.slots.resize(static_cast<std::size_t>(period_i_ * period_j_));
+  const auto [ai, aj] = access.anchor;
+  // In-bounds anchors are non-negative (min_j >= 0 even for SecDiag), so
+  // masks and shifts give the floored decomposition a = A*P + r.
+  const std::int64_t ri = ai & (period_i_ - 1);
+  const std::int64_t rj = aj & (period_j_ - 1);
+  delta = (ai >> shift_i_) * delta_i_ + (aj >> shift_j_) * delta_j_;
+  std::unique_ptr<PlanTemplate>& slot =
+      ki.slots[static_cast<std::size_t>((ri << shift_j_) | rj)];
+  if (slot) {
+    ++hits_;
+  } else {
+    slot = build(access.kind, ri, rj);
+    ++builds_;
+  }
+  return slot.get();
+}
+
 const PlanTemplate* PlanCache::lookup(const ParallelAccess& access,
                                       std::int64_t& delta) {
   if (!enabled_) return nullptr;
-  KindInfo& ki = kinds_[static_cast<std::size_t>(access.kind)];
+  const KindInfo& ki = kinds_[static_cast<std::size_t>(access.kind)];
   const auto [ai, aj] = access.anchor;
   switch (ki.support) {
     case maf::SupportLevel::kNone:
@@ -71,20 +93,7 @@ const PlanTemplate* PlanCache::lookup(const ParallelAccess& access,
   }
   if (ai < ki.min_i || ai > ki.max_i || aj < ki.min_j || aj > ki.max_j)
     return nullptr;
-  // In-bounds anchors are non-negative (min_j >= 0 even for SecDiag), so
-  // masks and shifts give the floored decomposition a = A*P + r.
-  const std::int64_t ri = ai & (period_i_ - 1);
-  const std::int64_t rj = aj & (period_j_ - 1);
-  delta = (ai >> shift_i_) * delta_i_ + (aj >> shift_j_) * delta_j_;
-  std::unique_ptr<PlanTemplate>& slot =
-      ki.slots[static_cast<std::size_t>((ri << shift_j_) | rj)];
-  if (slot) {
-    ++hits_;
-  } else {
-    slot = build(access.kind, ri, rj);
-    ++builds_;
-  }
-  return slot.get();
+  return class_template(access, delta);
 }
 
 std::size_t PlanCache::size() const {
@@ -127,12 +136,20 @@ std::unique_ptr<PlanTemplate> PlanCache::build(PatternKind kind,
     t->bank[k] = maf_->bank(c);
     t->addr0[k] = floordiv(c.i, p) * row_words_ + floordiv(c.j, q);
   }
+  // Conflict-freeness (proven by the oracle before lookup hands out
+  // templates) makes `bank` a permutation for every class lookup()
+  // reaches; a class only class_template() reaches may repeat a bank.
+  std::fill(t->lane_for_bank.begin(), t->lane_for_bank.end(), lanes);
+  bool permutation = true;
   for (unsigned k = 0; k < lanes; ++k) {
-    // Conflict-freeness (proven by the oracle before lookup hands out
-    // templates) makes `bank` a permutation; a violation here is a bug.
     POLYMEM_ASSERT(t->bank[k] < lanes);
+    permutation = permutation && t->lane_for_bank[t->bank[k]] == lanes;
     t->lane_for_bank[t->bank[k]] = k;
     t->bank_addr0[t->bank[k]] = t->addr0[k];
+  }
+  if (!permutation) {
+    t->lane_for_bank = {};
+    t->bank_addr0 = {};
   }
   // Base addresses of a residue class may sit below the bank's first word
   // (the per-anchor delta shifts them back in range); fold them into the
@@ -144,12 +161,12 @@ std::unique_ptr<PlanTemplate> PlanCache::build(PatternKind kind,
   };
   const unsigned ports = banks_->read_ports();
   t->lane_base.resize(static_cast<std::size_t>(ports) * lanes);
-  t->bank_base.resize(static_cast<std::size_t>(ports) * lanes);
+  if (permutation) t->bank_base.resize(static_cast<std::size_t>(ports) * lanes);
   for (unsigned r = 0; r < ports; ++r) {
     const std::size_t row = static_cast<std::size_t>(r) * lanes;
     for (unsigned k = 0; k < lanes; ++k) {
       t->lane_base[row + k] = at(r, t->bank[k], t->addr0[k]);
-      t->bank_base[row + k] = at(r, k, t->bank_addr0[k]);
+      if (permutation) t->bank_base[row + k] = at(r, k, t->bank_addr0[k]);
     }
   }
   return t;

@@ -16,16 +16,25 @@
 // replaces the per-lane MAF + addressing + shuffle work of the naive AGU
 // path with one indexed load and one add per bank.
 //
-// The table is dense: each supported pattern kind owns Pi*Pj slots, and
-// an anchor (ai, aj) selects slot (ai mod Pi)*Pj + (aj mod Pj). With
-// power-of-two periods — every geometry whose p and q are powers of two —
-// the slot index and the per-anchor delta are masks and shifts. A slot
-// stays null until its class is first touched; then it holds the class's
-// template for the cache's lifetime. A geometry whose periods are not
-// powers of two, or that has more than 4096 classes per kind, disables
-// the cache, and every access runs on the AGU reference; every
-// power-of-two geometry up to 32 lanes fits (the largest is ReTr 4x8 or
-// 8x4, 32 x 128 classes).
+// The decomposition holds for every pattern kind, served or not, so the
+// table has two doors. lookup() gates on support, alignment and bounds
+// and hands the compiled engine only classes the scheme serves
+// conflict-free. class_template() serves any in-bounds anchor of any kind
+// — the host backdoor (PolyMem::load_batch/store_batch) moves an
+// unserved access through its class's gather table instead of resolving
+// bank and address per element. A class whose banks collide (only the
+// backdoor reaches one) gets no scatter tables.
+//
+// The table is dense: each pattern kind owns Pi*Pj slots (an unsupported
+// kind's are allocated when it is first touched), and an anchor (ai, aj)
+// selects slot (ai mod Pi)*Pj + (aj mod Pj). With power-of-two periods —
+// every geometry whose p and q are powers of two — the slot index and the
+// per-anchor delta are masks and shifts. A slot stays null until its
+// class is first touched; then it holds the class's template for the
+// cache's lifetime. A geometry whose periods are not powers of two, or
+// that has more than 4096 classes per kind, disables the cache, and every
+// access runs on the AGU reference; every power-of-two geometry up to 32
+// lanes fits (the largest is ReTr 4x8 or 8x4, 32 x 128 classes).
 //
 // Threading: a PlanCache has one owner, the PolyMem whose blocks it points
 // into, and only the one thread that runs that PolyMem's engine calls it
@@ -36,10 +45,11 @@
 // Correctness rests on two machine-checked facts: the axis periods
 // (tested against Maf::bank over multiple periods) and conflict-freeness
 // (the capability oracle's exhaustive per-period proof, which also makes
-// every template's bank vector a permutation by construction). The
-// differential test suite (tests/core/plan_cache_test.cpp) additionally
-// asserts bitwise equality of cached and naive plans and data for every
-// scheme x pattern x an anchor sweep.
+// the bank vector of every template lookup() returns a permutation by
+// construction). The differential test suite
+// (tests/core/plan_cache_test.cpp) additionally asserts bitwise equality
+// of cached and naive plans and data for every scheme x pattern x an
+// anchor sweep, and of the backdoor's batches for every pattern kind.
 #pragma once
 
 #include <cstdint>
@@ -60,7 +70,9 @@ namespace polymem::core {
 /// class: the bank permutation in both directions, the base intra-bank
 /// addresses, and the kernel tables built from them. Per-anchor plans are
 /// `bank_addr0[b] + delta` with the O(1) delta returned by
-/// PlanCache::lookup.
+/// PlanCache::lookup. The bank-indexed fields (lane_for_bank, bank_addr0,
+/// bank_base) are empty when two lanes share a bank, which only a class
+/// the scheme does not serve can do.
 struct PlanTemplate {
   std::vector<unsigned> bank;                     ///< lane k -> bank
   simd::AlignedVec<std::uint32_t> lane_for_bank;  ///< bank b -> lane
@@ -98,6 +110,15 @@ class PlanCache {
   const PlanTemplate* lookup(const access::ParallelAccess& access,
                              std::int64_t& delta);
 
+  /// lookup() without its gate: the template and delta of any access
+  /// whose elements all lie in the address space, for any pattern kind,
+  /// whether or not the scheme serves it. The caller has checked bounds
+  /// and enabled(). Its bank vector need not be a permutation, so the
+  /// template serves the host backdoor's gather tables, not the compiled
+  /// engine. Counted like lookup().
+  const PlanTemplate* class_template(const access::ParallelAccess& access,
+                                     std::int64_t& delta);
+
   std::int64_t period_i() const { return period_i_; }
   std::int64_t period_j() const { return period_j_; }
   unsigned lanes() const { return config_->lanes(); }
@@ -118,8 +139,9 @@ class PlanCache {
     return kinds_[static_cast<std::size_t>(kind)].support;
   }
 
-  /// Served lookups, each exactly one of: a hit on a filled slot, or the
-  /// build that filled it (lookups that return nullptr count as neither).
+  /// Served lookups and class_template() calls, each exactly one of: a
+  /// hit on a filled slot, or the build that filled it (lookups that
+  /// return nullptr count as neither).
   std::uint64_t hits() const { return hits_; }
   std::uint64_t builds() const { return builds_; }
   /// Filled slots, counted over the whole table: equal to builds(), since
@@ -139,7 +161,8 @@ class PlanCache {
     // Valid anchor rectangle (inclusive) for in-bounds accesses.
     std::int64_t min_i = 0, max_i = -1;
     std::int64_t min_j = 0, max_j = -1;
-    // Pi*Pj slots, (ri << shift_j_) | rj; empty for unsupported kinds.
+    // Pi*Pj slots, (ri << shift_j_) | rj; an unsupported kind's stay
+    // unallocated until its first class_template() call.
     std::vector<std::unique_ptr<PlanTemplate>> slots;
   };
 

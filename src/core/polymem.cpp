@@ -95,35 +95,45 @@ std::vector<Word> PolyMem::read(const access::ParallelAccess& where,
   return out;
 }
 
+bool PolyMem::serves(const AccessBatch& batch) const {
+  switch (supports(batch.kind)) {
+    case maf::SupportLevel::kAny:
+      return true;
+    case maf::SupportLevel::kAligned: {
+      const auto p = static_cast<std::int64_t>(config_.p);
+      const auto q = static_cast<std::int64_t>(config_.q);
+      return batch.start.i % p == 0 && batch.start.j % q == 0 &&
+             batch.inner_stride.i % p == 0 && batch.inner_stride.j % q == 0 &&
+             batch.outer_stride.i % p == 0 && batch.outer_stride.j % q == 0;
+    }
+    case maf::SupportLevel::kNone:
+      return false;
+  }
+  return false;
+}
+
 void PolyMem::validate_batch(const AccessBatch& batch) const {
+  // A batch without accesses needs no support; check_bounds refuses
+  // negative counts.
+  if (batch.inner_count > 0 && batch.outer_count > 0 && !serves(batch)) {
+    std::ostringstream os;
+    os << "scheme " << maf::scheme_name(config_.scheme) << " (" << config_.p
+       << 'x' << config_.q << ") ";
+    if (supports(batch.kind) == maf::SupportLevel::kNone)
+      os << "does not serve pattern " << access::pattern_name(batch.kind);
+    else
+      os << "serves pattern " << access::pattern_name(batch.kind)
+         << " only at p/q-aligned anchors; batch start or strides break "
+            "alignment";
+    throw Unsupported(os.str());
+  }
+  check_bounds(batch);
+}
+
+void PolyMem::check_bounds(const AccessBatch& batch) const {
   POLYMEM_REQUIRE(batch.inner_count >= 0 && batch.outer_count >= 0,
                   "batch counts must be non-negative");
   if (batch.count() == 0) return;
-  const maf::SupportLevel level = supports(batch.kind);
-  if (level == maf::SupportLevel::kNone) {
-    std::ostringstream os;
-    os << "scheme " << maf::scheme_name(config_.scheme) << " (" << config_.p
-       << 'x' << config_.q << ") does not serve pattern "
-       << access::pattern_name(batch.kind);
-    throw Unsupported(os.str());
-  }
-  if (level == maf::SupportLevel::kAligned) {
-    const auto p = static_cast<std::int64_t>(config_.p);
-    const auto q = static_cast<std::int64_t>(config_.q);
-    const bool aligned =
-        batch.start.i % p == 0 && batch.start.j % q == 0 &&
-        batch.inner_stride.i % p == 0 && batch.inner_stride.j % q == 0 &&
-        batch.outer_stride.i % p == 0 && batch.outer_stride.j % q == 0;
-    if (!aligned) {
-      std::ostringstream os;
-      os << "scheme " << maf::scheme_name(config_.scheme) << " (" << config_.p
-         << 'x' << config_.q << ") serves pattern "
-         << access::pattern_name(batch.kind)
-         << " only at p/q-aligned anchors; batch start or strides break "
-            "alignment";
-      throw Unsupported(os.str());
-    }
-  }
   // Anchor coordinates are affine in the (inner, outer) index box, so the
   // per-axis extremes — all `fits` cares about — occur at the corners.
   for (int corner = 0; corner < 4; ++corner) {
@@ -257,6 +267,72 @@ void PolyMem::write_batch(const AccessBatch& batch,
   for (std::int64_t t = 0; t < batch.count(); ++t)
     write(batch.access(t),
           data.subspan(static_cast<std::size_t>(t) * lanes, lanes));
+}
+
+namespace {
+
+/// Calls visit(access) for each access of `batch`, in flat-index order.
+template <typename Visit>
+void for_each_access(const AccessBatch& batch, Visit&& visit) {
+  access::ParallelAccess a{batch.kind, batch.start};
+  for (std::int64_t o = 0; o < batch.outer_count; ++o) {
+    a.anchor = {batch.start.i + o * batch.outer_stride.i,
+                batch.start.j + o * batch.outer_stride.j};
+    for (std::int64_t k = 0; k < batch.inner_count; ++k) {
+      visit(a);
+      a.anchor.i += batch.inner_stride.i;
+      a.anchor.j += batch.inner_stride.j;
+    }
+  }
+}
+
+}  // namespace
+
+void PolyMem::load_batch(const AccessBatch& batch, std::span<Word> out) {
+  check_bounds(batch);
+  const unsigned lanes = config_.lanes();
+  POLYMEM_REQUIRE(out.size() == static_cast<std::size_t>(batch.count()) * lanes,
+                  "batch load buffer must provide count * lanes words");
+  Word* dst = out.data();
+  if (!use_plan_cache_ || !plan_cache_.enabled()) {
+    std::vector<access::Coord>& coords = scratch_.plan.coords;
+    for_each_access(batch, [&](const access::ParallelAccess& a) {
+      access::expand_into(a, config_.p, config_.q, coords);
+      for (const access::Coord c : coords) *dst++ = load(c);
+    });
+    return;
+  }
+  for_each_access(batch, [&](const access::ParallelAccess& a) {
+    std::int64_t delta = 0;
+    const PlanTemplate* t = plan_cache_.class_template(a, delta);
+    simd::gather_run(t->lane_base.data(), lanes, &delta, 1, dst);
+    dst += lanes;
+  });
+}
+
+void PolyMem::store_batch(const AccessBatch& batch,
+                          std::span<const Word> data) {
+  check_bounds(batch);
+  const unsigned lanes = config_.lanes();
+  POLYMEM_REQUIRE(
+      data.size() == static_cast<std::size_t>(batch.count()) * lanes,
+      "batch store buffer must provide count * lanes words");
+  const Word* src = data.data();
+  if (!use_plan_cache_ || !plan_cache_.enabled()) {
+    std::vector<access::Coord>& coords = scratch_.plan.coords;
+    for_each_access(batch, [&](const access::ParallelAccess& a) {
+      access::expand_into(a, config_.p, config_.q, coords);
+      for (const access::Coord c : coords) store(c, *src++);
+    });
+    return;
+  }
+  for_each_access(batch, [&](const access::ParallelAccess& a) {
+    std::int64_t delta = 0;
+    const PlanTemplate* t = plan_cache_.class_template(a, delta);
+    simd::scatter_lanes(t->lane_base.data(), config_.read_ports, lanes,
+                        &delta, 1, src);
+    src += lanes;
+  });
 }
 
 Word PolyMem::load(access::Coord c) const {

@@ -29,12 +29,22 @@
 //    (set_plan_cache_enabled(false)).
 // Both are observably identical (differentially tested).
 //
+// The host backdoor moves words without port accounting: load/store per
+// element, fill_rect/dump_rect per rectangle, and load_batch/store_batch
+// per AccessBatch of any pattern kind, including those the scheme does
+// not serve. The batch form reads each access through its residue
+// class's gather table (PlanCache::class_template), so an access the
+// hardware would serve in p*q cycles costs the host one table gather, not
+// p*q MAF and address evaluations.
+//
 // Threading: one thread at a time runs a PolyMem's engine — every access,
-// batch, compile_batch and read_compiled/write_compiled call, which share
-// the plan cache, the compiled-plan slots, the scratch buffers and the
-// counters. An owner that serves several threads serializes them (the
-// service engine's single drain thread). Only the host rectangle
-// transfers and load/store may run beside that thread (see fill_rect).
+// batch, compile_batch, read_compiled/write_compiled and
+// load_batch/store_batch call, which share the plan cache (the batch
+// backdoor fills its slots), the compiled-plan slots, the scratch
+// buffers and the counters. An owner that serves several threads
+// serializes them (the service engine's single drain thread). Only the
+// host rectangle transfers and load/store may run beside that thread (see
+// fill_rect).
 #pragma once
 
 #include <array>
@@ -126,11 +136,29 @@ class PolyMem {
   void read_compiled(const ExecPlan& plan, unsigned port, std::span<Word> out);
   void write_compiled(const ExecPlan& plan, std::span<const Word> data);
 
+  /// True when the compiled engine serves `batch`: the scheme supports
+  /// its pattern, with p/q-aligned start and strides for an aligned-only
+  /// pattern. Bounds are not checked.
+  bool serves(const AccessBatch& batch) const;
+
   /// Scalar host backdoor (no port accounting; used for Load/Offload and
   /// debugging, like the host filling the memory in the paper's DSE
   /// validation cycle).
   Word load(access::Coord c) const;
   void store(access::Coord c, Word value);
+
+  /// Batch host backdoor: load/store for every element of every access of
+  /// `batch`, in canonical lane order, for any pattern kind and anchor
+  /// whether or not serves(batch). One corner bounds check per batch (the
+  /// InvalidArgument of read_batch, thrown before any word moves), then
+  /// per access one residue-class template and one gather; a store writes
+  /// every read replica, access by access in batch order, so where
+  /// accesses overlap the last one wins. No port accounting and no access
+  /// counters. Runs per element through load/store when the plan cache is
+  /// disabled. Unlike load/store, an engine-thread call: it fills
+  /// plan-cache slots. out/data hold count() * lanes() words.
+  void load_batch(const AccessBatch& batch, std::span<Word> out);
+  void store_batch(const AccessBatch& batch, std::span<const Word> data);
 
   /// Bulk host helpers: row-major copy of a rows x cols rectangle at
   /// `origin` from/to a linear buffer, without port accounting. One
@@ -179,7 +207,12 @@ class PolyMem {
     ExecPlan plan;
   };
 
+  /// read_batch's checks: serves(batch) (else Unsupported) for a batch
+  /// with accesses, then check_bounds.
   void validate_batch(const AccessBatch& batch) const;
+  /// Non-negative counts, and every access inside the address space
+  /// (InvalidArgument), checked at the anchor grid's corners.
+  void check_bounds(const AccessBatch& batch) const;
 
   /// fill_rect/dump_rect's walk: validates the rectangle against a
   /// `buffer`-word buffer, then calls visit(run) for each column residue

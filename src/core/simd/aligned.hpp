@@ -39,6 +39,7 @@ class AlignedVec {
   AlignedVec& operator=(AlignedVec&& other) noexcept {
     if (this != &other) {
       deallocate();
+      ptr_ = nullptr;
       size_ = 0;
       cap_ = 0;
       swap(other);

@@ -4,8 +4,8 @@
 // The shuffle stage of a compiled access plan is a static permutation
 // (core/exec_plan.hpp), so executing one parallel access is a gather —
 // lane k loads `*(lane_base[k] + delta)` — and a write is the mirror
-// scatter. PolyMem calls these four kernels directly from its
-// single-access and batch executors; the AGU reference (a PolyMem with
+// scatter. PolyMem calls these kernels directly from its single-access
+// and batch executors and its batch backdoor; the AGU reference (a PolyMem with
 // its plan cache disabled) is the oracle tests/core/simd_exec_test.cpp
 // holds them to, bit for bit. They are portable C++ and need no build
 // flag or CPU detection.
@@ -58,6 +58,15 @@ void scatter_run(const std::uintptr_t* bank_base, unsigned replicas,
                  const std::uint32_t* lane_for_bank, unsigned lanes,
                  const std::int64_t* delta, std::int64_t count,
                  const Word* data);
+
+/// Scatter through a gather table, for classes whose banks need not form
+/// a permutation (the host backdoor's writes). `lane_base` holds
+/// `replicas * lanes` entries ([replica][lane] flattened), and every lane
+/// is stored into every replica:
+///   word at (lane_base[r*lanes + k] + delta[t]) = data[t*lanes + k]
+void scatter_lanes(const std::uintptr_t* lane_base, unsigned replicas,
+                   unsigned lanes, const std::int64_t* delta,
+                   std::int64_t count, const Word* data);
 
 /// Scatter with per-access tables (mixed-residue batches).
 void scatter_multi(const std::uintptr_t* const* table_bank_base,

@@ -63,6 +63,21 @@ void scatter_run(const std::uintptr_t* bank_base, unsigned replicas,
                 data + static_cast<std::size_t>(t) * lanes);
 }
 
+void scatter_lanes(const std::uintptr_t* lane_base, unsigned replicas,
+                   unsigned lanes, const std::int64_t* delta,
+                   std::int64_t count, const Word* data) {
+  for (std::int64_t t = 0; t < count; ++t) {
+    const std::int64_t db =
+        delta[t] * static_cast<std::int64_t>(sizeof(Word));
+    const Word* d = data + static_cast<std::size_t>(t) * lanes;
+    for (unsigned r = 0; r < replicas; ++r) {
+      const std::uintptr_t* base =
+          lane_base + static_cast<std::size_t>(r) * lanes;
+      for (unsigned k = 0; k < lanes; ++k) *mut_word_at(base[k], db) = d[k];
+    }
+  }
+}
+
 void scatter_multi(const std::uintptr_t* const* table_bank_base,
                    const std::uint32_t* const* table_lane_for_bank,
                    const std::int32_t* tmpl_of, unsigned replicas,

@@ -88,20 +88,6 @@ struct OpData {
   }
 };
 
-bool batched_eligible(const core::PolyMem& mem, const TraceOp& op,
-                      unsigned p, unsigned q) {
-  switch (mem.supports(op.kind)) {
-    case maf::SupportLevel::kAny:
-      return true;
-    case maf::SupportLevel::kAligned:
-      return op.anchor.i % p == 0 && op.anchor.j % q == 0 &&
-             op.stride.i % p == 0 && op.stride.j % q == 0;
-    case maf::SupportLevel::kNone:
-      return false;
-  }
-  return false;
-}
-
 void check_read(const std::vector<std::uint64_t>& got, Mirror& mirror,
                 const TraceOp& op, std::int64_t op_index,
                 ReplayReport& report) {
@@ -163,37 +149,35 @@ ReplayReport replay_direct(const RecordedTrace& trace,
   for (std::size_t k = 0; k < trace.ops.size(); ++k) {
     const TraceOp& op = trace.ops[k];
     const auto op_index = static_cast<std::int64_t>(k);
-    const bool batched = batched_eligible(mem, op, trace.p, trace.q);
+    const core::AccessBatch batch = op.batch();
+    const bool batched = mem.serves(batch);
     ++report.ops;
     (op.dir == TraceOp::Dir::kRead ? report.reads : report.writes) +=
         op.count;
     (batched ? report.batched_accesses : report.fallback_accesses) +=
         op.count;
 
+    // The host backdoor checks the padded space only: bounds-check an
+    // unserved op against the unpadded trace space before it runs.
+    if (!batched)
+      for (std::int64_t t = 0; t < op.count; ++t)
+        mirror.expand(op, t, op_index);
     if (op.dir == TraceOp::Dir::kRead) {
       data.words.resize(static_cast<std::size_t>(op.count * lanes));
       if (batched) {
         const unsigned port =
             static_cast<unsigned>(k) % std::max(1u, opts.read_ports);
-        mem.read_batch(op.batch(), port, data.words);
+        mem.read_batch(batch, port, data.words);
       } else {
-        std::size_t w = 0;
-        for (std::int64_t t = 0; t < op.count; ++t) {
-          mirror.expand(op, t, op_index);
-          for (const Coord c : mirror.coords()) data.words[w++] = mem.load(c);
-        }
+        mem.load_batch(batch, data.words);
       }
       check_read(data.words, mirror, op, op_index, report);
     } else {
       data.fill_write(trace, op, op_index);
       if (batched) {
-        mem.write_batch(op.batch(), data.words);
+        mem.write_batch(batch, data.words);
       } else {
-        std::size_t w = 0;
-        for (std::int64_t t = 0; t < op.count; ++t) {
-          mirror.expand(op, t, op_index);
-          for (const Coord c : mirror.coords()) mem.store(c, data.words[w++]);
-        }
+        mem.store_batch(batch, data.words);
       }
       apply_write(data.words, mirror, op, op_index);
     }

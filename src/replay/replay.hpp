@@ -8,9 +8,9 @@
 //  - *direct*: a PolyMem of the chosen scheme. Ops the scheme serves
 //    conflict-free run through the batched engine (read_batch /
 //    write_batch, ports round-robined); unsupported or unaligned ops
-//    fall back to scalar host accesses — counted, so the report shows
-//    what the scheme could not serve, and the replay still completes on
-//    every scheme.
+//    fall back to the batch host backdoor (load_batch / store_batch) —
+//    counted, so the report shows what the scheme could not serve, and
+//    the replay still completes on every scheme.
 //  - *through_cache*: a CachedMatrix over LMem (the out-of-core path),
 //    where rectangle-family ops map to block accesses and diagonal ops
 //    exercise the scalar-fallback path of the software cache.

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/math.hpp"
 #include "common/rng.hpp"
 #include "runtime/thread_pool.hpp"
 
@@ -126,6 +127,62 @@ TEST(AdaptiveMatrix, InlineMigrationIsBitIdenticalAndBumpsEpoch) {
   EXPECT_EQ(s.history[0].to, Scheme::kReCo);
   EXPECT_EQ(s.history[0].epoch, 1u);
   EXPECT_FALSE(s.history[0].aborted);
+}
+
+// A write batch whose second access leaves the space throws before any
+// word moves, whether the scheme serves it (compiled engine) or not (the
+// batch backdoor), with the compiled engine's message.
+TEST(AdaptiveMatrix, OutOfBoundsWritesChangeNothing) {
+  for (const Scheme scheme : maf::kAllSchemes) {
+    AdaptiveMatrix mat(cfg_16x32(scheme), static_opts());
+    fill_cells(mat);
+    bool compiled = false, fallback = false;
+    for (const PatternKind kind : access::kAllPatterns) {
+      const auto ext = access::pattern_extent(kind, 2, 4);
+      const auto batch = AccessBatch::strided(
+          kind, {0, round_up<std::int64_t>(-ext.col_offset, 4)}, {16, 0}, 2);
+      (mat.run_supported(batch) ? compiled : fallback) = true;
+      const std::vector<core::Word> data(2 * 8, 7);
+      EXPECT_THROW(mat.write_batch(batch, data), InvalidArgument)
+          << maf::scheme_name(scheme) << " " << access::pattern_name(kind);
+      ASSERT_TRUE(cells_intact(mat))
+          << maf::scheme_name(scheme) << " " << access::pattern_name(kind);
+    }
+    EXPECT_TRUE(compiled && fallback) << maf::scheme_name(scheme);
+  }
+  // Columns from (6, 3) stepping 4 rows: ReRo runs them on the backdoor,
+  // ReCo on the compiled engine, and both refuse the second one.
+  for (const Scheme scheme : {Scheme::kReRo, Scheme::kReCo}) {
+    AdaptiveMatrix mat(cfg_16x32(scheme), static_opts());
+    fill_cells(mat);
+    const auto cols =
+        AccessBatch::strided(PatternKind::kCol, {6, 3}, {4, 0}, 2);
+    EXPECT_EQ(mat.run_supported(cols), scheme == Scheme::kReCo);
+    const std::vector<core::Word> data(2 * 8, 7);
+    try {
+      mat.write_batch(cols, data);
+      ADD_FAILURE() << maf::scheme_name(scheme) << ": no throw";
+    } catch (const InvalidArgument& e) {
+      EXPECT_STREQ(
+          e.what(),
+          "batch access col at (10,3) exceeds the 16x32 address space");
+    }
+    EXPECT_TRUE(cells_intact(mat)) << maf::scheme_name(scheme);
+  }
+}
+
+TEST(AdaptiveMatrix, HistoryKeepsTheLatestMigrations) {
+  AdaptiveMatrix mat(cfg_16x32(), static_opts());
+  for (int n = 0; n < 100; ++n)
+    ASSERT_TRUE(mat.migrate_to(n % 2 == 0 ? Scheme::kReCo : Scheme::kReRo));
+  const auto s = mat.stats();
+  EXPECT_EQ(s.migrations_completed, 100u);
+  ASSERT_EQ(s.history.size(), 64u);
+  EXPECT_EQ(s.history.size(), AdaptiveStats::kMaxHistory);
+  EXPECT_EQ(s.history.front().epoch, 37u);
+  EXPECT_EQ(s.history.back().epoch, 100u);
+  EXPECT_EQ(s.history.back().from, Scheme::kReCo);
+  EXPECT_EQ(s.history.back().to, Scheme::kReRo);
 }
 
 TEST(AdaptiveMatrix, MigrateToActiveSchemeRefuses) {

@@ -1,13 +1,15 @@
 // Heap discipline of the access engine: after one warm-up pass
 // (templates built, class tables and ExecPlans compiled, scratch sized),
 // read_batch / write_batch (replayed, recompiled or rebased by whole MAF
-// periods), the single accesses read_into / write and the host rectangle
-// transfers fill_rect / dump_rect perform ZERO heap allocations per call.
+// periods), the single accesses read_into / write, the batch backdoor
+// load_batch / store_batch and the host rectangle transfers fill_rect /
+// dump_rect perform ZERO heap allocations per call.
 // Verified by counting global operator new calls —
 // including the aligned forms the compiled engine's cache-line-aligned
 // SoA tables (core/simd/aligned.hpp) go through.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <new>
@@ -196,6 +198,38 @@ TEST(BatchAllocation, SteadyStateSingleAccessesAllocateNothing) {
     PolyMem mem(cfg);
     mem.set_plan_cache_enabled(use_cache);
     run(mem);  // warm-up: templates, class tables, reference scratch
+    EXPECT_EQ(count_allocations([&] { run(mem); }), 0u)
+        << "plan cache " << (use_cache ? "on" : "off");
+  }
+}
+
+// The batch backdoor, on a pattern the scheme serves and one it does not,
+// with the dense table and per element without it: once the classes are
+// built, load_batch and store_batch allocate nothing.
+TEST(BatchAllocation, BackdoorBatchesAllocateNothing) {
+  const auto cfg =
+      PolyMemConfig::with_capacity(64 * KiB, maf::Scheme::kReRo, 2, 4, 2);
+  const auto lanes = static_cast<std::int64_t>(cfg.lanes());
+  const AccessBatch rows{PatternKind::kRow, {0, 0}, {0, lanes},
+                         cfg.width / lanes, {1, 0}, 8};
+  const AccessBatch cols{PatternKind::kCol, {0, 3}, {0, 1}, 16, {lanes, 0},
+                         cfg.height / lanes};
+  std::vector<Word> buf(
+      static_cast<std::size_t>(std::max(rows.count(), cols.count())) * lanes);
+  const auto run = [&](PolyMem& mem) {
+    for (const AccessBatch& b : {rows, cols}) {
+      const std::span<Word> words(buf.data(),
+                                  static_cast<std::size_t>(b.count() * lanes));
+      mem.load_batch(b, words);
+      mem.store_batch(b, words);
+    }
+  };
+  for (bool use_cache : {true, false}) {
+    PolyMem mem(cfg);
+    ASSERT_TRUE(mem.serves(rows));
+    ASSERT_FALSE(mem.serves(cols));
+    mem.set_plan_cache_enabled(use_cache);
+    run(mem);  // warm-up: slot arrays, templates, reference scratch
     EXPECT_EQ(count_allocations([&] { run(mem); }), 0u)
         << "plan cache " << (use_cache ? "on" : "off");
   }

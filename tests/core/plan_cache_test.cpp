@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -329,6 +330,159 @@ TEST(PlanCache, NonPowerOfTwoGeometriesRunOnTheReference) {
     EXPECT_GT(mem.parallel_reads(), 0u);
     EXPECT_EQ(mem.parallel_reads(), twin.parallel_reads());
     EXPECT_EQ(mem.parallel_writes(), twin.parallel_writes());
+  }
+}
+
+// The per-element reference for the batch backdoor: each access of
+// `batch`, found by its flat index and expanded, through load / store.
+std::vector<Word> reference_load(const PolyMem& ref, const AccessBatch& batch) {
+  std::vector<Word> out;
+  std::vector<Coord> coords;
+  for (std::int64_t t = 0; t < batch.count(); ++t) {
+    access::expand_into(batch.access(t), ref.config().p, ref.config().q,
+                        coords);
+    for (const Coord c : coords) out.push_back(ref.load(c));
+  }
+  return out;
+}
+
+void reference_store(PolyMem& ref, const AccessBatch& batch,
+                     const std::vector<Word>& data) {
+  std::vector<Coord> coords;
+  std::size_t w = 0;
+  for (std::int64_t t = 0; t < batch.count(); ++t) {
+    access::expand_into(batch.access(t), ref.config().p, ref.config().q,
+                        coords);
+    for (const Coord c : coords) ref.store(c, data[w++]);
+  }
+}
+
+// The batch host backdoor against the per-element reference on a twin
+// with the plan cache off: every scheme x pattern kind, served or not,
+// over every anchor of a full MAF period on each axis (plus margin), as
+// one overlapping grid batch and one skewed batch per kind. load_batch
+// must match word for word and store_batch image for image; lookup()
+// must keep refusing what the scheme does not serve.
+void expect_backdoor_matches_reference(Scheme scheme, Geometry g) {
+  const PolyMemConfig cfg = make_config(scheme, g);
+  PolyMem mem(cfg);
+  PolyMem twin(cfg);
+  twin.set_plan_cache_enabled(false);
+  fill_deterministic(mem);
+  fill_deterministic(twin);
+  const std::string where = std::string(maf::scheme_name(scheme)) + " " +
+                            std::to_string(g.p) + "x" + std::to_string(g.q);
+  std::uint64_t seed = 7;
+  for (PatternKind kind : access::kAllPatterns) {
+    const std::vector<Coord> anchors =
+        sweep_anchors(cfg, mem.maf(), kind, SupportLevel::kAny);
+    const Coord first = anchors.front(), last = anchors.back();
+    const std::int64_t ni = last.i - first.i + 1, nj = last.j - first.j + 1;
+    const AccessBatch grid{kind, first, {0, 1}, nj, {1, 0}, ni};
+    ASSERT_EQ(grid.count(), static_cast<std::int64_t>(anchors.size()));
+    // Inside the same anchors: rows run right to left, and each row
+    // starts one down and one left of the last.
+    const std::int64_t m = std::min(ni, nj / 2);
+    const AccessBatch skew{kind, {first.i, last.j}, {0, -1}, nj - m,
+                           {1, -1}, m};
+    for (const AccessBatch& batch : {grid, skew}) {
+      std::vector<Word> words(static_cast<std::size_t>(batch.count()) *
+                              cfg.lanes());
+      mem.load_batch(batch, words);
+      ASSERT_EQ(words, reference_load(twin, batch))
+          << where << " " << access::pattern_name(kind);
+      for (Word& w : words) w = seed += 0x9E3779B97F4A7C15ull;
+      mem.store_batch(batch, words);
+      reference_store(twin, batch, words);
+    }
+    if (mem.plan_cache().enabled() &&
+        mem.supports(kind) != SupportLevel::kAny) {
+      // Slots the backdoor filled stay behind lookup()'s gate.
+      const ParallelAccess odd{kind, {first.i + 1, first.j + 1}};
+      std::int64_t delta = 0;
+      EXPECT_EQ(mem.plan_cache().lookup(odd, delta), nullptr)
+          << where << " " << access::pattern_name(kind);
+      std::vector<Word> one(cfg.lanes());
+      EXPECT_THROW(mem.read_into(odd, 0, one), Unsupported)
+          << where << " " << access::pattern_name(kind);
+    }
+  }
+  const auto elems = static_cast<std::size_t>(cfg.height) *
+                     static_cast<std::size_t>(cfg.width);
+  std::vector<Word> da(elems), db(elems);
+  mem.dump_rect({0, 0}, cfg.height, cfg.width, da);
+  twin.dump_rect({0, 0}, cfg.height, cfg.width, db);
+  EXPECT_EQ(da, db) << where;
+  EXPECT_EQ(mem.plan_cache().builds(), mem.plan_cache().size()) << where;
+  // The backdoor does no port accounting.
+  EXPECT_EQ(mem.parallel_reads() + mem.parallel_writes(), 0u) << where;
+}
+
+TEST(Backdoor, BatchesMatchTheReferenceOnEveryPattern) {
+  for (Scheme scheme : maf::kAllSchemes)
+    for (Geometry g : {Geometry{2, 2}, Geometry{2, 4}, Geometry{4, 4},
+                       Geometry{4, 8}}) {
+      ASSERT_TRUE(PolyMem(make_config(scheme, g)).plan_cache().enabled());
+      expect_backdoor_matches_reference(scheme, g);
+    }
+}
+
+// Without a dense table the backdoor runs per element, like the twin.
+TEST(Backdoor, NonPowerOfTwoGeometriesRunPerElement) {
+  for (const auto& [scheme, g] :
+       {std::pair{Scheme::kReRo, Geometry{3, 2}},
+        std::pair{Scheme::kRoCo, Geometry{2, 3}}}) {
+    ASSERT_FALSE(PolyMem(make_config(scheme, g)).plan_cache().enabled());
+    expect_backdoor_matches_reference(scheme, g);
+  }
+}
+
+// store_batch writes every read replica: each port's reads see it.
+TEST(Backdoor, StoresReachEveryReadReplica) {
+  PolyMemConfig cfg = make_config(Scheme::kReRo, {2, 4});
+  cfg.read_ports = 4;
+  PolyMem mem(cfg);
+  // Columns, which ReRo does not serve, over the whole space.
+  const AccessBatch cols{PatternKind::kCol, {0, 0}, {0, 1}, cfg.width,
+                         {cfg.lanes(), 0}, cfg.height / cfg.lanes()};
+  ASSERT_FALSE(mem.serves(cols));
+  std::vector<Word> data(static_cast<std::size_t>(cols.count()) * cfg.lanes());
+  for (std::size_t k = 0; k < data.size(); ++k) data[k] = 0xA5A5 + 3 * k;
+  mem.store_batch(cols, data);
+  std::vector<Word> image(static_cast<std::size_t>(cfg.height * cfg.width));
+  mem.dump_rect({0, 0}, cfg.height, cfg.width, image);
+  // Rows, which ReRo serves, read on each port.
+  const AccessBatch rows{PatternKind::kRow, {0, 0},
+                         {0, static_cast<std::int64_t>(cfg.lanes())},
+                         cfg.width / cfg.lanes(), {1, 0}, cfg.height};
+  std::vector<Word> got(image.size());
+  for (unsigned port = 0; port < cfg.read_ports; ++port) {
+    mem.read_batch(rows, port, got);
+    EXPECT_EQ(got, image) << "port " << port;
+  }
+  std::vector<Word> back(data.size());
+  mem.load_batch(cols, back);
+  EXPECT_EQ(back, data);
+}
+
+// Overlapping accesses of one batch store in batch order: the last wins,
+// on a row ReRo serves and on one ReO does not (its banks repeat).
+TEST(Backdoor, OverlappingStoresLastWins) {
+  for (Scheme scheme : {Scheme::kReRo, Scheme::kReO}) {
+    const PolyMemConfig cfg = make_config(scheme, {2, 4});
+    PolyMem mem(cfg);
+    const auto lanes = static_cast<std::int64_t>(cfg.lanes());
+    const AccessBatch rows =
+        AccessBatch::strided(PatternKind::kRow, {1, 2}, {0, 1}, 4);
+    std::vector<Word> data(static_cast<std::size_t>(rows.count() * lanes));
+    for (std::size_t k = 0; k < data.size(); ++k) data[k] = 1000 + k;
+    mem.store_batch(rows, data);
+    for (std::int64_t j = 2; j < 2 + 3 + lanes; ++j) {
+      const std::int64_t t = std::min<std::int64_t>(j - 2, 3);
+      EXPECT_EQ(mem.load({1, j}),
+                data[static_cast<std::size_t>(t * lanes + (j - 2 - t))])
+          << maf::scheme_name(scheme) << " column " << j;
+    }
   }
 }
 
