@@ -4,8 +4,8 @@
 // Closed-loop clients hammer the PolyMem-as-a-service engine
 // (src/service) with Zipf-skewed scan bursts: each client repeatedly
 // picks a popular anchor, then walks consecutive rows — the streaming
-// shape the per-port coalescer turns into one compiled ExecPlan
-// gather/scatter per run. A quarter of the bursts are WRITES: reads
+// shape the per-port coalescer turns into one read_batch / write_batch
+// call per run. A quarter of the bursts are WRITES: reads
 // draw from a shared read-only region (so the serial replay stays a
 // valid oracle under concurrency), writes land in each client's
 // private row band (per-client FIFO makes the final image
@@ -22,7 +22,8 @@
 //  3. engine_multiport — one queue per client (ports = clients,
 //     read_ports = ports): each port's FIFO prefix is one client's
 //     burst, so the drain coalesces near-full runs and serves each with
-//     one compiled gather/scatter (BENCH_core.json's batched column).
+//     one read_batch / write_batch call (BENCH_core.json's batched
+//     column).
 //  4. sharded_multitenant — a 256x256 LMem-resident matrix served by 4
 //     PolyMem shards (each a write-back TileCache over the shared
 //     LMem), 6 tenants routed by anchor-tile hash; Zipf tile

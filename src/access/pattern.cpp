@@ -82,9 +82,10 @@ bool fits(const ParallelAccess& access, unsigned p, unsigned q,
           std::int64_t height, std::int64_t width) {
   const PatternExtent ext = pattern_extent(access.kind, p, q);
   const auto [a, b] = access.anchor;
-  const std::int64_t left = b + ext.col_offset;
-  return a >= 0 && left >= 0 && a + ext.rows <= height &&
-         left + ext.cols <= width;
+  // Compared against bounds moved to the other side, so no sum of an
+  // extreme anchor and an extent can overflow.
+  return a >= 0 && a <= height - ext.rows && b >= -ext.col_offset &&
+         b <= width - ext.cols - ext.col_offset;
 }
 
 }  // namespace polymem::access

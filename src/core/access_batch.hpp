@@ -1,18 +1,20 @@
-// AccessBatch — a strided sequence of parallel accesses.
+// AccessBatch — a strided sequence of parallel accesses — and the
+// BatchCoalescer that folds an access stream into them.
 //
-// Split out of core/polymem.hpp so the compiled execution engine
-// (core/exec_plan.hpp) can consume batches without pulling in the whole
-// PolyMem interface.
+// Split out of core/polymem.hpp so the service queues (src/service) and
+// the trace recorder (src/sched) can build batches without pulling in the
+// whole PolyMem interface.
 #pragma once
 
 #include <cstdint>
+#include <optional>
 
 #include "access/pattern.hpp"
 
 namespace polymem::core {
 
 /// A strided sequence of parallel accesses, validated once and executed
-/// through the compiled engine with no per-access allocation. Anchors
+/// through one gather or scatter with no per-access allocation. Anchors
 /// form an outer x inner grid walked row-major:
 ///
 ///   anchor(o, t) = start + o*outer_stride + t*inner_stride,
@@ -46,17 +48,35 @@ struct AccessBatch {
     return {kind, start, stride, count, {0, 0}, 1};
   }
 
-  /// Field-wise equality — the key of the compiled-plan memo: equal
-  /// batches on the same PolyMem replay the same ExecPlan.
-  friend bool operator==(const AccessBatch&, const AccessBatch&) = default;
+  /// Anchor (o, k) of the grid, or nullopt when a coordinate overflows
+  /// int64 (such an anchor lies outside every address space). The bounds
+  /// checks evaluate the grid's corners through this.
+  std::optional<access::Coord> anchor(std::int64_t o, std::int64_t k) const {
+    access::Coord a;
+    if (!affine(start.i, o, outer_stride.i, k, inner_stride.i, a.i) ||
+        !affine(start.j, o, outer_stride.j, k, inner_stride.j, a.j))
+      return std::nullopt;
+    return a;
+  }
+
+ private:
+  /// out = base + o*so + k*sk; false on int64 overflow.
+  static bool affine(std::int64_t base, std::int64_t o, std::int64_t so,
+                     std::int64_t k, std::int64_t sk, std::int64_t& out) {
+    std::int64_t a = 0, b = 0;
+    return !__builtin_mul_overflow(o, so, &a) &&
+           !__builtin_mul_overflow(k, sk, &b) &&
+           !__builtin_add_overflow(base, a, &out) &&
+           !__builtin_add_overflow(out, b, &out);
+  }
 };
 
 /// Greedy run detector: folds a stream of parallel accesses into maximal
 /// constant-stride, same-pattern runs, each expressible as one strided
 /// AccessBatch. This is the batch-coalescing entry point of the service
 /// layer (src/service): a port queue feeds the accesses it pops in FIFO
-/// order, and every emitted run is compiled once and executed as a single
-/// gather/scatter — amortizing one ExecPlan over many requests.
+/// order, and every emitted run is one read_batch / write_batch call —
+/// one lowering and one gather/scatter amortized over many requests.
 ///
 /// Semantics: the first access opens a run; the second fixes the stride
 /// (any value, including zero); each later access must repeat the pattern

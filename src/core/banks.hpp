@@ -57,8 +57,8 @@ class BankArray {
   hw::Word* const* bases() { return bases_.data(); }
   const hw::Word* const* bases() const { return bases_.data(); }
 
-  /// Raw storage base of one bank replica — the compiled batch engine
-  /// (core/exec_plan.hpp) builds its flat gather/scatter pointer tables
+  /// Raw storage base of one bank replica — the plan cache
+  /// (core/plan_cache.hpp) builds its flat gather/scatter pointer tables
   /// from these. Stable for the array's lifetime (banks never resize).
   const hw::Word* bank_storage(unsigned port, unsigned bank) const;
   hw::Word* bank_storage(unsigned port, unsigned bank);

@@ -1,6 +1,7 @@
 #include "core/plan_cache.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/error.hpp"
 #include "common/math.hpp"
@@ -50,28 +51,6 @@ PlanCache::PlanCache(const PolyMemConfig& config, const maf::Maf& maf,
   }
 }
 
-const PlanTemplate* PlanCache::class_template(const ParallelAccess& access,
-                                              std::int64_t& delta) {
-  KindInfo& ki = kinds_[static_cast<std::size_t>(access.kind)];
-  if (ki.slots.empty())
-    ki.slots.resize(static_cast<std::size_t>(period_i_ * period_j_));
-  const auto [ai, aj] = access.anchor;
-  // In-bounds anchors are non-negative (min_j >= 0 even for SecDiag), so
-  // masks and shifts give the floored decomposition a = A*P + r.
-  const std::int64_t ri = ai & (period_i_ - 1);
-  const std::int64_t rj = aj & (period_j_ - 1);
-  delta = (ai >> shift_i_) * delta_i_ + (aj >> shift_j_) * delta_j_;
-  std::unique_ptr<PlanTemplate>& slot =
-      ki.slots[static_cast<std::size_t>((ri << shift_j_) | rj)];
-  if (slot) {
-    ++hits_;
-  } else {
-    slot = build(access.kind, ri, rj);
-    ++builds_;
-  }
-  return slot.get();
-}
-
 const PlanTemplate* PlanCache::lookup(const ParallelAccess& access,
                                       std::int64_t& delta) {
   if (!enabled_) return nullptr;
@@ -105,18 +84,12 @@ std::size_t PlanCache::size() const {
   return filled;
 }
 
-std::optional<std::int64_t> PlanCache::period_shift(access::Coord from,
-                                                    access::Coord to) const {
-  const std::int64_t di = to.i - from.i;
-  const std::int64_t dj = to.j - from.j;
-  if (!enabled_ || di % period_i_ != 0 || dj % period_j_ != 0)
-    return std::nullopt;
-  return (di / period_i_) * delta_i_ + (dj / period_j_) * delta_j_;
-}
-
-std::unique_ptr<PlanTemplate> PlanCache::build(PatternKind kind,
-                                               std::int64_t ri,
-                                               std::int64_t rj) {
+const PlanTemplate* PlanCache::build(PatternKind kind, std::size_t slot) {
+  KindInfo& ki = kinds_[static_cast<std::size_t>(kind)];
+  if (ki.slots.empty())
+    ki.slots.resize(static_cast<std::size_t>(period_i_ * period_j_));
+  const auto ri = static_cast<std::int64_t>(slot >> shift_j_);
+  const auto rj = static_cast<std::int64_t>(slot) & (period_j_ - 1);
   // The residue anchor (ri, rj) may place elements outside the address
   // space or below zero (SecDiag walks left); bank() and the floordiv
   // decomposition are defined there, and the per-anchor delta shifts the
@@ -126,50 +99,30 @@ std::unique_ptr<PlanTemplate> PlanCache::build(PatternKind kind,
   const unsigned lanes = static_cast<unsigned>(coords_scratch_.size());
   auto t = std::make_unique<PlanTemplate>();
   t->bank.resize(lanes);
-  t->lane_for_bank.resize(lanes);
   t->addr0.resize(lanes);
-  t->bank_addr0.resize(lanes);
   const auto p = static_cast<std::int64_t>(config_->p);
   const auto q = static_cast<std::int64_t>(config_->q);
   for (unsigned k = 0; k < lanes; ++k) {
     const access::Coord c = coords_scratch_[k];
     t->bank[k] = maf_->bank(c);
-    t->addr0[k] = floordiv(c.i, p) * row_words_ + floordiv(c.j, q);
-  }
-  // Conflict-freeness (proven by the oracle before lookup hands out
-  // templates) makes `bank` a permutation for every class lookup()
-  // reaches; a class only class_template() reaches may repeat a bank.
-  std::fill(t->lane_for_bank.begin(), t->lane_for_bank.end(), lanes);
-  bool permutation = true;
-  for (unsigned k = 0; k < lanes; ++k) {
     POLYMEM_ASSERT(t->bank[k] < lanes);
-    permutation = permutation && t->lane_for_bank[t->bank[k]] == lanes;
-    t->lane_for_bank[t->bank[k]] = k;
-    t->bank_addr0[t->bank[k]] = t->addr0[k];
-  }
-  if (!permutation) {
-    t->lane_for_bank = {};
-    t->bank_addr0 = {};
+    t->addr0[k] = floordiv(c.i, p) * row_words_ + floordiv(c.j, q);
   }
   // Base addresses of a residue class may sit below the bank's first word
   // (the per-anchor delta shifts them back in range); fold them into the
-  // tables as integers so no out-of-range pointer is ever formed.
-  const auto at = [this](unsigned port, unsigned bank, std::int64_t addr) {
-    return reinterpret_cast<std::uintptr_t>(banks_->bank_storage(port, bank)) +
-           static_cast<std::uintptr_t>(
-               static_cast<std::int64_t>(sizeof(hw::Word)) * addr);
-  };
+  // table as integers so no out-of-range pointer is ever formed.
   const unsigned ports = banks_->read_ports();
   t->lane_base.resize(static_cast<std::size_t>(ports) * lanes);
-  if (permutation) t->bank_base.resize(static_cast<std::size_t>(ports) * lanes);
-  for (unsigned r = 0; r < ports; ++r) {
-    const std::size_t row = static_cast<std::size_t>(r) * lanes;
-    for (unsigned k = 0; k < lanes; ++k) {
-      t->lane_base[row + k] = at(r, t->bank[k], t->addr0[k]);
-      if (permutation) t->bank_base[row + k] = at(r, k, t->bank_addr0[k]);
-    }
-  }
-  return t;
+  std::uintptr_t* base = t->lane_base.data();
+  for (unsigned r = 0; r < ports; ++r)
+    for (unsigned k = 0; k < lanes; ++k)
+      *base++ = reinterpret_cast<std::uintptr_t>(
+                    banks_->bank_storage(r, t->bank[k])) +
+                static_cast<std::uintptr_t>(
+                    static_cast<std::int64_t>(sizeof(hw::Word)) * t->addr0[k]);
+  ++builds_;
+  ki.slots[slot] = std::move(t);
+  return ki.slots[slot].get();
 }
 
 }  // namespace polymem::core

@@ -10,20 +10,18 @@
 //   bank(a + d)  = bank(r + d)
 //   addr(a + d)  = addr0(r + d) + Ai*(Pi/p)*(W/q) + Aj*(Pj/q)
 //
-// So one *plan template* per (pattern, anchor-residue) class — the bank
-// permutation, its inverse, the per-lane/per-bank base addresses and the
-// gather/scatter tables compiled from them against the owner's banks —
-// replaces the per-lane MAF + addressing + shuffle work of the naive AGU
-// path with one indexed load and one add per bank.
+// So one *plan template* per (pattern, anchor-residue) class — the lane
+// banks, the per-lane base addresses and the gather table compiled from
+// them against the owner's banks — replaces the per-lane MAF + addressing
+// + shuffle work of the naive AGU path with one indexed load and one add
+// per lane.
 //
 // The decomposition holds for every pattern kind, served or not, so the
 // table has two doors. lookup() gates on support, alignment and bounds
-// and hands the compiled engine only classes the scheme serves
-// conflict-free. class_template() serves any in-bounds anchor of any kind
-// — the host backdoor (PolyMem::load_batch/store_batch) moves an
-// unserved access through its class's gather table instead of resolving
-// bank and address per element. A class whose banks collide (only the
-// backdoor reaches one) gets no scatter tables.
+// and hands single accesses only classes the scheme serves conflict-free.
+// class_template() serves any in-bounds anchor of any kind: the batch
+// lowering (PolyMem::read_batch/write_batch/load_batch/store_batch) calls
+// it after the batch's own checks.
 //
 // The table is dense: each pattern kind owns Pi*Pj slots (an unsupported
 // kind's are allocated when it is first touched), and an anchor (ai, aj)
@@ -40,7 +38,7 @@
 // into, and only the one thread that runs that PolyMem's engine calls it
 // (core/polymem.hpp). So the slots, the build scratch and the hit/build
 // counters are plain members. Template pointers are stable for the
-// cache's lifetime, so compiled plans may hold them.
+// cache's lifetime.
 //
 // Correctness rests on two machine-checked facts: the axis periods
 // (tested against Maf::bank over multiple periods) and conflict-freeness
@@ -54,7 +52,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "access/pattern.hpp"
@@ -67,23 +64,16 @@
 namespace polymem::core {
 
 /// The reusable part of an AccessPlan for one (pattern, anchor-residue)
-/// class: the bank permutation in both directions, the base intra-bank
-/// addresses, and the kernel tables built from them. Per-anchor plans are
-/// `bank_addr0[b] + delta` with the O(1) delta returned by
-/// PlanCache::lookup. The bank-indexed fields (lane_for_bank, bank_addr0,
-/// bank_base) are empty when two lanes share a bank, which only a class
-/// the scheme does not serve can do.
+/// class: the lane banks, the base intra-bank addresses, and the kernel
+/// table built from them. Per-anchor plans are `addr0[k] + delta` with the
+/// O(1) delta returned by PlanCache::lookup. Two lanes share a bank only
+/// in a class the scheme does not serve; their addresses still differ.
 struct PlanTemplate {
-  std::vector<unsigned> bank;                     ///< lane k -> bank
-  simd::AlignedVec<std::uint32_t> lane_for_bank;  ///< bank b -> lane
-  std::vector<std::int64_t> addr0;                ///< lane k -> base address
-  std::vector<std::int64_t> bank_addr0;           ///< bank b -> base address
-  /// Gather table, [port][lane] flattened: read replica `port`'s storage
-  /// of lane k's bank, pre-advanced by addr0[k] words.
+  std::vector<unsigned> bank;       ///< lane k -> bank
+  std::vector<std::int64_t> addr0;  ///< lane k -> base address
+  /// Gather and scatter table, [port][lane] flattened: read replica
+  /// `port`'s storage of lane k's bank, pre-advanced by addr0[k] words.
   simd::AlignedVec<std::uintptr_t> lane_base;
-  /// Scatter table, [replica][bank] flattened: every replica's storage of
-  /// bank b, pre-advanced by bank_addr0[b] words.
-  simd::AlignedVec<std::uintptr_t> bank_base;
 };
 
 class PlanCache {
@@ -113,24 +103,28 @@ class PlanCache {
   /// lookup() without its gate: the template and delta of any access
   /// whose elements all lie in the address space, for any pattern kind,
   /// whether or not the scheme serves it. The caller has checked bounds
-  /// and enabled(). Its bank vector need not be a permutation, so the
-  /// template serves the host backdoor's gather tables, not the compiled
-  /// engine. Counted like lookup().
+  /// and enabled(). Its bank vector need not be a permutation, so a
+  /// caller that needs conflict-freedom checks support itself (as
+  /// PolyMem::validate_batch does). Counted like lookup(). The hit path
+  /// is inline; a class's first touch builds it out of line.
   const PlanTemplate* class_template(const access::ParallelAccess& access,
-                                     std::int64_t& delta);
+                                     std::int64_t& delta) {
+    const auto [ai, aj] = access.anchor;
+    // In-bounds anchors are non-negative (min_j >= 0 even for SecDiag), so
+    // masks and shifts give the floored decomposition a = A*P + r.
+    delta = (ai >> shift_i_) * delta_i_ + (aj >> shift_j_) * delta_j_;
+    const auto slot = static_cast<std::size_t>(
+        ((ai & (period_i_ - 1)) << shift_j_) | (aj & (period_j_ - 1)));
+    const auto& slots = kinds_[static_cast<std::size_t>(access.kind)].slots;
+    if (slot < slots.size() && slots[slot] != nullptr) {
+      ++hits_;
+      return slots[slot].get();
+    }
+    return build(access.kind, slot);
+  }
 
   std::int64_t period_i() const { return period_i_; }
   std::int64_t period_j() const { return period_j_; }
-  unsigned lanes() const { return config_->lanes(); }
-  unsigned ports() const { return banks_->read_ports(); }
-
-  /// Moving an anchor from `from` to `to` by whole periods on both axes
-  /// keeps its residue class, so its template, and moves its delta by the
-  /// returned amount (the decomposition above). nullopt when the move
-  /// changes a residue or the cache is disabled. Callers pass in-bounds
-  /// anchors, the only ones lookup() serves; this checks nothing else.
-  std::optional<std::int64_t> period_shift(access::Coord from,
-                                           access::Coord to) const;
 
   /// Machine-checked support level of `kind`, probed once per pattern at
   /// construction (also when the cache is disabled) and immutable after:
@@ -166,8 +160,9 @@ class PlanCache {
     std::vector<std::unique_ptr<PlanTemplate>> slots;
   };
 
-  std::unique_ptr<PlanTemplate> build(access::PatternKind kind,
-                                      std::int64_t ri, std::int64_t rj);
+  /// Fills slot `slot` of `kind` (allocating the kind's slot array on its
+  /// first touch) and counts one build.
+  const PlanTemplate* build(access::PatternKind kind, std::size_t slot);
 
   const PolyMemConfig* config_;
   const maf::Maf* maf_;

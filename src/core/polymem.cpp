@@ -1,8 +1,9 @@
 #include "core/polymem.hpp"
 
-#include <sstream>
-
 #include <algorithm>
+#include <bit>
+#include <optional>
+#include <sstream>
 
 #include "common/error.hpp"
 #include "core/shuffle.hpp"
@@ -41,10 +42,8 @@ const PlanTemplate* PolyMem::resolve(const access::ParallelAccess& where,
 void PolyMem::execute_read(const PlanTemplate* t, std::int64_t delta,
                            unsigned port, std::span<Word> out) {
   if (t != nullptr) {
-    const unsigned lanes = config_.lanes();
-    simd::gather_run(
-        t->lane_base.data() + static_cast<std::size_t>(port) * lanes, lanes,
-        &delta, 1, out.data());
+    const std::uintptr_t* table = t->lane_base.data();
+    simd::gather(&table, port, config_.lanes(), &delta, 1, out.data());
     return;
   }
   address_shuffle(scratch_.plan, scratch_.bank_addr);
@@ -55,9 +54,9 @@ void PolyMem::execute_read(const PlanTemplate* t, std::int64_t delta,
 void PolyMem::execute_write(const PlanTemplate* t, std::int64_t delta,
                             std::span<const Word> data) {
   if (t != nullptr) {
-    simd::scatter_run(t->bank_base.data(), config_.read_ports,
-                      t->lane_for_bank.data(), config_.lanes(), &delta, 1,
-                      data.data());
+    const std::uintptr_t* table = t->lane_base.data();
+    simd::scatter(&table, config_.read_ports, config_.lanes(), &delta, 1,
+                  data.data());
     return;
   }
   address_shuffle(scratch_.plan, scratch_.bank_addr);
@@ -112,7 +111,7 @@ bool PolyMem::serves(const AccessBatch& batch) const {
   return false;
 }
 
-void PolyMem::validate_batch(const AccessBatch& batch) const {
+std::size_t PolyMem::validate_batch(const AccessBatch& batch) const {
   // A batch without accesses needs no support; check_bounds refuses
   // negative counts.
   if (batch.inner_count > 0 && batch.outer_count > 0 && !serves(batch)) {
@@ -127,212 +126,164 @@ void PolyMem::validate_batch(const AccessBatch& batch) const {
             "alignment";
     throw Unsupported(os.str());
   }
-  check_bounds(batch);
+  return check_bounds(batch);
 }
 
-void PolyMem::check_bounds(const AccessBatch& batch) const {
+std::size_t PolyMem::check_bounds(const AccessBatch& batch) const {
   POLYMEM_REQUIRE(batch.inner_count >= 0 && batch.outer_count >= 0,
                   "batch counts must be non-negative");
-  if (batch.count() == 0) return;
+  if (batch.inner_count == 0 || batch.outer_count == 0) return 0;
   // Anchor coordinates are affine in the (inner, outer) index box, so the
-  // per-axis extremes — all `fits` cares about — occur at the corners.
+  // per-axis extremes — all `fits` cares about — occur at the corners. A
+  // corner whose coordinates overflow lies outside every address space.
   for (int corner = 0; corner < 4; ++corner) {
     const std::int64_t k = (corner & 1) ? batch.inner_count - 1 : 0;
     const std::int64_t o = (corner & 2) ? batch.outer_count - 1 : 0;
-    const access::Coord anchor{
-        batch.start.i + o * batch.outer_stride.i + k * batch.inner_stride.i,
-        batch.start.j + o * batch.outer_stride.j + k * batch.inner_stride.j};
-    if (!access::fits({batch.kind, anchor}, config_.p, config_.q,
-                      config_.height, config_.width)) {
-      std::ostringstream os;
-      os << "batch access " << access::pattern_name(batch.kind) << " at "
-         << anchor << " exceeds the " << config_.height << 'x'
-         << config_.width << " address space";
-      throw InvalidArgument(os.str());
+    if ((k == 0 && (corner & 1)) || (o == 0 && (corner & 2)))
+      continue;  // the same anchor as an earlier corner
+    const std::optional<access::Coord> anchor = batch.anchor(o, k);
+    if (anchor && access::fits({batch.kind, *anchor}, config_.p, config_.q,
+                               config_.height, config_.width))
+      continue;
+    std::ostringstream os;
+    os << "batch access " << access::pattern_name(batch.kind) << " at ";
+    if (anchor)
+      os << *anchor;
+    else
+      os << batch.start << " + " << o << " outer + " << k
+         << " inner steps (overflows)";
+    os << " exceeds the " << config_.height << 'x' << config_.width
+       << " address space";
+    throw InvalidArgument(os.str());
+  }
+  // Repeated anchors (zero strides) pass the corner test at any count.
+  std::int64_t words = 0;
+  POLYMEM_REQUIRE(
+      !__builtin_mul_overflow(batch.inner_count, batch.outer_count, &words) &&
+          !__builtin_mul_overflow(words, config_.lanes(), &words),
+      "batch moves more words than a buffer can hold");
+  return static_cast<std::size_t>(words);
+}
+
+namespace {
+
+/// Steps of `stride` after which an anchor is back in its residue class
+/// modulo the axis period `period`: for a power of two, period over the
+/// largest power of two dividing both (1 for a zero stride).
+std::int64_t axis_period(std::int64_t period, std::int64_t stride) {
+  const int shift = std::countr_zero(static_cast<std::uint64_t>(stride));
+  return shift >= std::countr_zero(static_cast<std::uint64_t>(period))
+             ? 1
+             : period >> shift;
+}
+
+}  // namespace
+
+bool PolyMem::lower(const AccessBatch& batch) {
+  if (!uses_plan_cache()) return false;
+  const auto n = static_cast<std::size_t>(batch.count());
+  tables_.resize(n);
+  deltas_.resize(n);
+  // Along a row, anchors return to their residue class every `period`
+  // steps (the larger axis period: both are powers of two), and within a
+  // class the delta is affine in the anchor (see plan_cache.hpp). So a
+  // row looks up one period of classes plus one access, which gives the
+  // delta advance per period, and copies the rest. The caller checked
+  // the batch's bounds, so the copy skips only work, never a check.
+  const access::Coord s = batch.inner_stride;
+  const std::int64_t inner = batch.inner_count;
+  const std::int64_t period =
+      std::max(axis_period(plan_cache_.period_i(), s.i),
+               axis_period(plan_cache_.period_j(), s.j));
+  const std::int64_t head = std::min(inner, period + 1);
+  std::size_t t = 0;
+  for (std::int64_t o = 0; o < batch.outer_count; ++o) {
+    access::ParallelAccess a{batch.kind,
+                             {batch.start.i + o * batch.outer_stride.i,
+                              batch.start.j + o * batch.outer_stride.j}};
+    for (std::int64_t k = 0; k < head; ++k, ++t) {
+      if (k > 0) a.anchor = {a.anchor.i + s.i, a.anchor.j + s.j};
+      tables_[t] = plan_cache_.class_template(a, deltas_[t])->lane_base.data();
+    }
+    if (head == inner) continue;
+    const auto p = static_cast<std::size_t>(period);
+    const std::int64_t advance = deltas_[t - 1] - deltas_[t - 1 - p];
+    for (std::int64_t k = head; k < inner; ++k, ++t) {
+      tables_[t] = tables_[t - p];
+      deltas_[t] = deltas_[t - p] + advance;
     }
   }
-}
-
-ExecPlan* PolyMem::compiled_plan(const AccessBatch& batch) {
-  if (!use_plan_cache_ || !plan_cache_.enabled()) return nullptr;
-  for (ExecSlot& slot : exec_slots_)
-    if (slot.valid && slot.key == batch) return &slot.plan;
-  // The same shape moved by whole MAF periods keeps every access's
-  // residue class: shift that plan's deltas instead of recompiling. The
-  // caller validated `batch`, so the lookups this skips could only return
-  // the templates the plan already holds.
-  for (ExecSlot& slot : exec_slots_) {
-    if (!slot.valid) continue;
-    AccessBatch moved = slot.key;
-    moved.start = batch.start;
-    if (!(moved == batch)) continue;
-    if (const auto shift = plan_cache_.period_shift(slot.key.start,
-                                                    batch.start)) {
-      slot.plan.rebase(*shift);
-      slot.key = batch;
-      return &slot.plan;
-    }
-  }
-  ExecSlot& slot = exec_slots_[exec_victim_];
-  if (!slot.plan.compile(batch, plan_cache_)) {
-    slot.valid = false;
-    return nullptr;
-  }
-  slot.key = batch;
-  slot.valid = true;
-  exec_victim_ = (exec_victim_ + 1) % kExecSlots;
-  return &slot.plan;
-}
-
-void PolyMem::exec_read(const ExecPlan& plan, unsigned port, Word* out) {
-  const std::uintptr_t* const* lane_bases = plan.lane_bases(port);
-  if (plan.uniform()) {
-    simd::gather_run(lane_bases[0], plan.lanes(), plan.delta(), plan.count(),
-                     out);
-    return;
-  }
-  simd::gather_multi(lane_bases, plan.tmpl_of(), plan.lanes(), plan.delta(),
-                     plan.count(), out);
-}
-
-void PolyMem::exec_write(const ExecPlan& plan, const Word* data) {
-  if (plan.uniform()) {
-    simd::scatter_run(plan.bank_bases()[0], plan.ports(),
-                      plan.lanes_for_bank()[0], plan.lanes(), plan.delta(),
-                      plan.count(), data);
-    return;
-  }
-  simd::scatter_multi(plan.bank_bases(), plan.lanes_for_bank(),
-                      plan.tmpl_of(), plan.ports(), plan.lanes(),
-                      plan.delta(), plan.count(), data);
+  return true;
 }
 
 void PolyMem::read_batch(const AccessBatch& batch, unsigned port,
                          std::span<Word> out) {
   POLYMEM_REQUIRE(port < config_.read_ports, "read port out of range");
-  validate_batch(batch);
-  const unsigned lanes = config_.lanes();
-  POLYMEM_REQUIRE(out.size() == static_cast<std::size_t>(batch.count()) * lanes,
+  const std::size_t words = validate_batch(batch);
+  POLYMEM_REQUIRE(out.size() == words,
                   "batch read buffer must provide count * lanes words");
-  if (batch.count() == 0) return;
-  if (ExecPlan* plan = compiled_plan(batch)) {
-    exec_read(*plan, port, out.data());
-    parallel_reads_ += static_cast<std::uint64_t>(plan->count());
+  if (lower(batch)) {
+    simd::gather(tables_.data(), port, config_.lanes(), deltas_.data(),
+                 batch.count(), out.data());
+    parallel_reads_ += static_cast<std::uint64_t>(batch.count());
     return;
   }
+  const unsigned lanes = config_.lanes();
   for (std::int64_t t = 0; t < batch.count(); ++t)
     read_into(batch.access(t), port,
               out.subspan(static_cast<std::size_t>(t) * lanes, lanes));
 }
 
-bool PolyMem::compile_batch(const AccessBatch& batch, ExecPlan& plan) {
-  validate_batch(batch);
-  if (batch.count() == 0 || !use_plan_cache_ || !plan_cache_.enabled())
-    return false;
-  return plan.compile(batch, plan_cache_);
-}
-
-void PolyMem::read_compiled(const ExecPlan& plan, unsigned port,
-                            std::span<Word> out) {
-  POLYMEM_REQUIRE(port < config_.read_ports, "read port out of range");
-  POLYMEM_REQUIRE(
-      out.size() == static_cast<std::size_t>(plan.count()) * plan.lanes(),
-      "batch read buffer must provide count * lanes words");
-  exec_read(plan, port, out.data());
-  parallel_reads_ += static_cast<std::uint64_t>(plan.count());
-}
-
-void PolyMem::write_compiled(const ExecPlan& plan,
-                             std::span<const Word> data) {
-  POLYMEM_REQUIRE(
-      data.size() == static_cast<std::size_t>(plan.count()) * plan.lanes(),
-      "batch write buffer must provide count * lanes words");
-  exec_write(plan, data.data());
-  parallel_writes_ += static_cast<std::uint64_t>(plan.count());
-}
-
 void PolyMem::write_batch(const AccessBatch& batch,
                           std::span<const Word> data) {
-  validate_batch(batch);
-  const unsigned lanes = config_.lanes();
-  POLYMEM_REQUIRE(
-      data.size() == static_cast<std::size_t>(batch.count()) * lanes,
-      "batch write buffer must provide count * lanes words");
-  if (batch.count() == 0) return;
-  if (ExecPlan* plan = compiled_plan(batch)) {
-    exec_write(*plan, data.data());
-    parallel_writes_ += static_cast<std::uint64_t>(plan->count());
+  const std::size_t words = validate_batch(batch);
+  POLYMEM_REQUIRE(data.size() == words,
+                  "batch write buffer must provide count * lanes words");
+  if (lower(batch)) {
+    simd::scatter(tables_.data(), config_.read_ports, config_.lanes(),
+                  deltas_.data(), batch.count(), data.data());
+    parallel_writes_ += static_cast<std::uint64_t>(batch.count());
     return;
   }
+  const unsigned lanes = config_.lanes();
   for (std::int64_t t = 0; t < batch.count(); ++t)
     write(batch.access(t),
           data.subspan(static_cast<std::size_t>(t) * lanes, lanes));
 }
 
-namespace {
-
-/// Calls visit(access) for each access of `batch`, in flat-index order.
-template <typename Visit>
-void for_each_access(const AccessBatch& batch, Visit&& visit) {
-  access::ParallelAccess a{batch.kind, batch.start};
-  for (std::int64_t o = 0; o < batch.outer_count; ++o) {
-    a.anchor = {batch.start.i + o * batch.outer_stride.i,
-                batch.start.j + o * batch.outer_stride.j};
-    for (std::int64_t k = 0; k < batch.inner_count; ++k) {
-      visit(a);
-      a.anchor.i += batch.inner_stride.i;
-      a.anchor.j += batch.inner_stride.j;
-    }
-  }
-}
-
-}  // namespace
-
 void PolyMem::load_batch(const AccessBatch& batch, std::span<Word> out) {
-  check_bounds(batch);
-  const unsigned lanes = config_.lanes();
-  POLYMEM_REQUIRE(out.size() == static_cast<std::size_t>(batch.count()) * lanes,
+  const std::size_t words = check_bounds(batch);
+  POLYMEM_REQUIRE(out.size() == words,
                   "batch load buffer must provide count * lanes words");
-  Word* dst = out.data();
-  if (!use_plan_cache_ || !plan_cache_.enabled()) {
-    std::vector<access::Coord>& coords = scratch_.plan.coords;
-    for_each_access(batch, [&](const access::ParallelAccess& a) {
-      access::expand_into(a, config_.p, config_.q, coords);
-      for (const access::Coord c : coords) *dst++ = load(c);
-    });
+  if (lower(batch)) {
+    simd::gather(tables_.data(), 0, config_.lanes(), deltas_.data(),
+                 batch.count(), out.data());
     return;
   }
-  for_each_access(batch, [&](const access::ParallelAccess& a) {
-    std::int64_t delta = 0;
-    const PlanTemplate* t = plan_cache_.class_template(a, delta);
-    simd::gather_run(t->lane_base.data(), lanes, &delta, 1, dst);
-    dst += lanes;
-  });
+  Word* dst = out.data();
+  for (std::int64_t t = 0; t < batch.count(); ++t) {
+    access::expand_into(batch.access(t), config_.p, config_.q,
+                        scratch_.plan.coords);
+    for (const access::Coord c : scratch_.plan.coords) *dst++ = load(c);
+  }
 }
 
 void PolyMem::store_batch(const AccessBatch& batch,
                           std::span<const Word> data) {
-  check_bounds(batch);
-  const unsigned lanes = config_.lanes();
-  POLYMEM_REQUIRE(
-      data.size() == static_cast<std::size_t>(batch.count()) * lanes,
-      "batch store buffer must provide count * lanes words");
-  const Word* src = data.data();
-  if (!use_plan_cache_ || !plan_cache_.enabled()) {
-    std::vector<access::Coord>& coords = scratch_.plan.coords;
-    for_each_access(batch, [&](const access::ParallelAccess& a) {
-      access::expand_into(a, config_.p, config_.q, coords);
-      for (const access::Coord c : coords) store(c, *src++);
-    });
+  const std::size_t words = check_bounds(batch);
+  POLYMEM_REQUIRE(data.size() == words,
+                  "batch store buffer must provide count * lanes words");
+  if (lower(batch)) {
+    simd::scatter(tables_.data(), config_.read_ports, config_.lanes(),
+                  deltas_.data(), batch.count(), data.data());
     return;
   }
-  for_each_access(batch, [&](const access::ParallelAccess& a) {
-    std::int64_t delta = 0;
-    const PlanTemplate* t = plan_cache_.class_template(a, delta);
-    simd::scatter_lanes(t->lane_base.data(), config_.read_ports, lanes,
-                        &delta, 1, src);
-    src += lanes;
-  });
+  const Word* src = data.data();
+  for (std::int64_t t = 0; t < batch.count(); ++t) {
+    access::expand_into(batch.access(t), config_.p, config_.q,
+                        scratch_.plan.coords);
+    for (const access::Coord c : scratch_.plan.coords) store(c, *src++);
+  }
 }
 
 Word PolyMem::load(access::Coord c) const {

@@ -14,40 +14,38 @@
 // One execution engine serves accesses, with one reference beside it
 // (docs/ARCHITECTURE.md, "Performance model" and "SIMD execution engine"):
 //  - the *compiled* engine: the MAF is periodic per axis, so the bank
-//    permutation, base addresses and flat pointer tables of an
+//    permutation, base addresses and flat pointer table of an
 //    anchor-residue class are computed once, on first touch, into a dense
 //    per-pattern table (core/plan_cache.hpp). A single access is one
-//    indexed template lookup plus a one-access gather/scatter; a batch is
-//    lowered whole to structure-of-arrays form (core/exec_plan.hpp). One
-//    family of portable gather/scatter kernels (core/simd/) executes both;
+//    indexed template lookup plus a one-access gather/scatter. Every batch
+//    — read_batch/write_batch and the backdoor's load_batch/store_batch —
+//    is lowered row by row to one table pointer and one delta per access,
+//    then executed by one call of the same two kernels (core/simd/);
 //  - the *AGU reference* runs the data path literally per access (support
 //    probe, bounds check, per-lane MAF + addressing, three checked
 //    shuffles, per-cycle bank port accounting). It reports the exact
-//    error for unsupported and out-of-bounds accesses, serves accesses
-//    the plan cache cannot (cache disabled, as on geometries whose MAF
-//    periods are not powers of two), and is the differential oracle
-//    (set_plan_cache_enabled(false)).
+//    error for unsupported and out-of-bounds single accesses, serves
+//    accesses the plan cache cannot (cache disabled, as on geometries
+//    whose MAF periods are not powers of two), and is the differential
+//    oracle (set_plan_cache_enabled(false)).
 // Both are observably identical (differentially tested).
 //
 // The host backdoor moves words without port accounting: load/store per
 // element, fill_rect/dump_rect per rectangle, and load_batch/store_batch
 // per AccessBatch of any pattern kind, including those the scheme does
-// not serve. The batch form reads each access through its residue
-// class's gather table (PlanCache::class_template), so an access the
+// not serve. The batch form shares the batch lowering, so an access the
 // hardware would serve in p*q cycles costs the host one table gather, not
 // p*q MAF and address evaluations.
 //
 // Threading: one thread at a time runs a PolyMem's engine — every access,
-// batch, compile_batch, read_compiled/write_compiled and
-// load_batch/store_batch call, which share the plan cache (the batch
-// backdoor fills its slots), the compiled-plan slots, the scratch
+// batch and load_batch/store_batch call, which share the plan cache (the
+// batch backdoor fills its slots), the lowering arrays, the scratch
 // buffers and the counters. An owner that serves several threads
 // serializes them (the service engine's single drain thread). Only the
 // host rectangle transfers and load/store may run beside that thread (see
 // fill_rect).
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -57,8 +55,8 @@
 #include "core/agu.hpp"
 #include "core/banks.hpp"
 #include "core/config.hpp"
-#include "core/exec_plan.hpp"
 #include "core/plan_cache.hpp"
+#include "core/simd/aligned.hpp"
 #include "hw/bram.hpp"
 #include "maf/addressing.hpp"
 #include "maf/conflict.hpp"
@@ -67,9 +65,6 @@
 namespace polymem::core {
 
 using hw::Word;
-
-// AccessBatch lives in core/access_batch.hpp (included above) so the
-// compiled execution engine can consume batches without this header.
 
 class PolyMem {
  public:
@@ -101,40 +96,18 @@ class PolyMem {
                  std::span<Word> out);
 
   /// Batched access engine: validates the whole batch once (support,
-  /// alignment, bounds), then compiles it to a flat ExecPlan and executes
-  /// it with the gather/scatter kernels (core/simd/) — no
-  /// per-access allocation, re-validation or per-bank call. Compiled
-  /// plans are memoized per batch, so replaying an equal batch skips
-  /// compilation entirely, and a batch of the same shape moved by whole
-  /// MAF periods only shifts a memoized plan's deltas. Batches the plan cache cannot compile run
-  /// access by access through read_into / write (identical results).
-  /// Each batch element is its own cycle; results/data are the
+  /// alignment, bounds), then lowers it row by row — one class template
+  /// per residue class the row visits, the rest of the row copied with a
+  /// constant delta advance — and executes it as one gather on read
+  /// replica `port` / one scatter to every replica: no per-access
+  /// allocation, re-validation or per-bank call. With the plan cache off
+  /// the batch runs access by access through read_into / write (identical
+  /// results). Each batch element is its own cycle; results/data are the
   /// concatenation of the per-access canonical lane groups, so
   /// `out`/`data` must hold count() * lanes() words.
   void read_batch(const AccessBatch& batch, unsigned port,
                   std::span<Word> out);
   void write_batch(const AccessBatch& batch, std::span<const Word> data);
-
-  /// Service-drain entry points (src/service): compile a batch into a
-  /// *caller-owned* plan and execute it later. The service loop drains a
-  /// coalesced run per iteration, and the runs differ call to call, so
-  /// the memo and period-shift probes of read_batch's compiled_plan miss
-  /// before every compile; a drain that owns one ExecPlan instead
-  /// recompiles it in place — ExecPlan reuses its capacity, so
-  /// steady-state recompiles allocate nothing. Routing the drain's runs
-  /// through read_batch/write_batch measured slower on the zipf_service
-  /// workload (6 alternating 25 s pairs: words/s median x0.962, ahead in
-  /// 1 of 6; p50 latency +3.3%, p99 +2.5%). Returns false (plan unusable;
-  /// serve the batch per access instead) when the plan cache cannot supply
-  /// a template for every access. The plan's pointer tables stay valid for
-  /// this PolyMem's lifetime but belong to this PolyMem only.
-  bool compile_batch(const AccessBatch& batch, ExecPlan& plan);
-
-  /// Executes a plan compiled by compile_batch on this PolyMem: the whole
-  /// batch as one gather on read port `port` / one scatter, counted like
-  /// read_batch / write_batch.
-  void read_compiled(const ExecPlan& plan, unsigned port, std::span<Word> out);
-  void write_compiled(const ExecPlan& plan, std::span<const Word> data);
 
   /// True when the compiled engine serves `batch`: the scheme supports
   /// its pattern, with p/q-aligned start and strides for an aligned-only
@@ -151,12 +124,12 @@ class PolyMem {
   /// `batch`, in canonical lane order, for any pattern kind and anchor
   /// whether or not serves(batch). One corner bounds check per batch (the
   /// InvalidArgument of read_batch, thrown before any word moves), then
-  /// per access one residue-class template and one gather; a store writes
-  /// every read replica, access by access in batch order, so where
-  /// accesses overlap the last one wins. No port accounting and no access
-  /// counters. Runs per element through load/store when the plan cache is
-  /// disabled. Unlike load/store, an engine-thread call: it fills
-  /// plan-cache slots. out/data hold count() * lanes() words.
+  /// read_batch's lowering and kernels; a store writes every read
+  /// replica, access by access in batch order, so where accesses overlap
+  /// the last one wins. No port accounting and no access counters. Runs
+  /// per element through load/store when the plan cache is disabled.
+  /// Unlike load/store, an engine-thread call: it fills plan-cache slots.
+  /// out/data hold count() * lanes() words.
   void load_batch(const AccessBatch& batch, std::span<Word> out);
   void store_batch(const AccessBatch& batch, std::span<const Word> data);
 
@@ -183,6 +156,11 @@ class PolyMem {
   /// the AGU reference — the differential-test oracle and benchmark
   /// baseline.
   void set_plan_cache_enabled(bool enabled) { use_plan_cache_ = enabled; }
+  /// True when accesses run through the residue-class tables: the plan
+  /// cache is switched on and usable on this geometry.
+  bool uses_plan_cache() const {
+    return use_plan_cache_ && plan_cache_.enabled();
+  }
   const PlanCache& plan_cache() const { return plan_cache_; }
   PlanCache& plan_cache() { return plan_cache_; }
 
@@ -194,25 +172,14 @@ class PolyMem {
     std::vector<Word> bank_data;
   };
 
-  // Compiled-batch memo: a tiny LRU-ish set of recently executed batches
-  // and their ExecPlans. Pointer tables inside a plan stay valid for the
-  // PolyMem's lifetime (banks and templates are pinned), so replaying
-  // an equal batch is pure kernel execution, and a batch of the same
-  // shape moved by whole MAF periods is one pass over the deltas
-  // (ExecPlan::rebase).
-  static constexpr std::size_t kExecSlots = 4;
-  struct ExecSlot {
-    AccessBatch key;
-    bool valid = false;
-    ExecPlan plan;
-  };
-
   /// read_batch's checks: serves(batch) (else Unsupported) for a batch
-  /// with accesses, then check_bounds.
-  void validate_batch(const AccessBatch& batch) const;
+  /// with accesses, then check_bounds, whose result it returns.
+  std::size_t validate_batch(const AccessBatch& batch) const;
   /// Non-negative counts, and every access inside the address space
-  /// (InvalidArgument), checked at the anchor grid's corners.
-  void check_bounds(const AccessBatch& batch) const;
+  /// (InvalidArgument), checked at the anchor grid's corners without
+  /// overflow. Returns count() * lanes(), the words the batch moves
+  /// (InvalidArgument when that overflows).
+  std::size_t check_bounds(const AccessBatch& batch) const;
 
   /// fill_rect/dump_rect's walk: validates the rectangle against a
   /// `buffer`-word buffer, then calls visit(run) for each column residue
@@ -237,14 +204,10 @@ class PolyMem {
   void execute_write(const PlanTemplate* t, std::int64_t delta,
                      std::span<const Word> data);
 
-  /// The compiled plan serving `batch` (validated by the caller): a memo
-  /// hit, a memoized plan of the same shape rebased by whole MAF periods,
-  /// or a fresh compile into the next slot. Returns nullptr (the batch
-  /// then runs access by access) when the plan cache cannot serve the
-  /// batch.
-  ExecPlan* compiled_plan(const AccessBatch& batch);
-  void exec_read(const ExecPlan& plan, unsigned port, Word* out);
-  void exec_write(const ExecPlan& plan, const Word* data);
+  /// Lowers the checked `batch` into tables_/deltas_, one gather-table
+  /// pointer and delta per access, and returns true; returns false, and
+  /// lowers nothing, when !uses_plan_cache().
+  bool lower(const AccessBatch& batch);
 
   PolyMemConfig config_;
   maf::Maf maf_;
@@ -254,8 +217,10 @@ class PolyMem {
   PlanCache plan_cache_;
   bool use_plan_cache_ = true;
   Scratch scratch_;
-  std::array<ExecSlot, kExecSlots> exec_slots_;
-  std::size_t exec_victim_ = 0;    // next slot a fresh compile lands in
+  // The last lowered batch, per access; resized in place, so a batch no
+  // longer than an earlier one allocates nothing.
+  simd::AlignedVec<const std::uintptr_t*> tables_;
+  simd::AlignedVec<std::int64_t> deltas_;
   std::uint64_t parallel_reads_ = 0;
   std::uint64_t parallel_writes_ = 0;
 };

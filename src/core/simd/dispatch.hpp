@@ -1,14 +1,15 @@
-// The compiled engine's gather/scatter kernels (defined in
+// The engine's gather/scatter kernels (defined in
 // core/simd/kernels_scalar.cpp).
 //
-// The shuffle stage of a compiled access plan is a static permutation
-// (core/exec_plan.hpp), so executing one parallel access is a gather —
+// The shuffle stage of a residue class is a static permutation
+// (core/plan_cache.hpp), so executing one parallel access is a gather —
 // lane k loads `*(lane_base[k] + delta)` — and a write is the mirror
-// scatter. PolyMem calls these kernels directly from its single-access
-// and batch executors and its batch backdoor; the AGU reference (a PolyMem with
-// its plan cache disabled) is the oracle tests/core/simd_exec_test.cpp
-// holds them to, bit for bit. They are portable C++ and need no build
-// flag or CPU detection.
+// scatter. PolyMem lowers every batch to one table pointer and one delta
+// per access and runs one kernel call over all of them; a single access
+// is a call with a count of one. The AGU reference (a PolyMem with its
+// plan cache disabled) is the oracle tests/core/simd_exec_test.cpp holds
+// them to, bit for bit. They are portable C++ and need no build flag or
+// CPU detection.
 //
 // Pointer tables are carried as std::uintptr_t, not T*: residue-class
 // base addresses may sit below a bank's first word (the per-anchor delta
@@ -33,46 +34,24 @@ inline const char* level_name(Level /*level*/) { return "scalar"; }
 
 inline Level active_level() { return Level::kScalar; }
 
-// Kernel contracts. All tables are flat arrays built by the ExecPlan
-// compiler; `delta[t]` is access t's word offset from the table's base
-// pointers, `lanes` the number of elements per parallel access and
-// `count` the number of accesses in the run.
+// Kernel contracts. Access t uses the template table `table[t]` (a
+// PlanTemplate::lane_base, `replicas * lanes` entries, [replica][lane]
+// flattened) at word offset `delta[t]`; `lanes` is the number of elements
+// per parallel access and `count` the number of accesses.
 
-/// Gather a run of accesses sharing one lane table:
-///   out[t*lanes + k] = word at (lane_base[k] + delta[t] words)
-void gather_run(const std::uintptr_t* lane_base, unsigned lanes,
-                const std::int64_t* delta, std::int64_t count, Word* out);
+/// Gather through read replica `port`:
+///   out[t*lanes + k] = word at (table[t][port*lanes + k] + delta[t] words)
+void gather(const std::uintptr_t* const* table, unsigned port,
+            unsigned lanes, const std::int64_t* delta, std::int64_t count,
+            Word* out);
 
-/// Gather with a per-access table: table_lane_base[tmpl_of[t]] replaces
-/// the shared lane_base (mixed-residue batches).
-void gather_multi(const std::uintptr_t* const* table_lane_base,
-                  const std::int32_t* tmpl_of, unsigned lanes,
-                  const std::int64_t* delta, std::int64_t count, Word* out);
-
-/// Scatter a run of write accesses sharing one bank table. `bank_base`
-/// holds `replicas * lanes` entries ([replica][bank] flattened: every
-/// read-port replica stores the same data); lane_for_bank is the inverse
-/// permutation routing canonical data words to banks:
-///   word at (bank_base[r*lanes + b] + delta[t]) = data[t*lanes + lane_for_bank[b]]
-void scatter_run(const std::uintptr_t* bank_base, unsigned replicas,
-                 const std::uint32_t* lane_for_bank, unsigned lanes,
-                 const std::int64_t* delta, std::int64_t count,
-                 const Word* data);
-
-/// Scatter through a gather table, for classes whose banks need not form
-/// a permutation (the host backdoor's writes). `lane_base` holds
-/// `replicas * lanes` entries ([replica][lane] flattened), and every lane
-/// is stored into every replica:
-///   word at (lane_base[r*lanes + k] + delta[t]) = data[t*lanes + k]
-void scatter_lanes(const std::uintptr_t* lane_base, unsigned replicas,
-                   unsigned lanes, const std::int64_t* delta,
-                   std::int64_t count, const Word* data);
-
-/// Scatter with per-access tables (mixed-residue batches).
-void scatter_multi(const std::uintptr_t* const* table_bank_base,
-                   const std::uint32_t* const* table_lane_for_bank,
-                   const std::int32_t* tmpl_of, unsigned replicas,
-                   unsigned lanes, const std::int64_t* delta,
-                   std::int64_t count, const Word* data);
+/// Scatter in lane order into every replica r < replicas, access by
+/// access, so where accesses overlap the last one's words stay:
+///   word at (table[t][r*lanes + k] + delta[t] words) = data[t*lanes + k]
+/// The lanes of one access never share a word, so their order within the
+/// access does not matter, even where two of them share a bank.
+void scatter(const std::uintptr_t* const* table, unsigned replicas,
+             unsigned lanes, const std::int64_t* delta, std::int64_t count,
+             const Word* data);
 
 }  // namespace polymem::core::simd

@@ -41,9 +41,9 @@ class BramBank {
   /// accessor above runs.
   void check_addr(std::int64_t addr) const;
 
-  /// Raw storage base, for the compiled batch engine's gather/scatter
-  /// pointer tables (core/exec_plan.hpp). The pointer is stable for the
-  /// bank's lifetime: capacity is fixed at construction.
+  /// Raw storage base, for the plan templates' gather/scatter pointer
+  /// tables (core/plan_cache.hpp). The pointer is stable for the bank's
+  /// lifetime: capacity is fixed at construction.
   const Word* data() const { return mem_.data(); }
   Word* data() { return mem_.data(); }
 

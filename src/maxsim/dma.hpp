@@ -10,11 +10,10 @@
 //
 // The PolyMem side of a transfer runs through the batched access engine
 // (PolyMem::read_batch / write_batch): the whole tile is one validated
-// AccessBatch replayed through the plan-template cache. Tiles of one
-// shape whose frame origins differ by whole MAF periods (the row panels
-// of a ReRo 2x4 software cache, for example) reuse one compiled plan:
-// the memo only shifts its deltas. The LMem side moves each tile row as
-// page runs (maxsim/lmem.hpp). A PolyMem whose plan cache is off runs
+// AccessBatch, lowered row by row through the plan-template cache (one
+// lookup per residue class a row visits, a copy for the rest of the row)
+// and executed as one gather or scatter. The LMem side moves each tile
+// row as page runs (maxsim/lmem.hpp). A PolyMem whose plan cache is off runs
 // those batches access by access on the AGU reference, the differential
 // oracle of tests/maxsim/dma_test.cpp.
 #pragma once

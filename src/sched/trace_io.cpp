@@ -34,6 +34,9 @@ constexpr std::uint64_t kWriteTag = 0xA5A5A5A5DEADBEEFull;
 constexpr std::int64_t kMaxLanes = std::int64_t{1} << 20;
 constexpr std::int64_t kMaxCells = std::int64_t{1} << 24;
 constexpr std::int64_t kMaxOpWords = std::int64_t{1} << 24;
+// Anchor and stride components: with counts bounded by kMaxOpWords, every
+// anchor of an op, and every element of its accesses, fits int64.
+constexpr std::int64_t kMaxCoord = std::int64_t{1} << 31;
 
 }  // namespace
 
@@ -90,8 +93,13 @@ Coord parse_coord(const std::string& tok, int line, const char* what) {
   if (comma == std::string::npos || comma == 0 || comma + 1 == tok.size())
     throw TraceParseError(line, std::string("bad ") + what + " '" + tok +
                                     "' (expected i,j)");
-  return {parse_int(tok.substr(0, comma), line, what),
-          parse_int(tok.substr(comma + 1), line, what)};
+  const Coord c{parse_int(tok.substr(0, comma), line, what),
+                parse_int(tok.substr(comma + 1), line, what)};
+  if (c.i < -kMaxCoord || c.i > kMaxCoord || c.j < -kMaxCoord ||
+      c.j > kMaxCoord)
+    throw TraceParseError(line, std::string(what) + " '" + tok +
+                                    "' exceeds +-2^31");
+  return c;
 }
 
 // "2x4" -> (2, 4); both components must be positive.

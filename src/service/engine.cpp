@@ -261,36 +261,19 @@ void ServiceEngine::execute_run(unsigned queue_port,
   }
   const unsigned port = queue_port % mem_->config().read_ports;
   PendingBatch& pending = free_slot();
-  const bool compiled = n >= 2 && mem_->compile_batch(exec, plan_);
   if (op == Op::kRead) {
     pending.data.resize(n * lanes);
-    const std::span<Word> out(pending.data);
-    if (compiled) {
-      mem_->read_compiled(plan_, port, out);
-    } else {
-      for (std::size_t t = 0; t < n; ++t) {
-        mem_->read_into(exec.access(static_cast<std::int64_t>(t)), port,
-                        out.subspan(t * lanes, lanes));
-      }
-    }
+    mem_->read_batch(exec, port, pending.data);
   } else {
     write_staging_.clear();
     for (const PendingRequest& pr : run_) {
       write_staging_.insert(write_staging_.end(), pr.request.payload.begin(),
                             pr.request.payload.end());
     }
-    const std::span<const Word> data(write_staging_);
-    if (compiled) {
-      mem_->write_compiled(plan_, data);
-    } else {
-      for (std::size_t t = 0; t < n; ++t) {
-        mem_->write(exec.access(static_cast<std::int64_t>(t)),
-                    data.subspan(t * lanes, lanes));
-      }
-    }
+    mem_->write_batch(exec, write_staging_);
     if (dirty_frame >= 0) cache_->mark_dirty(dirty_frame);
   }
-  if (compiled) {
+  if (mem_->uses_plan_cache()) {
     compiled_runs_.fetch_add(1, std::memory_order_relaxed);
     compiled_requests_.fetch_add(n, std::memory_order_relaxed);
   } else {

@@ -4,16 +4,15 @@
 // queues (service/port_queue.hpp); one drain loop — a long-running task
 // on the shared runtime::ThreadPool — serves them:
 //
-//   submit -> enqueue -> coalesce -> compiled drain -> in-flight -> complete
+//   submit -> enqueue -> coalesce -> batch drain -> in-flight -> complete
 //
 //  - *Coalesce.* Each drain pops the longest constant-stride FIFO prefix
-//    of one port (round-robin across ports = cycle order) and compiles it
-//    into the engine's own ExecPlan (PolyMem::compile_batch), so one
-//    compiled gather/scatter serves the whole run (the batched path of
+//    of one port (round-robin across ports = cycle order) and serves it
+//    with one PolyMem::read_batch / write_batch call, so one lowering and
+//    one gather/scatter serve the whole run (the batched path of
 //    BENCH_core.json) instead of one call per request. Runs of one
-//    request, and runs the plan cache cannot serve, go through
-//    read_into / write one request at a time (the compiled single-access
-//    path); results are identical either way.
+//    request take the same call; with the plan cache off, read_batch
+//    serves the run access by access on the AGU reference.
 //  - *In-flight tracking.* Executed runs wait in a FIFO of reused slots,
 //    each carrying its modeled completion cycle (issue cycle + config
 //    read_latency, + a miss penalty when a tile-cached engine faulted).
@@ -61,7 +60,6 @@
 #include <vector>
 
 #include "cache/tile_cache.hpp"
-#include "core/exec_plan.hpp"
 #include "core/polymem.hpp"
 #include "runtime/thread_pool.hpp"
 #include "service/port_queue.hpp"
@@ -76,7 +74,7 @@ struct EngineOptions {
   unsigned ports = 1;
   /// Per-port queue bound; try_push sheds with kOverloaded beyond it.
   std::size_t queue_bound = 256;
-  /// Longest run one drain serves (and one ExecPlan compile amortizes).
+  /// Longest run one drain serves (one read_batch / write_batch call).
   std::size_t max_coalesce = 64;
   /// Extra cycles the drain clock stalls when a tile-cached drain
   /// faulted the run's tile in (the synchronous DRAM refill; it delays
@@ -93,9 +91,9 @@ struct EngineStats {
   std::uint64_t shutdown_completions = 0;
   std::uint64_t drained_runs = 0;       ///< batches executed
   std::uint64_t drained_requests = 0;   ///< requests inside those batches
-  std::uint64_t compiled_runs = 0;      ///< runs served by one ExecPlan
+  std::uint64_t compiled_runs = 0;      ///< runs served by the class tables
   std::uint64_t compiled_requests = 0;  ///< requests inside compiled runs
-  std::uint64_t fallback_accesses = 0;  ///< per-access path (incl. singletons)
+  std::uint64_t fallback_accesses = 0;  ///< requests on the AGU reference
   std::uint64_t tile_misses = 0;        ///< tile-cached mode only
   std::uint64_t max_queue_depth = 0;    ///< high water over all ports
   std::uint64_t max_in_flight = 0;      ///< requests awaiting completion
@@ -229,8 +227,7 @@ class ServiceEngine {
 
   // Drain-side state (single consumer) and statistics (relaxed atomics:
   // drain-owned writers, any-thread reads), on lines no submit reads.
-  alignas(64) core::ExecPlan plan_;
-  std::vector<PendingRequest> run_;
+  alignas(64) std::vector<PendingRequest> run_;
   std::vector<Word> write_staging_;
   // In-flight runs, oldest first: a ring of in_flight_runs_ slots
   // starting at in_flight_head_.

@@ -22,11 +22,12 @@
 //    item). It never blocks and never drops silently; the caller
 //    decides whether to retry.
 //  - *Coalescing pop.* pop_run removes the longest published FIFO
-//    prefix that one compiled ExecPlan can serve: same op, same pattern
-//    kind, constant-stride anchors (core::BatchCoalescer), and — when
-//    the queue is tile-constrained (sharded engines) — the same tile, so
-//    the whole run translates to its cache frame with one offset. FIFO
-//    order is preserved: a run is always a prefix, never a selection.
+//    prefix that one read_batch / write_batch call can serve: same op,
+//    same pattern kind, constant-stride anchors (core::BatchCoalescer),
+//    and — when the queue is tile-constrained (sharded engines) — the
+//    same tile, so the whole run translates to its cache frame with one
+//    offset. FIFO order is preserved: a run is always a prefix, never a
+//    selection.
 //
 // Thread safety: any number of submitters (FIFO in the order their
 // claims succeed, so per submitter in submit order), one drainer

@@ -286,14 +286,6 @@ std::optional<Violation> check_template_agreement(
                << naive.addr[k];
             return violation(CheckKind::kTemplateAgreement, os.str());
           }
-          if (tmpl->lane_for_bank[tmpl->bank[k]] != k ||
-              tmpl->bank_addr0[tmpl->bank[k]] != tmpl->addr0[k]) {
-            std::ostringstream os;
-            os << access::pattern_name(pattern) << " at " << coord_str(ai, aj)
-               << " lane " << k << ": inverse permutation or per-bank "
-               << "addresses inconsistent for bank " << tmpl->bank[k];
-            return violation(CheckKind::kTemplateAgreement, os.str());
-          }
         }
       }
     }

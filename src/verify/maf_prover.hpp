@@ -118,8 +118,8 @@ std::optional<Violation> check_address_injectivity(
     std::int64_t height, std::int64_t width, std::int64_t words_per_bank);
 
 /// Replays every (pattern, anchor-residue) plan-cache template of the
-/// configuration against the naive AGU expansion: bank permutation,
-/// inverse permutation and per-lane/per-bank addresses must agree.
+/// configuration against the naive AGU expansion: the per-lane banks and
+/// addresses must agree.
 std::optional<Violation> check_template_agreement(
     const core::PolyMemConfig& config);
 

@@ -109,9 +109,11 @@ std::string rect_str(const Rect& r) {
   return os.str();
 }
 
-Coord batch_anchor(const AccessBatch& batch, std::int64_t k, std::int64_t o) {
-  return {batch.start.i + o * batch.outer_stride.i + k * batch.inner_stride.i,
-          batch.start.j + o * batch.outer_stride.j + k * batch.inner_stride.j};
+/// Corner `corner` (bit 0: last inner index, bit 1: last outer index) of
+/// the batch's anchor grid; nullopt when a coordinate overflows int64.
+std::optional<Coord> batch_corner(const AccessBatch& batch, int corner) {
+  return batch.anchor((corner & 2) ? batch.outer_count - 1 : 0,
+                      (corner & 1) ? batch.inner_count - 1 : 0);
 }
 
 /// The element extent of one access of the op relative to its anchor:
@@ -129,24 +131,25 @@ AffinePattern::Box op_extent(const BatchOp& step, unsigned p, unsigned q) {
 
 /// The op's element bounding rectangle. Anchors are affine in the
 /// (inner, outer) index box, so the extremes occur at the four corners.
+/// nullopt for an empty op, or one whose rectangle overflows int64.
 std::optional<Rect> batch_rect(const BatchOp& step, unsigned p, unsigned q) {
   const AccessBatch& batch = step.batch;
   if (batch.inner_count <= 0 || batch.outer_count <= 0) return std::nullopt;
   Rect r{batch.start, batch.start};
   for (int corner = 1; corner < 4; ++corner) {
-    const Coord a = batch_anchor(batch,
-                                 (corner & 1) ? batch.inner_count - 1 : 0,
-                                 (corner & 2) ? batch.outer_count - 1 : 0);
-    r.lo.i = std::min(r.lo.i, a.i);
-    r.lo.j = std::min(r.lo.j, a.j);
-    r.hi.i = std::max(r.hi.i, a.i);
-    r.hi.j = std::max(r.hi.j, a.j);
+    const auto a = batch_corner(batch, corner);
+    if (!a) return std::nullopt;
+    r.lo.i = std::min(r.lo.i, a->i);
+    r.lo.j = std::min(r.lo.j, a->j);
+    r.hi.i = std::max(r.hi.i, a->i);
+    r.hi.j = std::max(r.hi.j, a->j);
   }
   const AffinePattern::Box box = op_extent(step, p, q);
-  r.lo.i += box.min_i;
-  r.lo.j += box.min_j;
-  r.hi.i += box.max_i;
-  r.hi.j += box.max_j;
+  if (__builtin_add_overflow(r.lo.i, box.min_i, &r.lo.i) ||
+      __builtin_add_overflow(r.lo.j, box.min_j, &r.lo.j) ||
+      __builtin_add_overflow(r.hi.i, box.max_i, &r.hi.i) ||
+      __builtin_add_overflow(r.hi.j, box.max_j, &r.hi.j))
+    return std::nullopt;
   return r;
 }
 
@@ -205,9 +208,19 @@ class Linter {
       add(LintKind::kEmptyBatch, Severity::kError, op, os.str());
       return;
     }
-    if (batch.count() == 0) {
+    if (batch.inner_count == 0 || batch.outer_count == 0) {
       add(LintKind::kEmptyBatch, Severity::kWarning, op,
           prefix + "batch moves no data");
+      return;
+    }
+    for (int corner = 0; corner < 4; ++corner) {
+      if (batch_corner(batch, corner)) continue;
+      // An anchor past int64 lies in no address space, so the op's support,
+      // alignment and conflicts mean nothing: report the bounds alone.
+      std::ostringstream os;
+      os << prefix << "a corner anchor of the grid from " << batch.start
+         << " overflows int64 and leaves the address space";
+      add(LintKind::kOutOfBounds, Severity::kError, op, os.str());
       return;
     }
     if (step.affine.has_value()) {
@@ -366,11 +379,9 @@ class Linter {
     Coord reported[4];
     int reported_count = 0;
     for (int corner = 0; corner < 4; ++corner) {
-      const Coord a = batch_anchor(batch,
-                                   (corner & 1) ? batch.inner_count - 1 : 0,
-                                   (corner & 2) ? batch.outer_count - 1 : 0);
-      if (a.i + box.min_i >= 0 && a.i + box.max_i < config_.height &&
-          a.j + box.min_j >= 0 && a.j + box.max_j < config_.width)
+      const Coord a = *batch_corner(batch, corner);  // lint_op checked
+      if (a.i >= -box.min_i && a.i < config_.height - box.max_i &&
+          a.j >= -box.min_j && a.j < config_.width - box.max_j)
         continue;
       bool seen = false;
       for (int r = 0; r < reported_count; ++r) seen = seen || reported[r] == a;
@@ -420,9 +431,7 @@ class Linter {
     Coord reported[4];
     int reported_count = 0;
     for (int corner = 0; corner < 4; ++corner) {
-      const Coord a = batch_anchor(batch,
-                                   (corner & 1) ? batch.inner_count - 1 : 0,
-                                   (corner & 2) ? batch.outer_count - 1 : 0);
+      const Coord a = *batch_corner(batch, corner);  // lint_op checked
       if (access::fits({batch.kind, a}, config_.p, config_.q, config_.height,
                        config_.width))
         continue;

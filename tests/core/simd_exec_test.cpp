@@ -1,13 +1,13 @@
-// Differential gate of the compiled execution engine
-// (core/exec_plan.hpp + core/simd/): for every scheme x geometry x
+// Differential gate of the compiled execution engine (the batch lowering
+// in core/polymem.cpp + core/simd/): for every scheme x geometry x
 // supported pattern, the compiled path — its gather/scatter kernels run
 // by the single-access and batch executors — must be bit-identical to
 // the AGU reference for read_batch and write_batch, and for the single
 // accesses read_into and write, on every read port. Batches whose starts
-// move by whole MAF periods, which the compiled-plan memo serves by
-// rebasing a plan instead of recompiling, are held to the same reference.
-// Unsupported, unaligned and out-of-bounds single accesses must throw
-// what the reference throws and change nothing.
+// move by whole MAF periods, batches that visit more residue classes
+// than a row's period, and rows walked backwards are held to the same
+// reference. Unsupported, unaligned and out-of-bounds single accesses
+// must throw what the reference throws and change nothing.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -371,15 +371,10 @@ std::vector<AccessBatch> shift_shapes(const PolyMemConfig& cfg,
   };
 }
 
-std::uint64_t lookups(const PolyMem& mem) {
-  return mem.plan_cache().hits() + mem.plan_cache().builds();
-}
-
 // One shape's starts alternate between moves by whole MAF periods (up,
-// down and diagonal — the memo rebases its plan) and other offsets (a
-// fresh compile). Every read and the final image must match the AGU
-// reference, and a call whose start moved by whole periods from the
-// previous call's must run no template lookup at all.
+// down and diagonal: every access keeps its residue class) and other
+// offsets (new classes). Every read and the final image must match the
+// AGU reference.
 TEST(SimdExec, PeriodShiftedBatchesMatchReference) {
   std::uint64_t rebased = 0, fresh = 0;
   for (Scheme scheme : maf::kAllSchemes) {
@@ -425,7 +420,6 @@ TEST(SimdExec, PeriodShiftedBatchesMatchReference) {
             const bool shifted =
                 prev && (b.start.i - prev->i) % pi == 0 &&
                 (b.start.j - prev->j) % pj == 0;
-            const std::uint64_t before = lookups(compiled);
             reference.read_batch(b, 0, want);
             compiled.read_batch(b, 0, got);
             ASSERT_EQ(got, want) << what.str();
@@ -435,7 +429,6 @@ TEST(SimdExec, PeriodShiftedBatchesMatchReference) {
             reference.write_batch(b, data);
             compiled.write_batch(b, data);
             if (shifted) {
-              EXPECT_EQ(lookups(compiled), before) << what.str();
               ++rebased;
             } else {
               ++fresh;
@@ -454,6 +447,95 @@ TEST(SimdExec, PeriodShiftedBatchesMatchReference) {
   }
   EXPECT_GT(rebased, 0u);
   EXPECT_GT(fresh, 0u);
+}
+
+// Reads, then writes, `batches` on a compiled memory and on the AGU
+// reference, each starting from the same image: every read and the final
+// image must match. Returns the residue classes the compiled memory built.
+std::uint64_t expect_batches_match_reference(
+    const PolyMemConfig& cfg, const std::vector<AccessBatch>& batches,
+    const std::string& what) {
+  PolyMem compiled(cfg);
+  PolyMem reference(cfg);
+  reference.set_plan_cache_enabled(false);
+  fill_deterministic(compiled);
+  fill_deterministic(reference);
+  Word salt = 1;
+  for (const AccessBatch& b : batches) {
+    std::vector<Word> want(static_cast<std::size_t>(b.count()) * cfg.lanes());
+    std::vector<Word> got(want.size());
+    for (unsigned port = 0; port < cfg.read_ports; ++port) {
+      reference.read_batch(b, port, want);
+      compiled.read_batch(b, port, got);
+      EXPECT_EQ(got, want) << what << " start " << b.start << " port "
+                           << port;
+    }
+    for (std::size_t k = 0; k < got.size(); ++k)
+      got[k] = (0xD1B54A32D192ED03ull * (k + 3)) ^ (salt << 48);
+    ++salt;
+    reference.write_batch(b, got);
+    compiled.write_batch(b, got);
+  }
+  const std::size_t cells = static_cast<std::size_t>(cfg.height) * cfg.width;
+  std::vector<Word> image_want(cells), image_got(cells);
+  reference.dump_rect({0, 0}, cfg.height, cfg.width, image_want);
+  compiled.dump_rect({0, 0}, cfg.height, cfg.width, image_got);
+  EXPECT_EQ(image_got, image_want) << what;
+  return compiled.plan_cache().builds();
+}
+
+// ReTr 4x8 has 32 x 128 residue classes; a rect batch over every
+// in-bounds anchor visits far more than 64 of them, in rows that meet
+// each class at most once.
+TEST(SimdExec, BatchOverMoreThan64ClassesMatchesReference) {
+  const PolyMemConfig cfg =
+      PolyMemConfig::with_capacity(64 * KiB, Scheme::kReTr, 4, 8, 2);
+  PolyMem probe(cfg);
+  ASSERT_EQ(probe.supports(PatternKind::kRect), SupportLevel::kAny);
+  const std::int64_t rows = cfg.height - 3, cols = cfg.width - 7;
+  const AccessBatch by_row{PatternKind::kRect, {0, 0}, {0, 1}, cols, {1, 0},
+                           rows};
+  // The same anchors with columns as the inner walk.
+  const AccessBatch by_col{PatternKind::kRect, {0, 0}, {1, 0}, rows, {0, 1},
+                           cols};
+  EXPECT_GT(
+      expect_batches_match_reference(cfg, {by_row, by_col}, "ReTr 4x8"),
+      64u);
+}
+
+// Multi-row batches walked right to left and bottom to top, with inner
+// and outer strides negative on one or both axes, on every scheme's
+// patterns at 2x4.
+TEST(SimdExec, NegativeStridesMatchReference) {
+  for (Scheme scheme : maf::kAllSchemes) {
+    const PolyMemConfig cfg =
+        PolyMemConfig::with_capacity(16 * KiB, scheme, 2, 4, 2);
+    for (PatternKind kind : access::kAllPatterns) {
+      PolyMem probe(cfg);
+      const SupportLevel level = probe.supports(kind);
+      if (level == SupportLevel::kNone) continue;
+      const AccessBatch sweep = full_sweep(cfg, probe, kind, level);
+      const std::int64_t si = sweep.outer_stride.i, sj = sweep.inner_stride.j;
+      const access::Coord last{
+          sweep.start.i + (sweep.outer_count - 1) * si,
+          sweep.start.j + (sweep.inner_count - 1) * sj};
+      const std::int64_t rows = std::min<std::int64_t>(sweep.outer_count, 5);
+      const std::int64_t cols = std::min<std::int64_t>(sweep.inner_count, 11);
+      const std::vector<AccessBatch> batches = {
+          // Right to left, top to bottom.
+          {kind, {sweep.start.i, last.j}, {0, -sj}, cols, {si, 0}, rows},
+          // Left to right, bottom to top.
+          {kind, {last.i, sweep.start.j}, {0, sj}, cols, {-si, 0}, rows},
+          // Both backwards, rows skewed left as they rise.
+          {kind, last, {0, -sj}, cols - 1, {-si, -sj},
+           std::min(rows, cols - 1)},
+          // The inner walk up a column, rows stepping left.
+          {kind, last, {-si, 0}, rows, {0, -sj}, cols},
+      };
+      expect_batches_match_reference(cfg, batches,
+                                     where(scheme, {2, 4}, kind));
+    }
+  }
 }
 
 TEST(SimdExec, LevelNamesRoundTrip) {

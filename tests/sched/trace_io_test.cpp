@@ -298,7 +298,15 @@ INSTANTIATE_TEST_SUITE_P(
                 3},
         BadCase{"oversized geometry",
                 "polymem-trace v1\ngeometry 4294967298x4 space 8x8 seed 1\n",
-                2}),
+                2},
+        BadCase{"huge anchor",
+                "polymem-trace v1\ngeometry 2x4 space 16x16 seed 1\n"
+                "R col @ 9223372036854775807,0\n",
+                3},
+        BadCase{"huge stride",
+                "polymem-trace v1\ngeometry 2x4 space 16x16 seed 1\n"
+                "R row @ 0,0\nR row @ 0,0 x3 step 0,-2147483649\n",
+                4}),
     [](const ::testing::TestParamInfo<BadCase>& info) {
       std::string name = info.param.label;
       for (char& ch : name)

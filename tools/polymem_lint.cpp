@@ -16,6 +16,9 @@
 //             at <i>,<j> [step ...] [outer ...]
 //   traceN  = dense at <i>,<j> <rows>x<cols>
 //
+// Op coordinates lie within +-2^31 and counts in 1..2^24, the bounds of a
+// trace (docs/trace_format.md); values past them are parse errors.
+//
 // Affine ops are admitted through the symbolic conflict-freedom prover
 // (verify/affine_prover.hpp) instead of the Table-I capability oracle.
 //
@@ -92,6 +95,12 @@ std::vector<std::string> tokenize(const std::string& text) {
   return tokens;
 }
 
+// The bounds a trace's ops obey (docs/trace_format.md): anchor and stride
+// components within +-2^31, counts in 1..2^24. Every anchor of an op then
+// stays far inside int64, whatever the geometry.
+constexpr std::int64_t kMaxCoord = std::int64_t{1} << 31;
+constexpr std::int64_t kMaxCount = std::int64_t{1} << 24;
+
 polymem::access::Coord parse_coord(const std::string& key,
                                    const std::string& tok) {
   polymem::access::Coord c;
@@ -99,6 +108,9 @@ polymem::access::Coord parse_coord(const std::string& key,
   std::istringstream in(tok);
   if (!(in >> c.i >> comma >> c.j) || comma != ',' || !in.eof())
     parse_fail(key, tok, "expected <i>,<j>");
+  if (c.i < -kMaxCoord || c.i > kMaxCoord || c.j < -kMaxCoord ||
+      c.j > kMaxCoord)
+    parse_fail(key, tok, "coordinates must lie within +-2^31");
   return c;
 }
 
@@ -107,6 +119,7 @@ std::int64_t parse_count(const std::string& key, const std::string& tok) {
   if (tok.size() < 2 || tok[0] != 'x') parse_fail(key, tok, "expected x<n>");
   std::istringstream in(tok.substr(1));
   if (!(in >> n) || !in.eof()) parse_fail(key, tok, "expected x<n>");
+  if (n < 1 || n > kMaxCount) parse_fail(key, tok, "count must be 1..2^24");
   return n;
 }
 
