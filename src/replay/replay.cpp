@@ -1,7 +1,9 @@
 #include "replay/replay.hpp"
 
 #include <algorithm>
+#include <memory>
 #include <sstream>
+#include <type_traits>
 #include <vector>
 
 #include "adapt/adaptive_matrix.hpp"
@@ -11,9 +13,8 @@
 
 namespace polymem::replay {
 
-using access::Coord;
-using access::ParallelAccess;
 using access::PatternKind;
+using core::Word;
 using sched::RecordedTrace;
 using sched::TraceOp;
 
@@ -23,363 +24,206 @@ std::int64_t pad_to(std::int64_t x, std::int64_t m) {
   return (x + m - 1) / m * m;
 }
 
-core::PolyMemConfig direct_config(const RecordedTrace& trace,
-                                  const ReplayOptions& opts) {
+/// The trace's geometry over its space padded to whole p x q tiles.
+core::PolyMemConfig padded_config(const RecordedTrace& trace,
+                                  maf::Scheme scheme, unsigned read_ports) {
   core::PolyMemConfig cfg;
-  cfg.scheme = opts.scheme;
+  cfg.scheme = scheme;
   cfg.p = trace.p;
   cfg.q = trace.q;
-  cfg.read_ports = std::max(1u, opts.read_ports);
+  cfg.read_ports = std::max(1u, read_ports);
   cfg.height = pad_to(trace.height, trace.p);
   cfg.width = pad_to(trace.width, trace.q);
-  cfg.validate();
   return cfg;
 }
 
-/// The host-memory mirror: exact trace-space array under the canonical
-/// data model, advanced op by op alongside the memory under test.
-class Mirror {
+/// A resident PolyMem: the batched engine where the scheme serves the
+/// op, the batch host backdoor where it does not.
+class DirectBackend final : public Backend {
  public:
-  explicit Mirror(const RecordedTrace& trace) : trace_(trace) {
-    cells_.resize(static_cast<std::size_t>(trace.height * trace.width));
-    for (std::int64_t i = 0; i < trace.height; ++i)
-      for (std::int64_t j = 0; j < trace.width; ++j)
-        at({i, j}) = sched::canonical_cell(trace.seed, trace.width, {i, j});
+  DirectBackend(const RecordedTrace& trace, const ReplayOptions& opts)
+      : mem_(padded_config(trace, opts.scheme, opts.read_ports)),
+        height_(trace.height),
+        width_(trace.width) {
+    mem_.fill_rect({0, 0}, height_, width_, sched::canonical_image(trace));
   }
 
-  std::uint64_t& at(Coord c) {
-    return cells_[static_cast<std::size_t>(c.i * trace_.width + c.j)];
+  void read(const TraceOp& op, std::size_t k, std::span<Word> out) override {
+    const core::AccessBatch batch = op.batch();
+    if (served(batch))
+      mem_.read_batch(batch, static_cast<unsigned>(k % ports()), out);
+    else
+      mem_.load_batch(batch, out);
   }
 
-  /// Expands op access t and bounds-checks it against the trace space.
-  void expand(const TraceOp& op, std::int64_t t, std::int64_t op_index) {
-    const ParallelAccess a{op.kind,
-                           {op.anchor.i + t * op.stride.i,
-                            op.anchor.j + t * op.stride.j}};
-    access::expand_into(a, trace_.p, trace_.q, coords_);
-    for (const Coord c : coords_)
-      POLYMEM_REQUIRE(c.i >= 0 && c.i < trace_.height && c.j >= 0 &&
-                          c.j < trace_.width,
-                      "trace op " + std::to_string(op_index) +
-                          " leaves the address space");
+  void write(const TraceOp& op, std::span<const Word> data) override {
+    const core::AccessBatch batch = op.batch();
+    if (served(batch))
+      mem_.write_batch(batch, data);
+    else
+      mem_.store_batch(batch, data);
   }
-  const std::vector<Coord>& coords() const { return coords_; }
 
-  const std::vector<std::uint64_t>& cells() const { return cells_; }
+  void finish(std::span<Word> image, ReplayReport& report) override {
+    mem_.dump_rect({0, 0}, height_, width_, image);
+    report.batched_accesses += batched_;
+    report.fallback_accesses += fallback_;
+  }
 
  private:
-  const RecordedTrace& trace_;
-  std::vector<std::uint64_t> cells_;
-  std::vector<Coord> coords_;
+  std::size_t ports() const { return mem_.config().read_ports; }
+  /// PolyMem::serves, counting the batch's accesses as batched or not.
+  bool served(const core::AccessBatch& batch) {
+    const bool yes = mem_.serves(batch);
+    (yes ? batched_ : fallback_) += batch.count();
+    return yes;
+  }
+
+  core::PolyMem mem_;
+  std::int64_t height_, width_;
+  std::int64_t batched_ = 0, fallback_ = 0;
 };
 
-/// Per-op scratch shared by both backends: canonical write payloads and
-/// the words actually moved (checksummed afterwards).
-struct OpData {
-  std::vector<std::uint64_t> words;
-
-  void fill_write(const RecordedTrace& trace, const TraceOp& op,
-                  std::int64_t op_index) {
-    const auto lanes = static_cast<std::int64_t>(trace.p) * trace.q;
-    words.resize(static_cast<std::size_t>(op.count * lanes));
-    for (std::int64_t w = 0; w < op.count * lanes; ++w)
-      words[static_cast<std::size_t>(w)] =
-          sched::canonical_write_word(trace.seed, op_index, w);
+/// An AdaptiveMatrix, which picks batched or fallback per its current
+/// scheme and migrates inside the op that triggers it.
+class AdaptiveBackend final : public Backend {
+ public:
+  AdaptiveBackend(const RecordedTrace& trace, const ReplayOptions& opts)
+      : mat_(padded_config(trace, opts.scheme, opts.read_ports),
+             options(trace, opts.adaptive_window)),
+        height_(trace.height),
+        width_(trace.width) {
+    mat_.fill_rect({0, 0}, height_, width_, sched::canonical_image(trace));
   }
+
+  void read(const TraceOp& op, std::size_t, std::span<Word> out) override {
+    mat_.read_batch(op.batch(), out);
+  }
+
+  void write(const TraceOp& op, std::span<const Word> data) override {
+    mat_.write_batch(op.batch(), data);
+  }
+
+  void finish(std::span<Word> image, ReplayReport& report) override {
+    mat_.dump_rect({0, 0}, height_, width_, image);
+    const adapt::AdaptiveStats s = mat_.stats();
+    report.adaptive = true;
+    report.batched_accesses += static_cast<std::int64_t>(s.batched_accesses);
+    report.fallback_accesses +=
+        static_cast<std::int64_t>(s.fallback_accesses);
+    report.final_scheme = s.scheme;
+    report.migrations = static_cast<std::int64_t>(s.migrations_completed);
+    report.migrations_aborted =
+        static_cast<std::int64_t>(s.migrations_aborted);
+    report.migration_mismatches =
+        static_cast<std::int64_t>(s.mismatched_words);
+  }
+
+ private:
+  static adapt::AdaptiveOptions options(const RecordedTrace& trace,
+                                        std::int64_t window) {
+    adapt::AdaptiveOptions aopts;
+    aopts.profiler.window =
+        window > 0 ? window
+                   : std::clamp<std::int64_t>(trace.accesses() / 6, 64, 4096);
+    return aopts;
+  }
+
+  adapt::AdaptiveMatrix mat_;
+  std::int64_t height_, width_;
 };
 
-void check_read(const std::vector<std::uint64_t>& got, Mirror& mirror,
-                const TraceOp& op, std::int64_t op_index,
-                ReplayReport& report) {
-  const auto lanes = static_cast<std::size_t>(got.size()) /
-                     static_cast<std::size_t>(op.count);
-  for (std::int64_t t = 0; t < op.count; ++t) {
-    mirror.expand(op, t, op_index);
-    for (std::size_t l = 0; l < lanes; ++l)
-      if (got[static_cast<std::size_t>(t) * lanes + l] !=
-          mirror.at(mirror.coords()[l]))
-        ++report.data_mismatches;
-  }
-}
-
-void apply_write(const std::vector<std::uint64_t>& words, Mirror& mirror,
-                 const TraceOp& op, std::int64_t op_index) {
-  const auto lanes = static_cast<std::size_t>(words.size()) /
-                     static_cast<std::size_t>(op.count);
-  for (std::int64_t t = 0; t < op.count; ++t) {
-    mirror.expand(op, t, op_index);
-    for (std::size_t l = 0; l < lanes; ++l)
-      mirror.at(mirror.coords()[l]) =
-          words[static_cast<std::size_t>(t) * lanes + l];
-  }
-}
-
-void check_checksum(const std::vector<std::uint64_t>& words,
-                    const TraceOp& op, const ReplayOptions& opts,
-                    ReplayReport& report) {
-  if (!opts.verify_checksums || !op.checksum) return;
-  ++report.checksums_checked;
-  if (sched::fnv1a(words.data(), words.size()) != *op.checksum)
-    ++report.checksum_mismatches;
-}
-
-ReplayReport replay_direct(const RecordedTrace& trace,
-                           const ReplayOptions& opts) {
-  const core::PolyMemConfig cfg = direct_config(trace, opts);
-  core::PolyMem mem(cfg);
-
-  // Canonical fill over the padded space (padding cells stay zero and
-  // are unreachable from in-bounds trace ops).
-  {
-    std::vector<std::uint64_t> init(
-        static_cast<std::size_t>(cfg.height * cfg.width), 0);
-    for (std::int64_t i = 0; i < trace.height; ++i)
-      for (std::int64_t j = 0; j < trace.width; ++j)
-        init[static_cast<std::size_t>(i * cfg.width + j)] =
-            sched::canonical_cell(trace.seed, trace.width, {i, j});
-    mem.fill_rect({0, 0}, cfg.height, cfg.width, init);
+/// A CachedMatrix over LMem (the out-of-core path). The on-chip memory is
+/// deliberately smaller than the trace space — that is the point of the
+/// cache path: four full-width row-panel frames over a modest
+/// scheme-typed PolyMem.
+class CachedBackend final : public Backend {
+ public:
+  CachedBackend(const RecordedTrace& trace, const ReplayOptions& opts)
+      : trace_(trace),
+        mem_(on_chip_config(trace, opts.scheme)),
+        lmem_(std::max<std::uint64_t>(
+            static_cast<std::uint64_t>(trace.height * trace.width) * 8,
+            1u << 20)),
+        // The trace-space matrix lies row-major from LMem word 0.
+        cached_(lmem_, mem_, {0, trace.height, trace.width, trace.width},
+                core::FramePool::whole_space(mem_.config(), 2 * trace.p,
+                                             mem_.config().width),
+                {.write_policy = opts.write_policy}) {
+    lmem_.write(0, sched::canonical_image(trace));
   }
 
-  Mirror mirror(trace);
-  ReplayReport report;
-  report.scheme = opts.scheme;
-  OpData data;
-  const auto lanes = static_cast<std::int64_t>(trace.p) * trace.q;
-
-  for (std::size_t k = 0; k < trace.ops.size(); ++k) {
-    const TraceOp& op = trace.ops[k];
-    const auto op_index = static_cast<std::int64_t>(k);
-    const core::AccessBatch batch = op.batch();
-    const bool batched = mem.serves(batch);
-    ++report.ops;
-    (op.dir == TraceOp::Dir::kRead ? report.reads : report.writes) +=
-        op.count;
-    (batched ? report.batched_accesses : report.fallback_accesses) +=
-        op.count;
-
-    // The host backdoor checks the padded space only: bounds-check an
-    // unserved op against the unpadded trace space before it runs.
-    if (!batched)
-      for (std::int64_t t = 0; t < op.count; ++t)
-        mirror.expand(op, t, op_index);
-    if (op.dir == TraceOp::Dir::kRead) {
-      data.words.resize(static_cast<std::size_t>(op.count * lanes));
-      if (batched) {
-        const unsigned port =
-            static_cast<unsigned>(k) % std::max(1u, opts.read_ports);
-        mem.read_batch(batch, port, data.words);
-      } else {
-        mem.load_batch(batch, data.words);
-      }
-      check_read(data.words, mirror, op, op_index, report);
-    } else {
-      data.fill_write(trace, op, op_index);
-      if (batched) {
-        mem.write_batch(batch, data.words);
-      } else {
-        mem.store_batch(batch, data.words);
-      }
-      apply_write(data.words, mirror, op, op_index);
-    }
-    check_checksum(data.words, op, opts, report);
+  void read(const TraceOp& op, std::size_t, std::span<Word> out) override {
+    serve(op, out);
   }
 
-  // End-state differential: the full trace-space image must match the
-  // mirror bit for bit, whatever mix of engines served the ops.
-  std::vector<std::uint64_t> image(
-      static_cast<std::size_t>(trace.height * trace.width));
-  for (std::int64_t i = 0; i < trace.height; ++i)
-    mem.dump_rect({i, 0}, 1, trace.width,
-                  std::span<std::uint64_t>(image).subspan(
-                      static_cast<std::size_t>(i * trace.width),
-                      static_cast<std::size_t>(trace.width)));
-  report.final_image_ok = image == mirror.cells();
-  return report;
-}
-
-ReplayReport replay_adaptive(const RecordedTrace& trace,
-                             const ReplayOptions& opts) {
-  const core::PolyMemConfig cfg = direct_config(trace, opts);
-
-  adapt::AdaptiveOptions aopts;
-  aopts.verify_migrations = true;
-  aopts.profiler.window =
-      opts.adaptive_window > 0
-          ? opts.adaptive_window
-          : std::clamp<std::int64_t>(trace.accesses() / 6, 64, 4096);
-  adapt::AdaptiveMatrix mat(cfg, aopts);
-
-  {
-    std::vector<std::uint64_t> init(
-        static_cast<std::size_t>(cfg.height * cfg.width), 0);
-    for (std::int64_t i = 0; i < trace.height; ++i)
-      for (std::int64_t j = 0; j < trace.width; ++j)
-        init[static_cast<std::size_t>(i * cfg.width + j)] =
-            sched::canonical_cell(trace.seed, trace.width, {i, j});
-    mat.fill_rect({0, 0}, cfg.height, cfg.width, init);
+  void write(const TraceOp& op, std::span<const Word> data) override {
+    serve(op, data);
   }
 
-  Mirror mirror(trace);
-  ReplayReport report;
-  report.scheme = opts.scheme;
-  report.adaptive = true;
-  OpData data;
-  const auto lanes = static_cast<std::int64_t>(trace.p) * trace.q;
-
-  for (std::size_t k = 0; k < trace.ops.size(); ++k) {
-    const TraceOp& op = trace.ops[k];
-    const auto op_index = static_cast<std::int64_t>(k);
-    ++report.ops;
-    (op.dir == TraceOp::Dir::kRead ? report.reads : report.writes) +=
-        op.count;
-
-    // Bounds-check against the unpadded trace space before the engine
-    // sees the op (the engine's own checks run on the padded space).
-    for (std::int64_t t = 0; t < op.count; ++t) mirror.expand(op, t, op_index);
-
-    // The adaptive engine decides batched vs fallback internally, per its
-    // *current* scheme; both paths produce canonical lane order.
-    data.words.resize(static_cast<std::size_t>(op.count * lanes));
-    if (op.dir == TraceOp::Dir::kRead) {
-      mat.read_batch(op.batch(), data.words);
-      check_read(data.words, mirror, op, op_index, report);
-    } else {
-      data.fill_write(trace, op, op_index);
-      mat.write_batch(op.batch(), data.words);
-      apply_write(data.words, mirror, op, op_index);
-    }
-    check_checksum(data.words, op, opts, report);
+  void finish(std::span<Word> image, ReplayReport& report) override {
+    cached_.flush();
+    lmem_.read(0, image);
+    report.through_cache = true;
+    report.batched_accesses += batched_;
+    report.fallback_accesses += fallback_;
+    report.cache_stats = cached_.stats();
   }
 
-  const adapt::AdaptiveStats astats = mat.stats();
-  report.batched_accesses = static_cast<std::int64_t>(astats.batched_accesses);
-  report.fallback_accesses =
-      static_cast<std::int64_t>(astats.fallback_accesses);
-  report.final_scheme = astats.scheme;
-  report.migrations = static_cast<std::int64_t>(astats.migrations_completed);
-  report.migrations_aborted =
-      static_cast<std::int64_t>(astats.migrations_aborted);
-  report.migration_mismatches =
-      static_cast<std::int64_t>(astats.mismatched_words);
-
-  std::vector<std::uint64_t> image(
-      static_cast<std::size_t>(trace.height * trace.width));
-  for (std::int64_t i = 0; i < trace.height; ++i)
-    mat.dump_rect({i, 0}, 1, trace.width,
-                  std::span<std::uint64_t>(image).subspan(
-                      static_cast<std::size_t>(i * trace.width),
-                      static_cast<std::size_t>(trace.width)));
-  report.final_image_ok = image == mirror.cells();
-  return report;
-}
-
-ReplayReport replay_cached(const RecordedTrace& trace,
-                           const ReplayOptions& opts) {
-  // The on-chip memory is deliberately smaller than the trace space
-  // (that is the point of the cache path): four full-width row-panel
-  // frames over a modest scheme-typed PolyMem.
-  core::PolyMemConfig cfg;
-  cfg.scheme = opts.scheme;
-  cfg.p = trace.p;
-  cfg.q = trace.q;
-  cfg.height = 8 * trace.p;
-  cfg.width = pad_to(std::min<std::int64_t>(trace.width, 64), trace.q);
-  cfg.validate();
-  core::PolyMem mem(cfg);
-
-  const std::uint64_t bytes = static_cast<std::uint64_t>(trace.height) *
-                              static_cast<std::uint64_t>(trace.width) * 8;
-  maxsim::LMem lmem(std::max<std::uint64_t>(bytes, 1u << 20));
-  const maxsim::LMemMatrix matrix{0, trace.height, trace.width,
-                                  trace.width};
-  {
-    std::vector<std::uint64_t> row(static_cast<std::size_t>(trace.width));
-    for (std::int64_t i = 0; i < trace.height; ++i) {
-      for (std::int64_t j = 0; j < trace.width; ++j)
-        row[static_cast<std::size_t>(j)] =
-            sched::canonical_cell(trace.seed, trace.width, {i, j});
-      lmem.write(matrix.word_addr(i, 0), row);
-    }
+ private:
+  static core::PolyMemConfig on_chip_config(const RecordedTrace& trace,
+                                            maf::Scheme scheme) {
+    core::PolyMemConfig cfg = padded_config(trace, scheme, 1);
+    cfg.height = 8 * trace.p;
+    cfg.width = pad_to(std::min<std::int64_t>(trace.width, 64), trace.q);
+    return cfg;
   }
-  cache::CachedMatrix cached(
-      lmem, mem, matrix,
-      core::FramePool::whole_space(cfg, 2 * trace.p, cfg.width),
-      {.write_policy = opts.write_policy});
 
-  Mirror mirror(trace);
-  ReplayReport report;
-  report.scheme = opts.scheme;
-  report.through_cache = true;
-  OpData data;
-  const auto lanes = static_cast<std::int64_t>(trace.p) * trace.q;
-
-  for (std::size_t k = 0; k < trace.ops.size(); ++k) {
-    const TraceOp& op = trace.ops[k];
-    const auto op_index = static_cast<std::int64_t>(k);
+  /// Reads into `words` (W = Word) or writes them (W = const Word):
+  /// row, column and rectangle accesses as blocks, the rest element by
+  /// element.
+  template <typename W>
+  void serve(const TraceOp& op, std::span<W> words) {
+    constexpr bool kWrite = std::is_const_v<W>;
     const access::PatternExtent ext =
-        access::pattern_extent(op.kind, trace.p, trace.q);
-    const bool block_shape = op.kind == PatternKind::kRow ||
-                             op.kind == PatternKind::kCol ||
-                             op.kind == PatternKind::kRect ||
-                             op.kind == PatternKind::kTRect;
-    ++report.ops;
-    (op.dir == TraceOp::Dir::kRead ? report.reads : report.writes) +=
-        op.count;
+        access::pattern_extent(op.kind, trace_.p, trace_.q);
+    const bool block = op.kind == PatternKind::kRow ||
+                       op.kind == PatternKind::kCol ||
+                       op.kind == PatternKind::kRect ||
+                       op.kind == PatternKind::kTRect;
     // Only full-lane rows can ride the cache's batched row path; every
-    // other shape is served element-by-element inside CachedMatrix.
-    (op.kind == PatternKind::kRow ? report.batched_accesses
-                                  : report.fallback_accesses) += op.count;
-
-    data.words.resize(static_cast<std::size_t>(op.count * lanes));
-    if (op.dir == TraceOp::Dir::kWrite)
-      data.fill_write(trace, op, op_index);
+    // other shape is served element by element inside CachedMatrix.
+    (op.kind == PatternKind::kRow ? batched_ : fallback_) += op.count;
+    const auto lanes = static_cast<std::size_t>(trace_.p) * trace_.q;
+    const core::AccessBatch batch = op.batch();
     for (std::int64_t t = 0; t < op.count; ++t) {
-      mirror.expand(op, t, op_index);  // bounds check before touching
-      const Coord a{op.anchor.i + t * op.stride.i,
-                    op.anchor.j + t * op.stride.j};
-      const auto span = std::span<std::uint64_t>(data.words)
-                            .subspan(static_cast<std::size_t>(t * lanes),
-                                     static_cast<std::size_t>(lanes));
-      if (op.dir == TraceOp::Dir::kRead) {
-        if (block_shape)
-          cached.read_block(a.i, a.j + ext.col_offset, ext.rows, ext.cols,
-                            span);
-        else
-          for (std::int64_t l = 0; l < lanes; ++l)
-            span[static_cast<std::size_t>(l)] =
-                cached.read(mirror.coords()[static_cast<std::size_t>(l)].i,
-                            mirror.coords()[static_cast<std::size_t>(l)].j);
+      const access::ParallelAccess a = batch.access(t);
+      const std::span<W> lane =
+          words.subspan(static_cast<std::size_t>(t) * lanes, lanes);
+      const std::int64_t j = a.anchor.j + ext.col_offset;
+      if (!block) {
+        access::expand_into(a, trace_.p, trace_.q, coords_);
+        for (std::size_t l = 0; l < lanes; ++l) {
+          if constexpr (kWrite)
+            cached_.write(coords_[l].i, coords_[l].j, lane[l]);
+          else
+            lane[l] = cached_.read(coords_[l].i, coords_[l].j);
+        }
+      } else if constexpr (kWrite) {
+        cached_.write_block(a.anchor.i, j, ext.rows, ext.cols, lane);
       } else {
-        if (block_shape)
-          cached.write_block(a.i, a.j + ext.col_offset, ext.rows, ext.cols,
-                             span);
-        else
-          for (std::int64_t l = 0; l < lanes; ++l)
-            cached.write(mirror.coords()[static_cast<std::size_t>(l)].i,
-                         mirror.coords()[static_cast<std::size_t>(l)].j,
-                         span[static_cast<std::size_t>(l)]);
+        cached_.read_block(a.anchor.i, j, ext.rows, ext.cols, lane);
       }
     }
-    if (op.dir == TraceOp::Dir::kRead)
-      check_read(data.words, mirror, op, op_index, report);
-    else
-      apply_write(data.words, mirror, op, op_index);
-    check_checksum(data.words, op, opts, report);
   }
 
-  cached.flush();
-  report.cache_stats = cached.stats();
-
-  std::vector<std::uint64_t> image(
-      static_cast<std::size_t>(trace.height * trace.width));
-  for (std::int64_t i = 0; i < trace.height; ++i)
-    lmem.read(matrix.word_addr(i, 0),
-              std::span<std::uint64_t>(image).subspan(
-                  static_cast<std::size_t>(i * trace.width),
-                  static_cast<std::size_t>(trace.width)));
-  report.final_image_ok = image == mirror.cells();
-  return report;
-}
+  const RecordedTrace& trace_;  // the caller's; outlives this backend
+  core::PolyMem mem_;
+  maxsim::LMem lmem_;
+  cache::CachedMatrix cached_;
+  std::vector<access::Coord> coords_;
+  std::int64_t batched_ = 0, fallback_ = 0;
+};
 
 }  // namespace
 
@@ -405,19 +249,56 @@ ReplayReport replay(const RecordedTrace& trace, const ReplayOptions& opts) {
                   "trace has an empty address space");
   POLYMEM_REQUIRE(!(opts.adaptive && opts.through_cache),
                   "adaptive replay does not route through the cache");
-  if (opts.adaptive) return replay_adaptive(trace, opts);
-  return opts.through_cache ? replay_cached(trace, opts)
-                            : replay_direct(trace, opts);
+  std::unique_ptr<Backend> backend;
+  if (opts.adaptive)
+    backend = std::make_unique<AdaptiveBackend>(trace, opts);
+  else if (opts.through_cache)
+    backend = std::make_unique<CachedBackend>(trace, opts);
+  else
+    backend = std::make_unique<DirectBackend>(trace, opts);
+  return replay(trace, *backend, opts);
+}
+
+ReplayReport replay(const RecordedTrace& trace, Backend& backend,
+                    const ReplayOptions& opts) {
+  ReplayReport report;
+  report.scheme = opts.scheme;
+  const auto check_checksum = [&](const TraceOp& op,
+                                  std::span<const Word> words) {
+    if (!opts.verify_checksums || !op.checksum) return;
+    ++report.checksums_checked;
+    if (sched::fnv1a(words.data(), words.size()) != *op.checksum)
+      ++report.checksum_mismatches;
+  };
+  std::vector<Word> got;
+  const sched::HostReplay host = sched::host_replay(
+      trace, [&](std::size_t k, std::span<const Word> words) {
+        const TraceOp& op = trace.ops[k];
+        ++report.ops;
+        if (op.dir == TraceOp::Dir::kWrite) {
+          report.writes += op.count;
+          backend.write(op, words);
+          check_checksum(op, words);
+          return;
+        }
+        report.reads += op.count;
+        got.resize(words.size());
+        backend.read(op, k, got);
+        for (std::size_t w = 0; w < got.size(); ++w)
+          report.data_mismatches += got[w] != words[w] ? 1 : 0;
+        check_checksum(op, got);
+      });
+
+  // End-state differential: the full trace-space image must match the
+  // host's bit for bit, whatever mix of engines served the ops.
+  std::vector<Word> image(host.memory.size());
+  backend.finish(image, report);
+  report.final_image_ok = image == host.memory;
+  return report;
 }
 
 verify::LintReport relint(const RecordedTrace& trace, maf::Scheme scheme) {
-  core::PolyMemConfig cfg;
-  cfg.scheme = scheme;
-  cfg.p = trace.p;
-  cfg.q = trace.q;
-  cfg.height = pad_to(trace.height, trace.p);
-  cfg.width = pad_to(trace.width, trace.q);
-
+  const core::PolyMemConfig cfg = padded_config(trace, scheme, 1);
   std::vector<verify::BatchOp> ops;
   ops.reserve(trace.ops.size());
   for (const TraceOp& op : trace.ops)

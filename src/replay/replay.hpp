@@ -2,33 +2,36 @@
 // scheme x cache x port configuration, differentially verified.
 //
 // A trace pins the lane geometry, address space and canonical-data seed
-// (sched/trace_io.hpp); this module supplies everything else. Three
-// backends serve the ops:
+// (sched/trace_io.hpp); this module supplies everything else. A Backend
+// serves the ops, and replay(trace, options) builds one of three:
 //
 //  - *direct*: a PolyMem of the chosen scheme. Ops the scheme serves
 //    conflict-free run through the batched engine (read_batch /
-//    write_batch, ports round-robined); unsupported or unaligned ops
-//    fall back to the batch host backdoor (load_batch / store_batch) —
-//    counted, so the report shows what the scheme could not serve, and
-//    the replay still completes on every scheme.
+//    write_batch, ports round-robined); the rest fall back to the batch
+//    host backdoor (load_batch / store_batch) — counted, so the report
+//    shows what the scheme could not serve, and the replay still
+//    completes on every scheme.
 //  - *through_cache*: a CachedMatrix over LMem (the out-of-core path),
 //    where rectangle-family ops map to block accesses and diagonal ops
-//    exercise the scalar-fallback path of the software cache.
+//    exercise the element path of the software cache.
 //  - *adaptive*: an adapt::AdaptiveMatrix starting on the chosen scheme,
 //    migrating as the trace's pattern mix shifts (each migration runs
-//    inside the op that triggered it, so the replay is deterministic);
-//    the same word-for-word mirror diffs the migrating engine against the
-//    static-scheme oracle.
+//    inside the op that triggered it, so the replay is deterministic).
 //
-// Verification is threefold, against the same canonical data model the
-// recorder used: every read is compared word-for-word with a host-memory
-// mirror, every op's FNV-1a checksum is compared with the recorded one,
-// and the final memory image is compared with the mirror. Any divergence
-// is a counted failure — ReplayReport::verified() is the differential
-// oracle the CLI and CI gate on.
+// Each backend starts from the canonical trace-space image; the padding
+// of a space that is not a multiple of p x q stays zero, as BRAM starts.
+// One loop drives any backend from inside sched::host_replay, the one
+// oracle: op k is bounds-checked against the trace space and applied to
+// the host image, then served by the backend. Every read is compared
+// word for word with the host's words, every op's FNV-1a checksum with
+// the recorded one, and the backend's final image with the host image.
+// Any divergence is a counted failure — ReplayReport::verified() is the
+// differential oracle the CLI and CI gate on.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 
 #include "cache/cached_matrix.hpp"
@@ -72,8 +75,8 @@ struct ReplayReport {
 
   std::int64_t checksums_checked = 0;
   std::int64_t checksum_mismatches = 0;
-  std::int64_t data_mismatches = 0;         ///< read words != host mirror
-  bool final_image_ok = false;              ///< end-state memory == mirror
+  std::int64_t data_mismatches = 0;         ///< read words != host image
+  bool final_image_ok = false;              ///< end-state memory == host
 
   /// Populated in adaptive mode.
   maf::Scheme final_scheme = maf::Scheme::kReRo;
@@ -91,10 +94,36 @@ struct ReplayReport {
   std::string summary() const;
 };
 
-/// Replays the trace; throws polymem::Error on structurally impossible
-/// input (out-of-bounds ops, empty space). Divergence does not throw —
-/// it is counted in the report.
+/// One engine under replay. The loop hands it each op after the oracle's
+/// bounds check; its words are count * p * q in canonical lane order.
+class Backend {
+ public:
+  Backend() = default;
+  Backend(const Backend&) = delete;
+  Backend& operator=(const Backend&) = delete;
+  virtual ~Backend() = default;
+  /// Serves read op number `k` into `out`.
+  virtual void read(const sched::TraceOp& op, std::size_t k,
+                    std::span<std::uint64_t> out) = 0;
+  virtual void write(const sched::TraceOp& op,
+                     std::span<const std::uint64_t> data) = 0;
+  /// Dumps the trace-space image row-major (height x width words) and
+  /// adds the engine's own counts to `report`.
+  virtual void finish(std::span<std::uint64_t> image,
+                      ReplayReport& report) = 0;
+};
+
+/// Replays the trace on the backend `options` selects; throws
+/// polymem::Error on structurally impossible input (out-of-bounds ops,
+/// empty space). Divergence does not throw — it is counted in the report.
 ReplayReport replay(const sched::RecordedTrace& trace,
+                    const ReplayOptions& options = {});
+
+/// The replay loop: serves every op on `backend` from inside
+/// sched::host_replay's per-op hook and diffs it against the host. Of
+/// `options` it reads only `scheme` (for the report) and
+/// `verify_checksums`.
+ReplayReport replay(const sched::RecordedTrace& trace, Backend& backend,
                     const ReplayOptions& options = {});
 
 /// Re-lints a replayed trace with no access to the original program:

@@ -294,15 +294,20 @@ std::uint64_t fnv1a(const std::uint64_t* words, std::size_t n) {
   return h;
 }
 
-HostReplay host_replay(const RecordedTrace& trace) {
+std::vector<std::uint64_t> canonical_image(const RecordedTrace& trace) {
+  std::vector<std::uint64_t> image;
+  image.reserve(static_cast<std::size_t>(trace.height * trace.width));
+  for (std::int64_t i = 0; i < trace.height; ++i)
+    for (std::int64_t j = 0; j < trace.width; ++j)
+      image.push_back(canonical_cell(trace.seed, trace.width, {i, j}));
+  return image;
+}
+
+HostReplay host_replay(const RecordedTrace& trace, const HostOpHook& on_op) {
   POLYMEM_REQUIRE(trace.height >= 1 && trace.width >= 1,
                   "trace has an empty address space");
   HostReplay result;
-  result.memory.resize(static_cast<std::size_t>(trace.height * trace.width));
-  for (std::int64_t i = 0; i < trace.height; ++i)
-    for (std::int64_t j = 0; j < trace.width; ++j)
-      result.memory[static_cast<std::size_t>(i * trace.width + j)] =
-          canonical_cell(trace.seed, trace.width, {i, j});
+  result.memory = canonical_image(trace);
 
   const auto lanes = static_cast<std::int64_t>(trace.p) * trace.q;
   std::vector<Coord> coords;
@@ -336,6 +341,7 @@ HostReplay host_replay(const RecordedTrace& trace) {
       }
     }
     result.checksums.push_back(fnv1a(words.data(), words.size()));
+    if (on_op) on_op(k, words);
   }
   return result;
 }

@@ -20,15 +20,17 @@
 // per element, and the k-th write op stores canonical_write_word(seed, k)
 // words. Each op's checksum is FNV-1a over the words it moves, in
 // canonical lane order. host_replay() evaluates this model with plain
-// host arrays — it is the differential oracle every PolyMem-backed
-// replay is compared against, bit for bit.
+// host arrays — it is the differential oracle every replay backend is
+// compared against, bit for bit, from inside its per-op hook.
 //
 // The full grammar lives in docs/trace_format.md.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <iosfwd>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -117,15 +119,27 @@ std::uint64_t canonical_write_word(std::uint64_t seed, std::int64_t op,
 /// FNV-1a (64-bit, byte-wise over little-endian words) of a word span.
 std::uint64_t fnv1a(const std::uint64_t* words, std::size_t n);
 
+/// The initial trace-space image, row-major height x width: every
+/// element's canonical_cell.
+std::vector<std::uint64_t> canonical_image(const RecordedTrace& trace);
+
 /// Host-array evaluation of a trace under the canonical data model: the
 /// final memory image (row-major height x width) and every op's
 /// checksum. This is the replay oracle; it throws InvalidArgument when
-/// an access leaves the address space.
+/// an access leaves the address space, before any later op runs.
+///
+/// With `on_op`, op k's bounds check and host update are followed by
+/// on_op(k, words): the words op k moved, in canonical lane order — the
+/// host image's words for a read, the canonical payload for a write.
+/// The replay loop (src/replay) serves each op on its engine from there.
 struct HostReplay {
   std::vector<std::uint64_t> memory;
   std::vector<std::uint64_t> checksums;
 };
-HostReplay host_replay(const RecordedTrace& trace);
+using HostOpHook =
+    std::function<void(std::size_t k, std::span<const std::uint64_t> words)>;
+HostReplay host_replay(const RecordedTrace& trace,
+                       const HostOpHook& on_op = {});
 
 /// Fills every op's checksum from host_replay (recorders call this once
 /// after the op stream is complete).

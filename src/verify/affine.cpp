@@ -13,6 +13,9 @@ using access::PatternKind;
 
 namespace {
 
+// The most lanes a grid may have (the bound maf::Maf enforces).
+constexpr std::int64_t kMaxLanes = std::int64_t{1} << 20;
+
 // Appends "± c*var" to the stream, eliding unit coefficients.
 void append_term(std::ostringstream& os, bool& first, std::int64_t c,
                  const char* var) {
@@ -70,8 +73,7 @@ std::string AffinePattern::invalid_reason() const {
     os << "lane grid " << lanes_u << 'x' << lanes_v << " is empty";
     return os.str();
   }
-  constexpr std::int64_t kMaxLanes = 1 << 20;
-  if (count() > kMaxLanes) {
+  if (lanes_u > kMaxLanes / lanes_v) {  // count() > kMaxLanes, no overflow
     std::ostringstream os;
     os << "lane grid " << lanes_u << 'x' << lanes_v << " exceeds "
        << kMaxLanes << " lanes";
@@ -136,6 +138,22 @@ namespace {
   throw InvalidArgument("cannot parse affine spec '" + text + "': " + why);
 }
 
+// Coefficients, constants and every accumulated term stay within +-2^31:
+// over at most 2^20 lanes, at anchors within +-2^31, no lane offset or
+// element coordinate then overflows int64.
+constexpr std::int64_t kMaxTerm = std::int64_t{1} << 31;
+
+void add_term(const std::string& text, const char* what, std::int64_t& acc,
+              std::int64_t sign, std::int64_t coef) {
+  if (coef > kMaxTerm)
+    spec_fail(text, std::to_string(coef) + " is beyond +-2^31");
+  acc += sign * coef;
+  if (acc < -kMaxTerm || acc > kMaxTerm) {
+    spec_fail(text, std::string(what) + " sums to " + std::to_string(acc) +
+                        ", beyond +-2^31");
+  }
+}
+
 // Splits the clause into tokens, treating = + - * as their own tokens so
 // "i=3*v-1" and "i = 3 * v - 1" parse identically.
 std::vector<std::string> lex(const std::string& clause) {
@@ -187,15 +205,15 @@ LaneExpr parse_expr(const std::string& text,
         ++t;
         if (t >= tokens.size()) spec_fail(text, "dangling '*' in expression");
       } else {
-        expr.c0 += sign * coef;  // bare constant term
+        add_term(text, "the constant", expr.c0, sign, coef);
         any = true;
         continue;
       }
     }
     if (tokens[t] == "u") {
-      expr.cu += sign * coef;
+      add_term(text, "the u coefficient", expr.cu, sign, coef);
     } else if (tokens[t] == "v") {
-      expr.cv += sign * coef;
+      add_term(text, "the v coefficient", expr.cv, sign, coef);
     } else {
       spec_fail(text, "expected 'u' or 'v', got '" + tokens[t] + "'" +
                           (have_coef ? " after coefficient" : ""));
@@ -232,9 +250,12 @@ AffinePattern AffinePattern::parse(const std::string& text) {
       if (tokens.size() != 2) spec_fail(text, "expected 'lanes <U>x<V>'");
       const std::string& dims = tokens[1];
       const auto x = dims.find('x');
-      if (x == std::string::npos || !parse_int(dims.substr(0, x), pat.lanes_u) ||
+      if (x == std::string::npos ||
+          !parse_int(dims.substr(0, x), pat.lanes_u) ||
           !parse_int(dims.substr(x + 1), pat.lanes_v))
         spec_fail(text, "expected 'lanes <U>x<V>', got '" + dims + "'");
+      if (pat.lanes_u > kMaxLanes || pat.lanes_v > kMaxLanes)
+        spec_fail(text, "lane grid " + dims + " has a side beyond 2^20");
       saw_lanes = true;
     } else if (tokens[0] == "i" || tokens[0] == "j") {
       if (tokens.size() < 3 || tokens[1] != "=")

@@ -98,7 +98,10 @@ struct AffinePattern {
   ///   term   := int "*" var | var | int      var := "u" | "v"
   ///
   /// e.g. "lanes 1x8 ; i = 0 ; j = 3*v" is a stride-3 row of 8 lanes.
-  /// Throws InvalidArgument with the offending token on malformed input.
+  /// Every int, and every sum of one variable's terms or of the
+  /// constants, lies within +-2^31, and U and V within 2^20, so no lane
+  /// offset overflows. Throws InvalidArgument with the offending token on
+  /// malformed or out-of-range input.
   static AffinePattern parse(const std::string& text);
 
   friend bool operator==(const AffinePattern&, const AffinePattern&) = default;

@@ -221,6 +221,30 @@ TEST(AffinePatternTest, ParseRejectsMalformedSpecs) {
                InvalidArgument);
 }
 
+TEST(AffinePatternTest, SpecNumbersAreBounded) {
+  // +-2^31 coefficients and constants parse; a number past them, a sum of
+  // terms past them, or a lane grid side past 2^20 is a spec error, so no
+  // lane offset or anchored element can wrap.
+  const AffinePattern edge = AffinePattern::parse(
+      "lanes 1x8 ; i = -2147483648*u + 2147483648 ; j = 2147483648*v");
+  EXPECT_EQ(edge.i, (LaneExpr{-2147483648, 0, 2147483648}));
+  EXPECT_EQ(edge.j, (LaneExpr{0, 2147483648, 0}));
+  const char* refused[] = {
+      "lanes 1x8 ; i = 0 ; j = 2147483649*v",
+      "lanes 1x8 ; i = 0 ; j = 9223372036854775807*v",
+      "lanes 1x8 ; i = 0 ; j = 2147483648*v + 1*v",
+      "lanes 1x8 ; i = -2147483648 - 1 ; j = v",
+      "lanes 1048577x1 ; i = u ; j = 0",
+  };
+  for (const char* spec : refused) {
+    EXPECT_THROW(AffinePattern::parse(spec), InvalidArgument) << spec;
+  }
+  // A grid built in code has its lane count checked without overflow.
+  AffinePattern huge;
+  huge.lanes_u = huge.lanes_v = std::int64_t{1} << 32;
+  EXPECT_NE(huge.invalid_reason(), "");
+}
+
 TEST(AffinePatternTest, BoundingBoxCoversLatticeCorners) {
   const AffinePattern pattern =
       AffinePattern::parse("lanes 2x4 ; i = 2*u - v ; j = 3*v + 1");

@@ -17,7 +17,9 @@
 //   traceN  = dense at <i>,<j> <rows>x<cols>
 //
 // Op coordinates lie within +-2^31 and counts in 1..2^24, the bounds of a
-// trace (docs/trace_format.md); values past them are parse errors.
+// trace (docs/trace_format.md); values past them are parse errors. So are
+// affine spec numbers and sums of terms past +-2^31, and lane-grid sides
+// past 2^20.
 //
 // Affine ops are admitted through the symbolic conflict-freedom prover
 // (verify/affine_prover.hpp) instead of the Table-I capability oracle.

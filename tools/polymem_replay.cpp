@@ -25,7 +25,7 @@
 //   --format=text|json output format (default text)
 //
 // Exit status: 0 verified, 1 divergence or lint errors, 2 usage/parse
-// errors.
+// errors or an op that leaves the trace's address space.
 #include <cstdlib>
 #include <iostream>
 #include <limits>
